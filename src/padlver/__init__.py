@@ -16,7 +16,6 @@ from .elaborate import (
     build_name_sets,
     composite_semantics,
     elaborate,
-    insert_async_queues,
     or_rewrite,
 )
 from .equivalence import (
@@ -79,7 +78,6 @@ __all__ = [
     "eval_formula",
     "find_deadlocks",
     "hide",
-    "insert_async_queues",
     "minimize",
     "or_rewrite",
     "parallel",

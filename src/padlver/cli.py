@@ -10,7 +10,13 @@ Subcommands:
 
 Exit codes for check: 0 deadlock-free, 1 deadlock or failed check,
 2 usage/parse error, 3 inconclusive (resource limits).  equiv: 0
-equivalent, 1 distinct, 2 error.
+equivalent, 1 distinct, 2 error.  Any subcommand exits 4 on an
+internal error, after a one-line message on stderr.
+
+In a check report each distinct compatibility or interoperability
+check runs once and is listed under every condition that uses it
+(conditions 2a and 2c can share one), with the time of that single
+evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .topology import (
 from .validate import validate
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 4
 
 
 def _load(path: str, capacity: int) -> ElabArchitecture:
@@ -230,6 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     except StateLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

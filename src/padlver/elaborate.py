@@ -552,11 +552,6 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
     )
 
 
-def insert_async_queues(arch: ValidatedArchitecture, capacity: int) -> ElabArchitecture:
-    """Spec-facing alias: elaboration with explicit queue capacity."""
-    return elaborate(arch, capacity)
-
-
 # ---------------------------------------------------------------------------
 # Name sets
 # ---------------------------------------------------------------------------

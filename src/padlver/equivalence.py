@@ -259,10 +259,6 @@ def _refine(lts: Lts) -> list[list[int]]:
         n_blocks = len(fresh)
 
 
-def strong_partition(lts: Lts) -> list[int]:
-    return _refine(lts)[-1]
-
-
 def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
     """Quotient by strong bisimilarity (no saturation).  Strong classes
     refine weak ones, so this is a sound and cheap shrinking step before

@@ -82,9 +82,6 @@ class Lts:
                     seen.add(self.labels[t.exc_label])
         return seen
 
-    def n_transitions(self) -> int:
-        return sum(len(ts) for ts in self.trans)
-
     def has_semisync(self) -> bool:
         return any(t.semisync for ts in self.trans for t in ts)
 

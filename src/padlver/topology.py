@@ -479,6 +479,52 @@ class ReductionResult:
         return all(c.holds for c in self.conditions)
 
 
+# A check is (kind, subject, partner): ("compatibility", center, partner)
+# or ("interoperability", union, member).
+Check = tuple[str, str | tuple[str, ...], str]
+
+
+def _condition_plan(
+    deco: Decomposition, free: dict[str, bool]
+) -> list[tuple[str, tuple[str, ...], list[Check]]]:
+    """Every condition of the reduction, in report order, as
+    (condition, subject, candidate checks); a condition holds when one
+    of its candidates is equivalent (see verify_deadlock_by_reduction)."""
+    plan: list[tuple[str, tuple[str, ...], list[Check]]] = []
+    # Condition 1 over the star pairs, skipping partners inside the
+    # center's own cyclic union.
+    for star in deco.stars:
+        union = set(deco.union_of(star.center) or ())
+        partners = [p for p in star.border if p not in union]
+        for partner in partners:
+            plan.append(("1", (star.center, partner),
+                         [("compatibility", star.center, partner)]))
+        # When the center does not satisfy deadlock freedom on its own,
+        # the verdict can only transfer from a border AEI that does, and
+        # that transfer additionally needs the border-to-center
+        # compatibility; require it for at least one such border.
+        if free.get(star.center) is False:
+            rescuers = [p for p in partners if free.get(p, False)]
+            if rescuers:
+                plan.append(("1r", (star.center,) + tuple(rescuers),
+                             [("compatibility", p, star.center) for p in rescuers]))
+
+    for union, frontier in zip(deco.cyclic_unions, deco.frontiers):
+        if not frontier:
+            plan.append(("2a", union, [("interoperability", union, m) for m in union]))
+        for member in frontier:
+            plan.append(("2b", union, [("interoperability", union, member)]))
+        # Condition 2c: when no frontier member is deadlock free on its
+        # own (vacuously so for an empty frontier) but some other member
+        # is, at least one such member must interoperate, otherwise the
+        # existential verdict transfer has no anchor.
+        frontier_free = any(free.get(m, False) for m in frontier)
+        interior = [m for m in union if m not in frontier and free.get(m, False)]
+        if not frontier_free and interior:
+            plan.append(("2c", union, [("interoperability", union, m) for m in interior]))
+    return plan
+
+
 def verify_deadlock_by_reduction(
     arch: ElabArchitecture,
     notion: str = "weak",
@@ -498,6 +544,9 @@ def verify_deadlock_by_reduction(
     member must interoperate too (2c).  When every condition holds, the
     architecture is deadlock free iff some AEI is on its own; when a
     condition fails, no verdict is claimed.
+
+    Each distinct check runs at most once per call, and a check that
+    several conditions share (2a and 2c can) is listed under each.
     """
     started = time.perf_counter()
     graph = build_flow_graph(arch.source)
@@ -512,88 +561,34 @@ def verify_deadlock_by_reduction(
         except StateLimitExceeded:
             limited = True
 
-    # Condition 1 over the star pairs, skipping partners inside the
-    # center's own cyclic union.
-    for star in deco.stars:
-        union = set(deco.union_of(star.center) or ())
-        partners = [p for p in star.border if p not in union]
-        for partner in partners:
-            record = ConditionRecord("1", (star.center, partner), None)
-            try:
-                outcome = check_compatibility(arch, star.center, partner, state_limit)
-                record.outcomes.append(outcome)
-                record.holds = outcome.equivalent
-            except StateLimitExceeded as exc:
-                record.detail = str(exc)
-                limited = True
-            conditions.append(record)
-        # When the center does not satisfy deadlock freedom on its own,
-        # the verdict can only transfer from a border AEI that does, and
-        # that transfer additionally needs the border-to-center
-        # compatibility; require it for at least one such border.
-        if free.get(star.center) is False:
-            rescuers = [p for p in partners if free.get(p, False)]
-            if rescuers:
-                record = ConditionRecord("1r", (star.center,) + tuple(rescuers), None)
-                for partner in rescuers:
-                    try:
-                        outcome = check_compatibility(arch, partner, star.center, state_limit)
-                    except StateLimitExceeded as exc:
-                        record.detail = str(exc)
-                        limited = True
-                        continue
-                    record.outcomes.append(outcome)
-                    if outcome.equivalent:
-                        record.holds = True
-                        break
-                else:
-                    if record.outcomes and record.detail is None:
-                        record.holds = False
-                conditions.append(record)
-
-    for union, frontier in zip(deco.cyclic_unions, deco.frontiers):
-        def existential(condition: str, candidates: list[str]) -> ConditionRecord:
-            record = ConditionRecord(condition, union, None)
-            for member in candidates:
+    # Each distinct check runs once; a limit is kept as its message
+    # only, since the exception's traceback would pin the frames of the
+    # construction that hit it.
+    memo: dict[Check, CheckOutcome | str] = {}
+    for condition, subject, checks in _condition_plan(deco, free):
+        record = ConditionRecord(condition, subject, None)
+        for key in checks:
+            if key not in memo:
+                kind, target, partner = key
+                check = (check_compatibility if kind == "compatibility"
+                         else check_interoperability)
                 try:
-                    outcome = check_interoperability(arch, union, member, state_limit)
+                    memo[key] = check(arch, target, partner, state_limit)
                 except StateLimitExceeded as exc:
-                    record.detail = str(exc)
-                    continue
-                record.outcomes.append(outcome)
-                if outcome.equivalent:
-                    record.holds = True
-                    break
-            else:
-                if record.outcomes and record.detail is None:
-                    record.holds = False
-            return record
-
-        if not frontier:
-            record = existential("2a", list(union))
-            limited = limited or record.detail is not None
-            conditions.append(record)
+                    memo[key] = str(exc)
+            result = memo[key]
+            if isinstance(result, str):
+                record.detail = result
+                continue
+            record.outcomes.append(result)
+            if result.equivalent:
+                record.holds = True
+                break
         else:
-            for member in frontier:
-                record = ConditionRecord("2b", union, None)
-                try:
-                    outcome = check_interoperability(arch, union, member, state_limit)
-                    record.outcomes.append(outcome)
-                    record.holds = outcome.equivalent
-                except StateLimitExceeded as exc:
-                    record.detail = str(exc)
-                    limited = True
-                conditions.append(record)
-        # Condition 2c: when no frontier member is deadlock free on its
-        # own (vacuously so for an empty frontier) but some other member
-        # is, at least one such member must interoperate, otherwise the
-        # existential verdict transfer has no anchor.
-        frontier_free = any(free.get(m, False) for m in frontier)
-        interior = [m for m in union if m not in frontier and free.get(m, False)]
-        if not frontier_free and interior:
-            record = existential("2c", interior)
-            limited = limited or record.detail is not None
-            conditions.append(record)
+            if record.outcomes and record.detail is None:
+                record.holds = False
+        limited = limited or record.detail is not None
+        conditions.append(record)
 
     elapsed = (time.perf_counter() - started) * 1000.0
     failed = [c for c in conditions if c.holds is False]

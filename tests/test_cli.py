@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from conftest import FIXTURES
+import pytest
+
+from conftest import FIXTURES, fixture_source
 from padlver.cli import main
 from padlver.lts import read_aut
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def fixture(name: str) -> str:
@@ -65,6 +71,30 @@ def test_check_json_deterministic_without_timings(capsys):
     doc = json.loads(out1)
     assert doc["schema_version"] == 1
     assert doc["agreement"] is True
+
+
+@pytest.mark.parametrize("capacity", ["1", "2", "3"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.padl")))
+def test_check_json_matches_golden(name, capacity, capsys):
+    # tests/golden/<name>.cap<N>.json holds the output of
+    # `padlver check <fixture> --mode both --format json --no-timings
+    # --queue-capacity N`; reports must stay byte-identical to it.
+    _, out, _ = run(capsys, "check", fixture(name), "--mode", "both", "--format", "json",
+                    "--no-timings", "--queue-capacity", capacity)
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.cap{capacity}.json").read_bytes()
+
+
+def test_check_internal_error_has_its_own_exit_code(tmp_path, capsys):
+    # A 3000-action prefix chain exhausts the recursive-descent parser;
+    # the crash must not read as exit 1, "deadlock found".
+    chain = " . ".join(["take"] * 3000)
+    deep = tmp_path / "deep.padl"
+    deep.write_text(fixture_source("deadlock_pair").replace("take . give", chain + " . give"))
+    code, out, err = run(capsys, "check", str(deep))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal error (") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_check_capacity_flag_validated(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import fixture_source, load_arch
-from padlver import parse, validate
+from padlver import parse, topology, validate
 from padlver.elaborate import elaborate
 from padlver.equivalence import eval_formula
 from padlver.topology import (
@@ -258,6 +258,87 @@ def test_empty_frontier_cycle_needs_a_deadlock_free_anchor():
     assert by_id["2a"].holds is True
     assert by_id["2c"].holds is False
     assert verify_deadlock_direct(arch).status == "deadlock"
+
+
+def _ring_member(aet: str, step: str) -> str:
+    return f"""\
+    ARCHI_ELEM_TYPE {aet}(void)
+      BEHAVIOR
+        B0(void; void) = choice {{ think . B1(), {step} . B0() }};
+        B1(void; void) = choice {{ think . B0(), {step} . B1() }}
+      INPUT_INTERACTIONS  SYNC UNI take
+      OUTPUT_INTERACTIONS SYNC UNI pass
+"""
+
+
+def ring_source(n: int) -> str:
+    """Members R_1..R_n passing a token around one cycle; R_1 starts with it."""
+    members = [f"R_{i}" for i in range(1, n + 1)]
+    instances = ";\n".join(
+        f"      {m} : {'Head_Type' if k == 0 else 'Member_Type'}()"
+        for k, m in enumerate(members)
+    )
+    attachments = ";\n".join(
+        f"      FROM {a}.pass TO {b}.take"
+        for a, b in zip(members, members[1:] + members[:1])
+    )
+    return (
+        f"ARCHI_TYPE Ring_{n}(void)\n  ARCHI_BEHAVIOR\n"
+        + _ring_member("Head_Type", "pass . take")
+        + _ring_member("Member_Type", "take . pass")
+        + f"  ARCHI_TOPOLOGY\n    ARCHI_ELEM_INSTANCES\n{instances}\n"
+        + "    ARCHI_INTERACTIONS void\n"
+        + f"    ARCHI_ATTACHMENTS\n{attachments}\nEND\n"
+    )
+
+
+@pytest.fixture
+def interop_calls(monkeypatch):
+    """The (union, member) pairs passed to check_interoperability."""
+    calls = []
+    real = topology.check_interoperability
+
+    def counted(arch, cycle, member, *args, **kwargs):
+        calls.append((cycle, member))
+        return real(arch, cycle, member, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "check_interoperability", counted)
+    return calls
+
+
+def test_each_interoperability_check_runs_once(interop_calls):
+    # Conditions 2a and 2c both range over members of an empty-frontier
+    # cycle; a member they share is checked once and listed under both.
+    reduction = verify_deadlock_by_reduction(load_arch("cycle_dying_member"))
+    assert len(interop_calls) == len(set(interop_calls)) == 3
+    by_id = {c.condition: c for c in reduction.conditions}
+    shared_2a = {o.partner: o for o in by_id["2a"].outcomes}
+    shared_2c = {o.partner: o for o in by_id["2c"].outcomes}
+    assert set(shared_2a) & set(shared_2c) == {"N_1"}
+    assert shared_2a["N_1"] is shared_2c["N_1"]
+    assert shared_2a["N_1"].equivalent is False
+
+
+def test_ring_checks_its_cycle_once(interop_calls):
+    arch = elaborate(validate(parse(ring_source(4))), 1)
+    reduction = verify_deadlock_by_reduction(arch)
+    assert reduction.status == "deadlock_free"
+    assert len(interop_calls) == len(set(interop_calls)) == 1
+    by_id = {c.condition: c for c in reduction.conditions}
+    assert by_id["2a"].outcomes[0] is by_id["2c"].outcomes[0]
+
+
+def test_a_check_that_hits_the_limit_is_not_retried(interop_calls):
+    arch = elaborate(validate(parse(ring_source(4))), 1)
+    reduction = verify_deadlock_by_reduction(arch, state_limit=10)
+    assert reduction.status == "inconclusive"
+    assert len(interop_calls) == len(set(interop_calls)) == 4
+    by_id = {c.condition: c for c in reduction.conditions}
+    for condition in ("2a", "2c"):
+        assert by_id[condition].holds is None
+        assert by_id[condition].outcomes == []
+        assert "state limit" in by_id[condition].detail
+    assert by_id["2a"].detail == by_id["2c"].detail
 
 
 def test_mutant_direct_confirms_failed_check():
