@@ -16,11 +16,22 @@ fails at the second's.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import count, groupby, islice, repeat
+from typing import Iterator, Sequence
 
 from .diagnostics import StateLimitExceeded
-from .lts import TAU, Lts, build_lts, relabel, renumber_bfs
+from .lts import (
+    _LABEL,
+    _TARGET,
+    TAU,
+    Lts,
+    Transition,
+    _canonical,
+    _new,
+    relabel,
+    renumber_bfs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,57 +124,13 @@ def eval_formula(lts: Lts, formula: WeakFormula, state: int | None = None) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _tau_closures(lts: Lts) -> list[list[int]]:
-    """Reflexive-transitive tau-closure per state (semisync excluded:
-    callers resolve first)."""
-    closures: list[list[int]] = []
-    for s in range(lts.n_states):
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for t in lts.trans[x]:
-                if t.label == 0 and t.target not in seen:
-                    seen.add(t.target)
-                    queue.append(t.target)
-        closures.append(sorted(seen))
-    return closures
+def _tau_sccs(lts: Lts) -> tuple[list[int], int]:
+    """Strongly connected components of the tau steps (Tarjan).
 
-
-def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
-    """The weak transition relation as an explicit LTS.
-
-    For every visible label a, an edge s -a-> u exists iff u is
-    reachable from s by tau* a tau*; tau edges are the reflexive and
-    transitive closure of the original tau steps.  The relation is
-    quadratic in the worst case, so a transition budget can bound the
-    construction; exceeding it raises StateLimitExceeded.
-    """
-    if lts.has_semisync():
-        raise ValueError("saturate requires a resolved LTS")
-    closures = _tau_closures(lts)
-    triples: list[tuple[int, str, int]] = []
-    for s in range(lts.n_states):
-        for u in closures[s]:
-            triples.append((s, TAU, u))
-        targets: dict[int, set[int]] = {}
-        for x in closures[s]:
-            for t in lts.trans[x]:
-                if t.label != 0:
-                    targets.setdefault(t.label, set()).update(closures[t.target])
-        for label_idx, dsts in targets.items():
-            name = lts.labels[label_idx]
-            for u in dsts:
-                triples.append((s, name, u))
-        if max_transitions is not None and len(triples) > max_transitions:
-            raise StateLimitExceeded(max_transitions, lts.n_states, len(triples))
-    return build_lts(lts.n_states, lts.initial, triples, lts.marked)
-
-
-def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
-    """Collapse states on common tau-cycles (they are weakly bisimilar).
-
-    Returns the collapsed system and the state mapping."""
+    Returns (component of each state, number of components).
+    Components are numbered in completion order, so every component a
+    tau step leads to from component c is numbered at most c.  Rows are
+    sorted, so each state's tau steps are a prefix of its row."""
     n = lts.n_states
     index = [-1] * n
     low = [0] * n
@@ -190,7 +157,7 @@ def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
                 t = ts[pi]
                 pi += 1
                 if t.label != 0:
-                    continue
+                    break
                 w = t.target
                 if index[w] == -1:
                     work[-1] = (v, pi)
@@ -213,16 +180,125 @@ def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
+    return comp, n_comps
 
-    triples: list[tuple[int, str, int]] = []
+
+def _tau_closures(lts: Lts) -> list[list[int]]:
+    """Reflexive-transitive tau-closure per state, sorted (semisync
+    excluded: callers resolve first).  States of one tau-SCC share one
+    list, built once as the component's members plus the closures of
+    the components its tau steps lead to."""
+    comp, n_comps = _tau_sccs(lts)
+    members: list[list[int]] = [[] for _ in range(n_comps)]
+    for s, c in enumerate(comp):
+        members[c].append(s)
+    closure_of: list[list[int]] = []
+    for c, states in enumerate(members):
+        below = set()
+        for v in states:
+            for t in lts.trans[v]:
+                if t.label != 0:
+                    break
+                below.add(comp[t.target])
+        below.discard(c)
+        seen = set(states)
+        for d in below:
+            seen.update(closure_of[d])
+        closure_of.append(sorted(seen))
+    return [closure_of[c] for c in comp]
+
+
+def _moves(label: int, targets: Sequence[int]) -> Iterator[Transition]:
+    """Normal transitions on one label to the given targets."""
+    return map(_new, repeat(Transition), zip(repeat(label), targets, repeat(-1), repeat(-1)))
+
+
+def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
+    """The weak transition relation as an explicit LTS.
+
+    For every visible label a, an edge s -a-> u exists iff u is
+    reachable from s by tau* a tau*; tau edges are the reflexive and
+    transitive closure of the original tau steps.  The relation is
+    quadratic in the worst case, so a transition budget can bound the
+    construction; exceeding it raises StateLimitExceeded, and the
+    budget is counted, state by state, before any transition is built.
+    The result shares the input's label table: every label in use
+    stays in use.
+    """
+    if lts.has_semisync():
+        raise ValueError("saturate requires a resolved LTS")
+    n = lts.n_states
+    closures = _tau_closures(lts)
+    # after[x]: per visible label, the sorted states tau* reaches after
+    # one step of x on that label.  Target sets are kept as sorted lists,
+    # which take a fraction of a set's memory.
+    after: list[dict[int, list[int]]] = []
+    for ts in lts.trans:
+        step: dict[int, set[int]] = {}
+        for l, d, _, _ in ts:
+            if l:
+                step.setdefault(l, set()).update(closures[d])
+        after.append({l: sorted(dsts) for l, dsts in step.items()})
+    moves: list[dict[int, list[int]]] = []
+    count = 0
     for s in range(n):
-        for t in lts.trans[s]:
-            src, dst = comp[s], comp[t.target]
-            if t.label == 0 and src == dst:
-                continue
-            triples.append((src, lts.labels[t.label], dst))
-    marked = frozenset(comp[s] for s in lts.marked)
-    return build_lts(n_comps, comp[lts.initial], triples, marked), comp
+        closure = closures[s]
+        if len(closure) == 1:
+            targets = after[s]
+        else:
+            union: dict[int, set[int]] = {}
+            for x in closure:
+                for l, dsts in after[x].items():
+                    if l in union:
+                        union[l].update(dsts)
+                    else:
+                        union[l] = set(dsts)
+            targets = {l: sorted(dsts) for l, dsts in union.items()}
+        moves.append(targets)
+        count += len(closure) + sum(map(len, targets.values()))
+        if max_transitions is not None and count > max_transitions:
+            raise StateLimitExceeded(max_transitions, n, count)
+    # With no more (label, target) pairs than transitions, rows share
+    # one Transition per pair; otherwise each move is its own object.
+    shared = None
+    if n * len(lts.labels) <= count:
+        shared = [list(_moves(l, range(n))) for l in range(len(lts.labels))]
+
+    def moves_to(label: int, targets: list[int]) -> Iterator[Transition]:
+        if shared is None:
+            return _moves(label, targets)
+        return map(shared[label].__getitem__, targets)
+
+    trans = []
+    for s in range(n):
+        row = list(moves_to(0, closures[s]))
+        targets = moves[s]
+        for l in sorted(targets):
+            row += moves_to(l, targets[l])
+        trans.append(tuple(row))
+    return Lts(lts.labels, n, lts.initial, tuple(trans), lts.marked)
+
+
+def _quotient(lts: Lts, block: list[int], n_blocks: int) -> Lts:
+    """The image of lts under a state map, intra-block tau steps dropped."""
+    rows: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_blocks)]
+    for s, ts in enumerate(lts.trans):
+        b = block[s]
+        row = rows[b]
+        for l, d, _, _ in ts:
+            d = block[d]
+            if l or d != b:
+                row.append((l, d, -1, -1))
+    marked = frozenset(block[s] for s in lts.marked)
+    return _canonical(lts.labels, rows, block[lts.initial], marked)
+
+
+def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
+    """Collapse states on common tau-cycles (they are weakly bisimilar).
+
+    Returns the collapsed system and the state mapping."""
+    comp, n_comps = _tau_sccs(lts)
+    return _quotient(lts, comp, n_comps), comp
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +310,35 @@ def _refine(lts: Lts) -> list[list[int]]:
     """Signature-based refinement to the coarsest strong bisimulation.
 
     Returns the full round history (round 0 is the single-block
-    partition); the last entry is the stable partition."""
-    n = lts.n_states
-    parts = [0] * n
-    rounds = [list(parts)]
+    partition); the last entry is the stable partition.  A state's
+    signature is its (label, set of target blocks) pairs in label
+    order, which rows being sorted makes canonical; blocks are
+    numbered in order of first occurrence over the states."""
+    # Each row's label groups, flattened over all states: a state's
+    # groups are the next n_groups[s] entries of labels and targets.
+    labels: list[int] = []
+    targets: list[tuple[int, ...]] = []
+    n_groups: list[int] = []
+    for ts in lts.trans:
+        k = 0
+        for label, group in groupby(ts, _LABEL):
+            labels.append(label)
+            targets.append(tuple(map(_TARGET, group)))
+            k += 1
+        n_groups.append(k)
+    parts = [0] * lts.n_states
+    rounds = [parts]
     n_blocks = 1
     while True:
-        sigs = []
-        for s in range(n):
-            sigs.append(frozenset((t.label, parts[t.target]) for t in lts.trans[s]))
-        fresh: dict[tuple[int, frozenset], int] = {}
-        new_parts = [0] * n
-        for s in range(n):
-            key = (parts[s], sigs[s])
-            block = fresh.get(key)
-            if block is None:
-                block = len(fresh)
-                fresh[key] = block
-            new_parts[s] = block
-        parts = new_parts
-        rounds.append(list(parts))
+        pairs = zip(labels, map(frozenset, map(map, repeat(parts.__getitem__), targets)))
+        signatures = map(tuple, map(islice, repeat(pairs), n_groups))
+        # first[s]: the first state with s's key; blocks are numbered
+        # in order of their first state.
+        fresh: dict[tuple[int, tuple], int] = {}
+        first = list(map(fresh.setdefault, zip(parts, signatures), count()))
+        number = dict(zip(dict.fromkeys(first), count()))
+        parts = list(map(number.__getitem__, first))
+        rounds.append(parts)
         if len(fresh) == n_blocks:
             return rounds
         n_blocks = len(fresh)
@@ -262,15 +347,17 @@ def _refine(lts: Lts) -> list[list[int]]:
 def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
     """Quotient by strong bisimilarity (no saturation).  Strong classes
     refine weak ones, so this is a sound and cheap shrinking step before
-    the quadratic saturation."""
+    the quadratic saturation.  The partition is stable, so the members
+    of a block have the same moves up to blocks and the first member's
+    row stands for all of them."""
     parts = _refine(lts)[-1]
     n_blocks = max(parts) + 1
-    triples: list[tuple[int, str, int]] = []
-    for s in range(lts.n_states):
-        for t in lts.trans[s]:
-            triples.append((parts[s], lts.labels[t.label], parts[t.target]))
+    rows: list[list[tuple[int, int, int, int]] | None] = [None] * n_blocks
+    for s, b in enumerate(parts):
+        if rows[b] is None:
+            rows[b] = [(l, parts[d], -1, -1) for l, d, _, _ in lts.trans[s]]
     marked = frozenset(parts[s] for s in lts.marked)
-    return build_lts(n_blocks, parts[lts.initial], triples, marked), parts
+    return _canonical(lts.labels, rows, parts[lts.initial], marked), parts
 
 
 def _weak_rounds(
@@ -307,20 +394,19 @@ class EquivalenceVerdict:
 
 
 def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
+    """l1 and l2 side by side: l2's states shift by l1.n_states and its
+    label indices by len(l1.labels), over the joined label tables."""
     offset = l1.n_states
-    triples: list[tuple] = []
-    for lts, base in ((l1, 0), (l2, offset)):
-        for s, ts in enumerate(lts.trans):
-            for t in ts:
-                if t.semisync:
-                    triples.append(
-                        (base + s, lts.labels[t.label], base + t.target,
-                         lts.labels[t.exc_label], base + t.exc_target)
-                    )
-                else:
-                    triples.append((base + s, lts.labels[t.label], base + t.target))
+    shift = len(l1.labels)
+    rows = list(l1.trans)
+    for ts in l2.trans:
+        rows.append([
+            (l + shift, d + offset, el + shift, ed + offset) if ed >= 0
+            else (l + shift, d + offset, -1, -1)
+            for l, d, el, ed in ts
+        ])
     marked = frozenset(l1.marked) | frozenset(offset + s for s in l2.marked)
-    union = build_lts(l1.n_states + l2.n_states, l1.initial, triples, marked)
+    union = _canonical(l1.labels + l2.labels, rows, l1.initial, marked)
     return union, l1.initial, offset + l2.initial
 
 
@@ -386,17 +472,7 @@ def minimize(lts: Lts) -> Lts:
     rounds, _, mapping = _weak_rounds(lts)
     final = rounds[-1]
     block = [final[mapping[s]] for s in range(lts.n_states)]
-    n_blocks = max(final) + 1
-    triples: list[tuple[int, str, int]] = []
-    for s in range(lts.n_states):
-        for t in lts.trans[s]:
-            src, dst = block[s], block[t.target]
-            if t.label == 0 and src == dst:
-                continue
-            triples.append((src, lts.labels[t.label], dst))
-    marked = frozenset(block[s] for s in lts.marked)
-    quotient = build_lts(n_blocks, block[lts.initial], triples, marked)
-    return renumber_bfs(quotient)
+    return renumber_bfs(_quotient(lts, block, max(final) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Finite labeled transition systems and the static operators over them.
 
-Labels are plain strings: ``tau`` is the invisible action, visible
-labels are dotted names (``C.action``), possibly composed with ``#``
-into fresh synchronization names, possibly suffixed ``_exception``.
+Labels are strings: ``tau`` is the invisible action, visible labels
+are dotted names (``C.action``), possibly composed with ``#`` into
+fresh synchronization names, possibly suffixed ``_exception``.  Each
+Lts keeps them in a sorted label table and its transitions refer to
+them by index; the operators below map those indices (hiding maps a
+label to tau, relabeling renames a table entry) and all end in one
+canonicalizing step, so only build_lts and LtsBuilder.add read label
+strings from outside.
 
 A transition is either normal or semi-synchronous.  A semi-synchronous
 transition carries two continuations: the success target (the implicit
@@ -20,6 +25,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .diagnostics import StateLimitExceeded
 
@@ -38,10 +46,12 @@ def exception_label(label: str) -> str:
     return label + EXCEPTION_SUFFIX
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Transition:
+class Transition(NamedTuple):
     """One outgoing transition.  Label fields index the owning Lts label
-    table; exc_label/exc_target are -1 on normal transitions."""
+    table; exc_label/exc_target are -1 on normal transitions.
+
+    Hot loops build instances with ``tuple.__new__(Transition, fields)``,
+    which skips the keyword-argument handling of ``Transition(...)``."""
 
     label: int
     target: int
@@ -53,8 +63,20 @@ class Transition:
         return self.exc_target >= 0
 
 
+_new = tuple.__new__
+_LABEL = itemgetter(0)
+_TARGET = itemgetter(1)
+_EXC_LABEL = itemgetter(2)
+_EXC_TARGET = itemgetter(3)
+
+
 @dataclass(frozen=True)
 class Lts:
+    """A finite LTS in canonical form: ``labels`` holds tau first and
+    then every other label in use, sorted; ``trans[s]`` holds state s's
+    transitions sorted and free of duplicates, so tau moves come first
+    and structurally equal systems compare equal."""
+
     labels: tuple[str, ...]  # labels[0] is always tau
     n_states: int
     initial: int
@@ -64,12 +86,6 @@ class Lts:
     def __post_init__(self) -> None:
         assert self.labels and self.labels[0] == TAU
         assert 0 <= self.initial < self.n_states
-
-    def label_of(self, t: Transition) -> str:
-        return self.labels[t.label]
-
-    def exc_label_of(self, t: Transition) -> str:
-        return self.labels[t.exc_label]
 
     def visible_labels(self) -> set[str]:
         """Labels of transitions reachable from the initial state, tau excluded."""
@@ -83,7 +99,7 @@ class Lts:
         return seen
 
     def has_semisync(self) -> bool:
-        return any(t.semisync for ts in self.trans for t in ts)
+        return max(map(_EXC_TARGET, chain.from_iterable(self.trans)), default=-1) >= 0
 
     def transition_view(self) -> list[tuple[int, str, int, str | None, int | None]]:
         """Label-resolved transitions, convenient for tests and debugging."""
@@ -103,6 +119,45 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
+def _canonical(
+    names: Sequence[str],
+    rows: Sequence[Sequence[tuple[int, int, int, int]]],
+    initial: int,
+    marked: frozenset[int] | set[int],
+    exc_names: Sequence[str] | None = None,
+) -> Lts:
+    """The one path every constructed Lts ends in.
+
+    rows[s] holds state s's transitions as (label, target, exc_label,
+    exc_target) tuples.  Label fields index ``names`` and exc_label
+    fields index ``exc_names`` (``names`` when omitted); both tables
+    may repeat a name and may hold unused ones, and a name mapped to
+    tau makes its transitions tau steps.  Unused names are dropped, the
+    rest sorted after tau, the indices remapped by name, and each row
+    deduplicated and sorted."""
+    if exc_names is None:
+        exc_names = names
+    used = set(map(_LABEL, chain.from_iterable(rows)))
+    used_exc = set(map(_EXC_LABEL, chain.from_iterable(rows)))
+    used_exc.discard(-1)
+    in_use = {names[i] for i in used} | {exc_names[i] for i in used_exc}
+    in_use.discard(TAU)
+    labels = (TAU,) + tuple(sorted(in_use))
+    position = {name: i for i, name in enumerate(labels)}
+    remap = [position.get(name, -1) for name in names]
+    # The trailing -1 keeps exc_label -1 (a normal transition) at -1.
+    remap_exc = [position.get(name, -1) for name in exc_names] + [-1]
+    flat = chain.from_iterable
+    moves = map(_new, repeat(Transition), zip(
+        map(remap.__getitem__, map(_LABEL, flat(rows))),
+        map(_TARGET, flat(rows)),
+        map(remap_exc.__getitem__, map(_EXC_LABEL, flat(rows))),
+        map(_EXC_TARGET, flat(rows)),
+    ))
+    trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
+    return Lts(labels, len(rows), initial, trans, frozenset(marked))
+
+
 def build_lts(
     n_states: int,
     initial: int,
@@ -112,29 +167,21 @@ def build_lts(
     """Assemble an Lts from label-resolved transitions.
 
     Triples (src, label, dst) are normal transitions; quintuples
-    (src, label, ok, exc_label, exc) are semi-synchronous.  The label
-    table is canonicalized (tau first, the rest sorted) and each
-    state's transitions are sorted and deduplicated, so structurally
-    equal systems compare equal.
+    (src, label, ok, exc_label, exc) are semi-synchronous.  This is the
+    entry for labels given as strings (AUT input, hand-built systems);
+    the operators below map label indices instead.
     """
-    names: set[str] = set()
-    for item in transitions:
-        names.add(item[1])
-        if len(item) == 5:
-            names.add(item[3])
-    names.discard(TAU)
-    labels = (TAU,) + tuple(sorted(names))
-    index = {name: i for i, name in enumerate(labels)}
-    per_state: list[set[Transition]] = [set() for _ in range(n_states)]
+    builder = LtsBuilder(n_states)
+    for s in range(n_states):
+        builder.state(s)
     for item in transitions:
         if len(item) == 5:
-            src, label, ok, exc_label, exc = item
-            per_state[src].add(Transition(index[label], ok, index[exc_label], exc))
+            builder.add_semisync(*item)
         else:
-            src, label, dst = item
-            per_state[src].add(Transition(index[label], dst))
-    trans = tuple(tuple(sorted(ts)) for ts in per_state)
-    return Lts(labels, n_states, initial, trans, frozenset(marked))
+            builder.add(*item)
+    for s in marked:
+        builder.mark(s)
+    return builder.finish(initial)
 
 
 class LtsBuilder:
@@ -142,34 +189,38 @@ class LtsBuilder:
 
     States are keyed by arbitrary hashable values and numbered in
     discovery order, which makes every construction reproducible.
+    ``rows[s]`` collects state s's transitions as index 4-tuples over
+    ``labels``, which starts as the given table and grows as add() and
+    add_semisync() intern names; duplicates are dropped at finish().
     """
 
-    def __init__(self, state_limit: int = DEFAULT_STATE_LIMIT):
+    def __init__(self, state_limit: int = DEFAULT_STATE_LIMIT,
+                 labels: Sequence[str] = (TAU,)):
         self.state_limit = state_limit
-        self._index: dict[object, int] = {}
-        self._labels: list[str] = [TAU]
-        self._label_index: dict[str, int] = {TAU: 0}
-        self._trans: list[set[Transition]] = []
+        self.labels = list(labels)
+        self.rows: list[list[tuple[int, int, int, int]]] = []
+        self.index: dict[object, int] = {}  # state key -> state
+        self._label_index = {name: i for i, name in enumerate(self.labels)}
         self._marked: set[int] = set()
-        self._n_transitions = 0
 
     def state(self, key: object) -> tuple[int, bool]:
         """Intern a state key; returns (index, is_new)."""
-        idx = self._index.get(key)
+        idx = self.index.get(key)
         if idx is not None:
             return idx, False
-        idx = len(self._index)
+        idx = len(self.index)
         if idx >= self.state_limit:
-            raise StateLimitExceeded(self.state_limit, idx, self._n_transitions)
-        self._index[key] = idx
-        self._trans.append(set())
+            # Rows keep duplicates, so this counts every transition added.
+            raise StateLimitExceeded(self.state_limit, idx, sum(map(len, self.rows)))
+        self.index[key] = idx
+        self.rows.append([])
         return idx, True
 
     def label(self, name: str) -> int:
         idx = self._label_index.get(name)
         if idx is None:
-            idx = len(self._labels)
-            self._labels.append(name)
+            idx = len(self.labels)
+            self.labels.append(name)
             self._label_index[name] = idx
         return idx
 
@@ -177,36 +228,13 @@ class LtsBuilder:
         self._marked.add(state)
 
     def add(self, src: int, label: str, dst: int) -> None:
-        self._trans[src].add(Transition(self.label(label), dst))
-        self._n_transitions += 1
+        self.rows[src].append((self.label(label), dst, -1, -1))
 
     def add_semisync(self, src: int, label: str, ok: int, exc_label: str, exc: int) -> None:
-        self._trans[src].add(
-            Transition(self.label(label), ok, self.label(exc_label), exc)
-        )
-        self._n_transitions += 1
+        self.rows[src].append((self.label(label), ok, self.label(exc_label), exc))
 
     def finish(self, initial: int) -> Lts:
-        order = sorted(range(1, len(self._labels)), key=lambda i: self._labels[i])
-        labels = (TAU,) + tuple(self._labels[i] for i in order)
-        remap = {0: 0}
-        for new, old in enumerate(order, start=1):
-            remap[old] = new
-        trans = tuple(
-            tuple(
-                sorted(
-                    Transition(
-                        remap[t.label],
-                        t.target,
-                        remap.get(t.exc_label, -1),
-                        t.exc_target,
-                    )
-                    for t in ts
-                )
-            )
-            for ts in self._trans
-        )
-        return Lts(labels, len(self._trans), initial, trans, frozenset(self._marked))
+        return _canonical(self.labels, self.rows, initial, self._marked)
 
 
 # ---------------------------------------------------------------------------
@@ -236,81 +264,75 @@ def parallel(
     if bad:
         raise ValueError(f"sync set may not contain tau or exception labels: {sorted(bad)}")
 
-    sync_left = frozenset(i for i, name in enumerate(left.labels) if name in sync_set)
-    sync_right = frozenset(i for i, name in enumerate(right.labels) if name in sync_set)
+    # The product's label table is left's followed by right's, so right
+    # indices shift by `off`; a joint move keeps the left index.
+    off = len(left.labels)
+    right_index = {name: j for j, name in enumerate(right.labels)}
+    # Each left sync label's right index (-1 when right never offers it).
+    partner = {
+        i: right_index.get(name, -1)
+        for i, name in enumerate(left.labels) if name in sync_set
+    }
+    sync_right = frozenset(j for j, name in enumerate(right.labels) if name in sync_set)
 
-    builder = LtsBuilder(state_limit)
-    queue: deque[tuple[int, int]] = deque()
+    builder = LtsBuilder(state_limit, left.labels + right.labels)
+    rows, seen = builder.rows, builder.index
+    queue: deque[tuple[int, int, int]] = deque()  # (state, left state, right state)
 
-    def visit(key: tuple[int, int]) -> int:
-        idx, new = builder.state(key)
-        if new:
-            if key[0] in left.marked or key[1] in right.marked:
+    def visit(ls: int, rs: int) -> int:
+        idx = seen.get((ls, rs))
+        if idx is None:
+            idx, _ = builder.state((ls, rs))
+            if ls in left.marked or rs in right.marked:
                 builder.mark(idx)
-            queue.append(key)
+            queue.append((idx, ls, rs))
         return idx
 
-    init = visit((left.initial, right.initial))
+    init = visit(left.initial, right.initial)
 
     while queue:
-        ls, rs = queue.popleft()
-        src, _ = builder.state((ls, rs))
-        right_by_name: dict[str, list[Transition]] = {}
+        src, ls, rs = queue.popleft()
+        row = rows[src]
+        right_by_label: dict[int, list[Transition]] = {}
         for t in right.trans[rs]:
             if t.label in sync_right:
-                right_by_name.setdefault(right.labels[t.label], []).append(t)
+                right_by_label.setdefault(t.label, []).append(t)
 
         # Left side: interleaving and joint moves.
-        for t in left.trans[ls]:
-            name = left.labels[t.label]
-            if t.label not in sync_left:
-                if t.semisync:
-                    builder.add_semisync(
-                        src, name, visit((t.target, rs)),
-                        left.labels[t.exc_label], visit((t.exc_target, rs)),
-                    )
+        offered = set()  # right indices of the shared names left offers here
+        for l, d, el, ed in left.trans[ls]:
+            j = partner.get(l)
+            if j is None:
+                if ed >= 0:
+                    row.append((l, visit(d, rs), el, visit(ed, rs)))
                 else:
-                    builder.add(src, name, visit((t.target, rs)))
+                    row.append((l, visit(d, rs), -1, -1))
                 continue
-            partners = right_by_name.get(name, [])
+            offered.add(j)
+            partners = right_by_label.get(j)
             if not partners:
-                if t.semisync:
-                    builder.add(
-                        src, left.labels[t.exc_label], visit((t.exc_target, rs))
-                    )
+                if ed >= 0:
+                    row.append((el, visit(ed, rs), -1, -1))
                 continue
-            for rt in partners:
-                if t.semisync and rt.semisync:
-                    builder.add(src, name, visit((t.target, rt.target)))
-                elif t.semisync:
-                    builder.add_semisync(
-                        src, name, visit((t.target, rt.target)),
-                        left.labels[t.exc_label], visit((t.exc_target, rs)),
-                    )
-                elif rt.semisync:
-                    builder.add_semisync(
-                        src, name, visit((t.target, rt.target)),
-                        right.labels[rt.exc_label], visit((ls, rt.exc_target)),
-                    )
+            for _, rd, rel, red in partners:
+                if ed >= 0 and red >= 0:
+                    row.append((l, visit(d, rd), -1, -1))
+                elif ed >= 0:
+                    row.append((l, visit(d, rd), el, visit(ed, rs)))
+                elif red >= 0:
+                    row.append((l, visit(d, rd), rel + off, visit(ls, red)))
                 else:
-                    builder.add(src, name, visit((t.target, rt.target)))
+                    row.append((l, visit(d, rd), -1, -1))
 
         # Right side: interleaving, plus exceptions for unmatched semisync.
-        left_names = {
-            left.labels[t.label] for t in left.trans[ls] if t.label in sync_left
-        }
-        for t in right.trans[rs]:
-            name = right.labels[t.label]
-            if t.label not in sync_right:
-                if t.semisync:
-                    builder.add_semisync(
-                        src, name, visit((ls, t.target)),
-                        right.labels[t.exc_label], visit((ls, t.exc_target)),
-                    )
+        for r, d, el, ed in right.trans[rs]:
+            if r not in sync_right:
+                if ed >= 0:
+                    row.append((r + off, visit(ls, d), el + off, visit(ls, ed)))
                 else:
-                    builder.add(src, name, visit((ls, t.target)))
-            elif name not in left_names and t.semisync:
-                builder.add(src, right.labels[t.exc_label], visit((ls, t.exc_target)))
+                    row.append((r + off, visit(ls, d), -1, -1))
+            elif r not in offered and ed >= 0:
+                row.append((el + off, visit(ls, ed), -1, -1))
 
     return builder.finish(init)
 
@@ -343,28 +365,22 @@ def hide(
     """
     if (hide_set is None) == (keep_only is None):
         raise ValueError("exactly one of hide_set / keep_only must be given")
-
-    def hidden(name: str) -> bool:
-        if name == TAU:
-            return False
-        if hide_set is not None:
-            return name in hide_set
-        return name not in keep_only
-
-    triples: list[tuple] = []
-    for src, ts in enumerate(lts.trans):
-        for t in ts:
-            name = lts.labels[t.label]
-            if t.semisync:
-                if hidden(name):
-                    triples.append((src, TAU, t.target))
-                else:
-                    triples.append(
-                        (src, name, t.target, lts.labels[t.exc_label], t.exc_target)
-                    )
-            else:
-                triples.append((src, TAU if hidden(name) else name, t.target))
-    return build_lts(lts.n_states, lts.initial, triples, lts.marked)
+    if hide_set is not None:
+        hidden = [name != TAU and name in hide_set for name in lts.labels]
+    else:
+        hidden = [name != TAU and name not in keep_only for name in lts.labels]
+    if not any(hidden):
+        return lts
+    rows = lts.trans
+    if lts.has_semisync():
+        rows = [
+            [(0, t.target, -1, -1) if t.exc_target >= 0 and hidden[t.label] else t for t in row]
+            for row in rows
+        ]
+    names = [TAU if h else name for name, h in zip(lts.labels, hidden)]
+    # Exception names stay: a semisync move that is not hidden keeps its
+    # exception label even when that name is hidden as a label.
+    return _canonical(names, rows, lts.initial, lts.marked, exc_names=lts.labels)
 
 
 def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
@@ -398,18 +414,9 @@ def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
         if new in collisions and collisions[new] != orig:
             raise ValueError(f"relabeling collides on '{new}'")
         collisions[new] = orig
-
-    triples: list[tuple] = []
-    for src, ts in enumerate(lts.trans):
-        for t in ts:
-            if t.semisync:
-                triples.append(
-                    (src, mapped[t.label], t.target,
-                     lts.labels[t.exc_label], t.exc_target)
-                )
-            else:
-                triples.append((src, mapped[t.label], t.target))
-    return build_lts(lts.n_states, lts.initial, triples, lts.marked)
+    if mapped == list(lts.labels):
+        return lts
+    return _canonical(mapped, lts.trans, lts.initial, lts.marked, exc_names=lts.labels)
 
 
 def resolve(lts: Lts) -> Lts:
@@ -418,11 +425,11 @@ def resolve(lts: Lts) -> Lts:
     the exception continuation is only reachable through composition."""
     if not lts.has_semisync():
         return lts
-    triples: list[tuple] = []
-    for src, ts in enumerate(lts.trans):
-        for t in ts:
-            triples.append((src, lts.labels[t.label], t.target))
-    return build_lts(lts.n_states, lts.initial, triples, lts.marked)
+    rows = [
+        [t if t.exc_target < 0 else (t.label, t.target, -1, -1) for t in row]
+        for row in lts.trans
+    ]
+    return _canonical(lts.labels, rows, lts.initial, lts.marked)
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +605,12 @@ def renumber_bfs(lts: Lts) -> Lts:
     """Renumber states in breadth-first discovery order and drop
     unreachable ones; transitions keep their labels."""
     order = reachable_states(lts)
-    remap = {old: new for new, old in enumerate(order)}
-    triples: list[tuple] = []
-    for old in order:
-        src = remap[old]
-        for t in lts.trans[old]:
-            if t.semisync:
-                triples.append(
-                    (src, lts.labels[t.label], remap[t.target],
-                     lts.labels[t.exc_label], remap[t.exc_target])
-                )
-            else:
-                triples.append((src, lts.labels[t.label], remap[t.target]))
-    marked = frozenset(remap[s] for s in lts.marked if s in remap)
-    return build_lts(len(order), 0, triples, marked)
+    # remap[-1] stays -1, so a normal transition's exc_target maps to -1.
+    remap = [-1] * (lts.n_states + 1)
+    for new, old in enumerate(order):
+        remap[old] = new
+    rows = [
+        [(l, remap[d], el, remap[ed]) for l, d, el, ed in lts.trans[old]] for old in order
+    ]
+    marked = frozenset(remap[s] for s in lts.marked if remap[s] >= 0)
+    return _canonical(lts.labels, rows, 0, marked)

@@ -10,6 +10,10 @@ interactions, attachments), and a closing END.
 Keywords are case-sensitive.  Guards use a small expression language:
 boolean and integer literals, parameters, ``x.success`` references,
 comparisons, + and -, and the boolean connectives.
+
+Nesting is bounded by MAX_NESTING: deeper input is rejected with a
+positioned ``E_DEPTH`` diagnostic instead of exhausting the stack here
+or in a later stage.
 """
 
 from __future__ import annotations
@@ -18,6 +22,14 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
+
+# Deepest nesting accepted, counting every action prefix and choice
+# branch in a body and every parenthesis, 'not' and unary minus in an
+# expression.  A parenthesis costs this parser seven Python frames and
+# each later stage recurses about once per level, so input at this
+# depth passes every stage within Python's default recursion limit of
+# 1000, with room for the caller's own frames.
+MAX_NESTING = 100
 
 _SECTION_KEYWORDS = {
     "ARCHI_TYPE",
@@ -138,6 +150,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # current nesting, see MAX_NESTING
 
     # -- token helpers ------------------------------------------------------
 
@@ -171,6 +184,18 @@ class _Parser:
 
     def fail(self, message: str, loc: Loc) -> None:
         raise PadlError([Diagnostic(Severity.ERROR, "E_SYNTAX", message, loc)])
+
+    def descend(self, loc: Loc) -> None:
+        """Enter one nesting level at loc; the caller leaves it with
+        ``self.depth -= 1`` once the nested part is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PadlError([Diagnostic(
+                Severity.ERROR, "E_DEPTH",
+                f"nesting deeper than {MAX_NESTING} levels (action prefixes, "
+                "choice branches, parentheses, 'not' and unary '-' all count)",
+                loc,
+            )])
 
     # -- grammar ------------------------------------------------------------
 
@@ -293,7 +318,10 @@ class _Parser:
         if self.at("("):
             return self.parse_invoke(name, loc)
         self.expect(".", "'.' after action prefix")
-        return m.Prefix(action=name, cont=self.parse_body(), loc=loc)
+        self.descend(loc)
+        cont = self.parse_body()
+        self.depth -= 1
+        return m.Prefix(action=name, cont=cont, loc=loc)
 
     def parse_invoke(self, name: str, loc: Loc) -> m.Invoke:
         self.expect("(")
@@ -324,7 +352,9 @@ class _Parser:
             guard = self.parse_expr()
             self.expect(")")
             self.expect("->")
+        self.descend(loc)
         body = self.parse_body()
+        self.depth -= 1
         if isinstance(body, m.Invoke):
             self.fail("a choice branch must start with an action prefix, 'stop', or a nested choice", loc)
         return m.Branch(guard=guard, body=body, loc=loc)
@@ -448,7 +478,10 @@ class _Parser:
     def parse_not(self) -> m.Expr:
         if self.at("not"):
             loc = self.advance().loc
-            return m.Unary("not", self.parse_not(), loc=loc)
+            self.descend(loc)
+            sub = self.parse_not()
+            self.depth -= 1
+            return m.Unary("not", sub, loc=loc)
         return self.parse_comparison()
 
     def parse_comparison(self) -> m.Expr:
@@ -475,10 +508,15 @@ class _Parser:
             self.advance()
             return m.IntLit(int(tok.text), loc=tok.loc)
         if self.accept("-"):
-            return m.Unary("-", self.parse_atom(), loc=tok.loc)
+            self.descend(tok.loc)
+            sub = self.parse_atom()
+            self.depth -= 1
+            return m.Unary("-", sub, loc=tok.loc)
         if self.accept("("):
+            self.descend(tok.loc)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if self.at("IDENT"):
             self.advance()

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, fixture_source
+from conftest import FIXTURES, fixture_source, load_arch
 from padlver.cli import main
 from padlver.lts import read_aut
+from padlver.parser import MAX_NESTING
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,17 +85,78 @@ def test_check_json_matches_golden(name, capacity, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.cap{capacity}.json").read_bytes()
 
 
-def test_check_internal_error_has_its_own_exit_code(tmp_path, capsys):
-    # A 3000-action prefix chain exhausts the recursive-descent parser;
-    # the crash must not read as exit 1, "deadlock found".
-    chain = " . ".join(["take"] * 3000)
-    deep = tmp_path / "deep.padl"
-    deep.write_text(fixture_source("deadlock_pair").replace("take . give", chain + " . give"))
-    code, out, err = run(capsys, "check", str(deep))
+VARIANTS = ("open", "pc", "tc", "pc-wob", "tc-wob")
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.padl")))
+def test_lts_output_matches_golden(name, capsys):
+    # tests/golden/<name>.lts.txt holds, for every real AEI and variant,
+    # a `# AEI VARIANT` line followed by the output of
+    # `padlver lts <fixture> --aei AEI --variant VARIANT --queue-capacity 2`.
+    chunks = []
+    for aei in load_arch(name).real_aeis:
+        for variant in VARIANTS:
+            code, out, _ = run(capsys, "lts", fixture(name), "--aei", aei,
+                               "--variant", variant, "--queue-capacity", "2")
+            assert code == 0
+            chunks.append(f"# {aei} {variant}\n{out}")
+    assert "".join(chunks).encode("utf-8") == (GOLDEN / f"{name}.lts.txt").read_bytes()
+
+
+def test_check_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    # A crash inside padlver must not read as exit 1, "deadlock found".
+    def crash(*args, **kwargs):
+        raise RuntimeError("simulated\nfailure")
+
+    monkeypatch.setattr("padlver.cli.parse", crash)
+    code, out, err = run(capsys, "check", fixture("deadlock_pair"))
     assert code == 4
     assert out == ""
     assert err.startswith("error: internal error (") and err.count("\n") == 1
+    assert err == "error: internal error (RuntimeError): simulated failure\n"
     assert "Traceback" not in err
+
+
+def deep_variant(shape: str, depth: int) -> str:
+    """deadlock_pair with one construct nested `depth` levels deep."""
+    source = fixture_source("deadlock_pair")
+    if shape == "prefix":
+        body = " . ".join(["take"] * (depth - 1) + ["give"]) + " . Node()"
+    elif shape == "choice":
+        body = "take . give . Node()"
+        for _ in range(depth - 2):  # its two prefixes count as well
+            body = "choice { " + body + " }"
+    else:
+        guard = {
+            "parens": "(" * depth + "true" + ")" * depth,
+            "not": "not " * depth + ("true" if depth % 2 == 0 else "false"),
+            "minus": "- " * depth + "1 = " + ("1" if depth % 2 == 0 else "-1"),
+        }[shape]
+        body = f"choice {{ cond({guard}) -> take . give . Node() }}"
+    return source.replace("take . give . Node()", body)
+
+
+@pytest.mark.parametrize("shape", ["prefix", "parens"])
+def test_check_too_deep_input_is_a_coded_error(shape, tmp_path, capsys):
+    deep = tmp_path / "deep.padl"
+    deep.write_text(deep_variant(shape, 3000))
+    code, out, err = run(capsys, "check", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{deep}:8:") and "error[E_DEPTH]" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", ["prefix", "choice", "parens", "not", "minus"])
+def test_check_accepts_the_deepest_nesting_on_both_routes(shape, tmp_path, capsys):
+    source = tmp_path / "deep.padl"
+    source.write_text(deep_variant(shape, MAX_NESTING))
+    code, out, err = run(capsys, "check", str(source), "--mode", "both")
+    assert (code, err) == (1, "")
+    assert "direct model check: deadlock" in out
+    source.write_text(deep_variant(shape, MAX_NESTING + 1))
+    code, _, err = run(capsys, "check", str(source))
+    assert code == 2 and "error[E_DEPTH]" in err
 
 
 def test_check_capacity_flag_validated(capsys):

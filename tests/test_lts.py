@@ -3,12 +3,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_lts, random_semisync_lts
 from padlver import build_lts, find_deadlocks, hide, parallel, read_aut, relabel, resolve, write_aut
 from padlver.diagnostics import StateLimitExceeded
-from padlver.equivalence import strong_bisim_check
-from padlver.lts import expand_semisync, from_traces, reachable_states, shortest_trace
+from padlver.equivalence import saturate, strong_bisim_check
+from padlver.lts import (
+    TAU,
+    Transition,
+    expand_semisync,
+    from_traces,
+    reachable_states,
+    renumber_bfs,
+    shortest_trace,
+)
 
 
 def labels_of(lts):
@@ -327,3 +337,166 @@ def test_builders_are_deterministic():
 def test_reachable_states_bfs_order():
     lts = build_lts(4, 2, [(2, "a", 0), (2, "b", 3), (0, "a", 2)])
     assert reachable_states(lts) == [2, 0, 3]
+
+
+# -- the integer core against a string-level reference -----------------------------
+#
+# The reference below rebuilds every result the way the operators once
+# did: resolve the transitions to label strings, intern them, sort the
+# names after tau and keep each state's moves as a sorted set of index
+# tuples.  The integer operators must give exactly that.
+
+VISIBLE = ("a", "b", "c", "a_exception")
+EXCEPTIONS = ("a_exception", "C.x_exception")
+
+
+def ref_build(n_states, initial, items, marked=frozenset()):
+    names = {item[1] for item in items} | {item[3] for item in items if len(item) == 5}
+    names.discard(TAU)
+    labels = (TAU,) + tuple(sorted(names))
+    index = {name: i for i, name in enumerate(labels)}
+    rows = [set() for _ in range(n_states)]
+    for item in items:
+        if len(item) == 5:
+            src, label, ok, exc_label, exc = item
+            rows[src].add((index[label], ok, index[exc_label], exc))
+        else:
+            src, label, dst = item
+            rows[src].add((index[label], dst, -1, -1))
+    return labels, initial, tuple(tuple(sorted(row)) for row in rows), frozenset(marked)
+
+
+def string_items(lts):
+    for src, ts in enumerate(lts.trans):
+        for t in ts:
+            if t.semisync:
+                yield (src, lts.labels[t.label], t.target, lts.labels[t.exc_label], t.exc_target)
+            else:
+                yield (src, lts.labels[t.label], t.target)
+
+
+def ref_hide(lts, hidden):
+    items = []
+    for item in string_items(lts):
+        if hidden(item[1]):
+            items.append((item[0], TAU, item[2]))  # a hidden semisync move degrades
+        else:
+            items.append(item)
+    return ref_build(lts.n_states, lts.initial, items, lts.marked)
+
+
+def ref_relabel(lts, mapping):
+    def apply(name):
+        if name in mapping:
+            return mapping[name]
+        if name.endswith("_exception") and name[: -len("_exception")] in mapping:
+            return mapping[name[: -len("_exception")]] + "_exception"
+        return name
+
+    items = [(item[0], apply(item[1])) + item[2:] for item in string_items(lts)]
+    return ref_build(lts.n_states, lts.initial, items, lts.marked)
+
+
+def ref_resolve(lts):
+    items = [item[:3] for item in string_items(lts)]
+    return ref_build(lts.n_states, lts.initial, items, lts.marked)
+
+
+def ref_renumber(lts):
+    order, seen = [lts.initial], {lts.initial}
+    for s in order:  # grows while iterating: breadth-first
+        for t in lts.trans[s]:
+            for dst in (t.target, t.exc_target) if t.semisync else (t.target,):
+                if dst not in seen:
+                    seen.add(dst)
+                    order.append(dst)
+    remap = {old: new for new, old in enumerate(order)}
+    items = []
+    for item in string_items(lts):
+        if item[0] in remap:
+            moved = (remap[item[0]], item[1], remap[item[2]])
+            items.append(moved + ((item[3], remap[item[4]]) if len(item) == 5 else ()))
+    marked = {remap[s] for s in lts.marked if s in remap}
+    return ref_build(len(order), 0, items, marked)
+
+
+def string_items_of(lts, s):
+    return [(lts.labels[t.label], t.target, t.semisync) for t in lts.trans[s]]
+
+
+def ref_saturate(lts, budget):
+    """(result, None), or (None, transitions counted when over budget)."""
+    closures = []
+    for s in range(lts.n_states):
+        seen, work = {s}, [s]
+        while work:
+            for label, dst, _ in string_items_of(lts, work.pop()):
+                if label == TAU and dst not in seen:
+                    seen.add(dst)
+                    work.append(dst)
+        closures.append(seen)
+    items = []
+    for s in range(lts.n_states):
+        items += [(s, TAU, u) for u in closures[s]]
+        targets = {}
+        for x in closures[s]:
+            for label, dst, _ in string_items_of(lts, x):
+                if label != TAU:
+                    targets.setdefault(label, set()).update(closures[dst])
+        items += [(s, label, u) for label, dsts in targets.items() for u in dsts]
+        if budget is not None and len(items) > budget:
+            return None, len(items)
+    return ref_build(lts.n_states, lts.initial, items, lts.marked), None
+
+
+def assert_matches(lts, ref):
+    trans = tuple(
+        tuple((t.label, t.target, t.exc_label, t.exc_target) for t in row) for row in lts.trans
+    )
+    assert (lts.labels, lts.initial, trans, lts.marked) == ref
+    assert lts.n_states == len(lts.trans)
+    for row in lts.trans:
+        assert all(type(t) is Transition for t in row)
+        assert list(row) == sorted(set(row))  # sorted and free of duplicates
+
+
+@st.composite
+def small_lts(draw):
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    normal = st.tuples(state, st.sampled_from((TAU,) + VISIBLE), state)
+    semisync = st.tuples(state, st.sampled_from(VISIBLE[:3]), state,
+                         st.sampled_from(EXCEPTIONS), state)
+    items = draw(st.lists(st.one_of(normal, semisync), max_size=14))
+    marked = draw(st.frozensets(state, max_size=2))
+    return n, draw(state), items, marked
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lts(), st.frozensets(st.sampled_from(VISIBLE + EXCEPTIONS)),
+       st.dictionaries(st.sampled_from(("a", "b", "c")), st.sampled_from(("p", "q", "r"))),
+       st.integers(0, 60))
+def test_integer_core_matches_string_reference(spec, names, mapping, budget):
+    n, initial, items, marked = spec
+    lts = build_lts(n, initial, items, marked)
+    assert_matches(lts, ref_build(n, initial, items, marked))
+
+    assert_matches(hide(lts, hide_set=names), ref_hide(lts, lambda x: x in names))
+    assert_matches(hide(lts, keep_only=names),
+                   ref_hide(lts, lambda x: x != TAU and x not in names))
+    if len(set(mapping.values())) == len(mapping):  # injective maps only
+        assert_matches(relabel(lts, mapping), ref_relabel(lts, mapping))
+    assert_matches(resolve(lts), ref_resolve(lts))
+    assert_matches(renumber_bfs(lts), ref_renumber(lts))
+
+    resolved = resolve(lts)
+    expected, over = ref_saturate(resolved, None)
+    assert_matches(saturate(resolved), expected)
+    expected, over = ref_saturate(resolved, budget)
+    if over is None:
+        assert_matches(saturate(resolved, budget), expected)
+    else:
+        with pytest.raises(StateLimitExceeded) as exc:
+            saturate(resolved, budget)
+        assert (exc.value.limit, exc.value.states_seen, exc.value.transitions_seen) == (
+            budget, n, over)

@@ -175,3 +175,14 @@ def test_mutated_sources_never_escape_the_diagnostic_channel():
             parse(mutated)
         except PadlError:
             pass  # the only acceptable failure mode
+
+
+@pytest.mark.parametrize("guard", ["(" * 3000 + "true" + ")" * 3000, "not " * 3000 + "true",
+                                   "- " * 3000 + "1 = 1"], ids=["parens", "not", "minus"])
+def test_deep_expression_is_a_depth_diagnostic(guard):
+    source = fixture_source("deadlock_pair").replace(
+        "take . give . Node()", f"choice {{ cond({guard}) -> take . give . Node() }}")
+    with pytest.raises(PadlError) as err:
+        parse(source)
+    assert err.value.codes() == ["E_DEPTH"]
+    assert err.value.diagnostics[0].loc.line == 8
