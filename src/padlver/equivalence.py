@@ -28,6 +28,7 @@ from .lts import (
     Lts,
     Transition,
     _canonical,
+    _from_canonical_rows,
     _new,
     relabel,
     renumber_bfs,
@@ -240,43 +241,26 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
                 step.setdefault(l, set()).update(closures[d])
         after.append({l: sorted(dsts) for l, dsts in step.items()})
     moves: list[dict[int, list[int]]] = []
-    count = 0
+    n_moves = 0
     for s in range(n):
         closure = closures[s]
-        if len(closure) == 1:
-            targets = after[s]
-        else:
-            union: dict[int, set[int]] = {}
-            for x in closure:
-                for l, dsts in after[x].items():
-                    if l in union:
-                        union[l].update(dsts)
-                    else:
-                        union[l] = set(dsts)
-            targets = {l: sorted(dsts) for l, dsts in union.items()}
+        union: dict[int, set[int]] = {}
+        for x in closure:
+            for l, dsts in after[x].items():
+                union.setdefault(l, set()).update(dsts)
+        targets = {l: sorted(dsts) for l, dsts in union.items()}
         moves.append(targets)
-        count += len(closure) + sum(map(len, targets.values()))
-        if max_transitions is not None and count > max_transitions:
-            raise StateLimitExceeded(max_transitions, n, count)
-    # With no more (label, target) pairs than transitions, rows share
-    # one Transition per pair; otherwise each move is its own object.
-    shared = None
-    if n * len(lts.labels) <= count:
-        shared = [list(_moves(l, range(n))) for l in range(len(lts.labels))]
-
-    def moves_to(label: int, targets: list[int]) -> Iterator[Transition]:
-        if shared is None:
-            return _moves(label, targets)
-        return map(shared[label].__getitem__, targets)
-
+        n_moves += len(closure) + sum(map(len, targets.values()))
+        if max_transitions is not None and n_moves > max_transitions:
+            raise StateLimitExceeded(max_transitions, n, n_moves)
     trans = []
     for s in range(n):
-        row = list(moves_to(0, closures[s]))
+        row = list(_moves(0, closures[s]))
         targets = moves[s]
         for l in sorted(targets):
-            row += moves_to(l, targets[l])
+            row += _moves(l, targets[l])
         trans.append(tuple(row))
-    return Lts(lts.labels, n, lts.initial, tuple(trans), lts.marked)
+    return _from_canonical_rows(lts.labels, tuple(trans), lts.initial, lts.marked)
 
 
 def _quotient(lts: Lts, block: list[int], n_blocks: int) -> Lts:

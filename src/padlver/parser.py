@@ -23,13 +23,16 @@ from dataclasses import dataclass
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
 
-# Deepest nesting accepted, counting every action prefix and choice
-# branch in a body and every parenthesis, 'not' and unary minus in an
-# expression.  A parenthesis costs this parser seven Python frames and
-# each later stage recurses about once per level, so input at this
-# depth passes every stage within Python's default recursion limit of
-# 1000, with room for the caller's own frames.
-MAX_NESTING = 100
+# Deepest nesting accepted, in Python stack frames: each construct is
+# charged what one level of it costs in this parser or in the later
+# stages' recursive walkers, whichever is more, so input at this depth
+# passes every stage within Python's default recursion limit of 1000,
+# with room for the caller's own frames.  An action prefix, 'not',
+# unary '-' and a binary operator cost one frame per level in every
+# walker; a choice branch and a parenthesis cost the parser more.
+MAX_NESTING = 900
+BRANCH_LEVELS = 3  # parse_body -> parse_choice -> parse_branch
+PAREN_LEVELS = 7  # parse_expr down to parse_atom
 
 _SECTION_KEYWORDS = {
     "ARCHI_TYPE",
@@ -150,7 +153,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0  # current nesting, see MAX_NESTING
+        self.depth = 0  # nesting charged on the current path, see MAX_NESTING
+        self.peak = 0  # the most charged since the innermost open chain
 
     # -- token helpers ------------------------------------------------------
 
@@ -185,17 +189,36 @@ class _Parser:
     def fail(self, message: str, loc: Loc) -> None:
         raise PadlError([Diagnostic(Severity.ERROR, "E_SYNTAX", message, loc)])
 
-    def descend(self, loc: Loc) -> None:
-        """Enter one nesting level at loc; the caller leaves it with
-        ``self.depth -= 1`` once the nested part is parsed."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+    def descend(self, loc: Loc, levels: int = 1) -> None:
+        """Enter a construct charged `levels` at loc; the caller leaves
+        it with ``self.depth -= levels`` once it is parsed."""
+        self.depth += levels
+        self.peak = max(self.peak, self.depth)
+        self.check_depth(self.depth, loc)
+
+    def check_depth(self, level: int, loc: Loc) -> None:
+        if level > MAX_NESTING:
             raise PadlError([Diagnostic(
                 Severity.ERROR, "E_DEPTH",
-                f"nesting deeper than {MAX_NESTING} levels (action prefixes, "
-                "choice branches, parentheses, 'not' and unary '-' all count)",
+                f"nesting deeper than {MAX_NESTING} levels (a parenthesis "
+                f"counts {PAREN_LEVELS}, a choice branch {BRANCH_LEVELS}, an "
+                "action prefix, 'not', unary '-' or binary operator 1)",
                 loc,
             )])
+
+    # A chain of binary operators nests to the left: each operator wraps
+    # everything parsed before it, so the chain's n-th operator sits n
+    # levels above its deepest operand so far, and the chain's peak is
+    # checked after each operator.  open_chain starts measuring the
+    # operands' peak and returns the enclosing one; close_chain adds
+    # the chain's levels to it.
+
+    def open_chain(self) -> int:
+        outer, self.peak = self.peak, self.depth
+        return outer
+
+    def close_chain(self, outer: int, n_ops: int) -> None:
+        self.peak = max(outer, self.peak + n_ops)
 
     # -- grammar ------------------------------------------------------------
 
@@ -347,14 +370,14 @@ class _Parser:
     def parse_branch(self) -> m.Branch:
         loc = self.cur.loc
         guard = None
+        self.descend(loc, BRANCH_LEVELS)
         if self.accept("cond"):
             self.expect("(")
             guard = self.parse_expr()
             self.expect(")")
             self.expect("->")
-        self.descend(loc)
         body = self.parse_body()
-        self.depth -= 1
+        self.depth -= BRANCH_LEVELS
         if isinstance(body, m.Invoke):
             self.fail("a choice branch must start with an action prefix, 'stop', or a nested choice", loc)
         return m.Branch(guard=guard, body=body, loc=loc)
@@ -462,17 +485,27 @@ class _Parser:
         return self.parse_or()
 
     def parse_or(self) -> m.Expr:
+        outer = self.open_chain()
         left = self.parse_and()
+        n_ops = 0
         while self.at("or"):
             loc = self.advance().loc
             left = m.Binary("or", left, self.parse_and(), loc=loc)
+            n_ops += 1
+            self.check_depth(self.peak + n_ops, loc)
+        self.close_chain(outer, n_ops)
         return left
 
     def parse_and(self) -> m.Expr:
+        outer = self.open_chain()
         left = self.parse_not()
+        n_ops = 0
         while self.at("and"):
             loc = self.advance().loc
             left = m.Binary("and", left, self.parse_not(), loc=loc)
+            n_ops += 1
+            self.check_depth(self.peak + n_ops, loc)
+        self.close_chain(outer, n_ops)
         return left
 
     def parse_not(self) -> m.Expr:
@@ -485,17 +518,27 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> m.Expr:
+        outer = self.open_chain()
         left = self.parse_additive()
+        n_ops = 0
         if self.cur.kind in ("=", "/=", "<", "<=", ">", ">="):
             op = self.advance()
-            return m.Binary(op.kind, left, self.parse_additive(), loc=op.loc)
+            left = m.Binary(op.kind, left, self.parse_additive(), loc=op.loc)
+            n_ops = 1
+            self.check_depth(self.peak + n_ops, op.loc)
+        self.close_chain(outer, n_ops)
         return left
 
     def parse_additive(self) -> m.Expr:
+        outer = self.open_chain()
         left = self.parse_atom()
+        n_ops = 0
         while self.cur.kind in ("+", "-"):
             op = self.advance()
             left = m.Binary(op.kind, left, self.parse_atom(), loc=op.loc)
+            n_ops += 1
+            self.check_depth(self.peak + n_ops, op.loc)
+        self.close_chain(outer, n_ops)
         return left
 
     def parse_atom(self) -> m.Expr:
@@ -513,10 +556,10 @@ class _Parser:
             self.depth -= 1
             return m.Unary("-", sub, loc=tok.loc)
         if self.accept("("):
-            self.descend(tok.loc)
+            self.descend(tok.loc, PAREN_LEVELS)
             inner = self.parse_expr()
             self.expect(")")
-            self.depth -= 1
+            self.depth -= PAREN_LEVELS
             return inner
         if self.at("IDENT"):
             self.advance()

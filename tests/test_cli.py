@@ -8,7 +8,8 @@ import pytest
 from conftest import FIXTURES, fixture_source, load_arch
 from padlver.cli import main
 from padlver.lts import read_aut
-from padlver.parser import MAX_NESTING
+from padlver.diagnostics import PadlError
+from padlver.parser import parse
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -118,25 +119,32 @@ def test_check_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
 
 def deep_variant(shape: str, depth: int) -> str:
-    """deadlock_pair with one construct nested `depth` levels deep."""
+    """deadlock_pair with one construct repeated `depth` times, nested."""
     source = fixture_source("deadlock_pair")
     if shape == "prefix":
-        body = " . ".join(["take"] * (depth - 1) + ["give"]) + " . Node()"
+        body = " . ".join(["take"] * depth + ["give"]) + " . Node()"
     elif shape == "choice":
         body = "take . give . Node()"
-        for _ in range(depth - 2):  # its two prefixes count as well
+        for _ in range(depth):
             body = "choice { " + body + " }"
     else:
         guard = {
             "parens": "(" * depth + "true" + ")" * depth,
             "not": "not " * depth + ("true" if depth % 2 == 0 else "false"),
             "minus": "- " * depth + "1 = " + ("1" if depth % 2 == 0 else "-1"),
+            "plus": "+".join(["1"] * (depth + 1)) + f" = {depth + 1}",
+            "and": " and ".join(["true"] * (depth + 1)),
+            # a chain whose left operand is itself a long chain
+            "nested_plus": "(0" + "+1" * depth + ")" + "+1" * depth + f" = {2 * depth}",
         }[shape]
         body = f"choice {{ cond({guard}) -> take . give . Node() }}"
     return source.replace("take . give . Node()", body)
 
 
-@pytest.mark.parametrize("shape", ["prefix", "parens"])
+DEEP_SHAPES = ["prefix", "choice", "parens", "not", "minus", "plus", "and", "nested_plus"]
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
 def test_check_too_deep_input_is_a_coded_error(shape, tmp_path, capsys):
     deep = tmp_path / "deep.padl"
     deep.write_text(deep_variant(shape, 3000))
@@ -147,16 +155,31 @@ def test_check_too_deep_input_is_a_coded_error(shape, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("shape", ["prefix", "choice", "parens", "not", "minus"])
+def deepest_accepted(shape: str) -> int:
+    """The most repetitions of shape that parse accepts (below 3000)."""
+    lo, hi = 0, 3000
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        try:
+            parse(deep_variant(shape, mid))
+            lo = mid
+        except PadlError as err:
+            assert err.codes() == ["E_DEPTH"]
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
 def test_check_accepts_the_deepest_nesting_on_both_routes(shape, tmp_path, capsys):
+    depth = deepest_accepted(shape)
+    # each shape is charged its cost on the stack: a prefix or an
+    # operator one level, a choice three, a parenthesis seven
+    assert depth >= {"choice": 290, "parens": 120, "nested_plus": 440}.get(shape, 890)
     source = tmp_path / "deep.padl"
-    source.write_text(deep_variant(shape, MAX_NESTING))
+    source.write_text(deep_variant(shape, depth))
     code, out, err = run(capsys, "check", str(source), "--mode", "both")
     assert (code, err) == (1, "")
     assert "direct model check: deadlock" in out
-    source.write_text(deep_variant(shape, MAX_NESTING + 1))
-    code, _, err = run(capsys, "check", str(source))
-    assert code == 2 and "error[E_DEPTH]" in err
 
 
 def test_check_capacity_flag_validated(capsys):

@@ -177,8 +177,15 @@ def test_mutated_sources_never_escape_the_diagnostic_channel():
             pass  # the only acceptable failure mode
 
 
-@pytest.mark.parametrize("guard", ["(" * 3000 + "true" + ")" * 3000, "not " * 3000 + "true",
-                                   "- " * 3000 + "1 = 1"], ids=["parens", "not", "minus"])
+@pytest.mark.parametrize("guard", [
+    "(" * 3000 + "true" + ")" * 3000,
+    "not " * 3000 + "true",
+    "- " * 3000 + "1 = 1",
+    "+".join(["1"] * 3000) + " = 3000",
+    " or ".join(["true"] * 3000),
+    # neither chain passes the limit alone; nested, they do
+    "(0" + "+1" * 500 + ")" + "+1" * 500 + " = 1000",
+], ids=["parens", "not", "minus", "plus", "or", "nested_chains"])
 def test_deep_expression_is_a_depth_diagnostic(guard):
     source = fixture_source("deadlock_pair").replace(
         "take . give . Node()", f"choice {{ cond({guard}) -> take . give . Node() }}")
