@@ -115,7 +115,7 @@ def cmd_lts(args: argparse.Namespace) -> int:
         if value in ("all", "wob"):
             return arch.real_aeis if value == "all" else ()
         names = tuple(name.strip() for name in value.split(",") if name.strip())
-        unknown = [n for n in names if n not in arch.aeis]
+        unknown = [n for n in names if n not in arch.real_aeis]
         if unknown:
             print(f"error: unknown {what} AEIs {unknown}", file=sys.stderr)
             return None

@@ -24,13 +24,13 @@ marked so capacity saturation can be reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
 from .lts import DEFAULT_STATE_LIMIT, Lts, exception_label, hide, parallel, relabel
-from .semantics import Value, generate_lts
-from .validate import ValidatedArchitecture, eval_const
+from .semantics import Value, eval_expr, generate_lts
+from .validate import ValidatedArchitecture
 
 QUEUE_ARRIVE = "arrive"
 QUEUE_DEPART = "depart"
@@ -318,6 +318,10 @@ class ElabArchitecture:
     real_aeis: tuple[str, ...]
     families: tuple[Family, ...]
     source: ValidatedArchitecture
+    # aei_semantics results by normalized request (see there).
+    _semantics: dict[tuple, Lts] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def bundle(self, aei: str) -> list[str]:
         """An AEI together with its implicit queue AEIs."""
@@ -328,13 +332,6 @@ class ElabArchitecture:
     def bundle_owner(self, name: str) -> str:
         info = self.aeis[name].queue
         return info.owner if info is not None else name
-
-    def families_of_bundle(self, aei: str) -> list[Family]:
-        members = set(self.bundle(aei))
-        return [
-            f for f in self.families
-            if any(x in members for x, _ in f.endpoints)
-        ]
 
 
 def _queue_aet_equations(capacity: int) -> tuple[m.BehaviorEquation, ...]:
@@ -370,7 +367,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
     at_env: dict[str, Value] = {}
     for p in d.params:
         if p.default is not None:
-            at_env[p.name] = eval_const(p.default, dict(at_env))
+            at_env[p.name] = eval_expr(p.default, dict(at_env))
 
     aeis: dict[str, ElabAei] = {}
     # Attachments, rewritten in place as interactions are renamed/rewired.
@@ -381,7 +378,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
     for inst in d.instances:
         aet = arch.aets[inst.aet]
         actuals = {
-            p.name: eval_const(a, at_env) for p, a in zip(aet.params, inst.args)
+            p.name: eval_expr(a, at_env) for p, a in zip(aet.params, inst.args)
         }
         equations = _substitute_aet_params(aet, actuals)
 
@@ -562,8 +559,6 @@ class NameSets:
     """Per-AEI bookkeeping relative to a context set of AEIs."""
 
     aei: str
-    context: tuple[str, ...]
-    li_attached: frozenset[tuple[str, str]]  # bundle endpoints attached within context
     phi: tuple[tuple[str, str], ...]  # dotted name -> composite, sorted
     oali: frozenset[str]  # composite internal names plus converted-input exceptions
     visible: frozenset[str]  # the V set: phi image union oali
@@ -579,7 +574,6 @@ def _external_families(arch: ElabArchitecture) -> list[Family]:
 def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) -> NameSets:
     members = set(arch.bundle(aei))
     ctx = set(context)
-    li: set[tuple[str, str]] = set()
     phi: dict[str, str] = {}
     for f in _external_families(arch):
         owners = {arch.bundle_owner(x) for x, _ in f.endpoints}
@@ -589,7 +583,6 @@ def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) 
             continue
         for x, inter in f.endpoints:
             if x in members:
-                li.add((x, inter))
                 phi[f"{x}.{inter}"] = f.composite
     oali: set[str] = set()
     for f in arch.families:
@@ -601,8 +594,6 @@ def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) 
     visible = frozenset(phi.values()) | oali
     return NameSets(
         aei=aei,
-        context=tuple(context),
-        li_attached=frozenset(li),
         phi=tuple(sorted(phi.items())),
         oali=frozenset(oali),
         visible=visible,
@@ -708,43 +699,20 @@ def aei_semantics(
 ) -> Lts:
     """Semantics of a single AEI: or-rewritten behavior, selected
     buffers composed in cascade order (input queues on the left, output
-    queues on the right), relabeled to composite names, then closed."""
+    queues on the right), relabeled to composite names, then closed.
+
+    Each request is built once per architecture and the result shared
+    (an Lts is immutable).  A request is the AEI, the context as a set,
+    the closure, the queues that buffers_for selects and the state
+    limit, so a smaller limit raises as it would on a first build; a
+    build that raises is not kept."""
     if context is None:
         context = arch.real_aeis
     elab = arch.aeis[aei]
     if elab.is_queue:
         raise ValueError(f"'{aei}' is an implicit queue AEI")
-    ssync = frozenset(
-        name
-        for name, inter in elab.interactions.items()
-        if inter.synchronicity is m.Synchronicity.SSYNC
-    )
-    base = generate_lts(
-        elab.equations, prefix=aei, ssync_actions=ssync, state_limit=state_limit
-    )
-
-    # Internal relabeling: the AEI side of its own internal families.
-    internal_map: dict[str, str] = {}
-    for f in arch.families:
-        if f.internal_owner == aei:
-            for x, inter in f.endpoints:
-                if x == aei:
-                    internal_map[f"{x}.{inter}"] = f.composite
-    if internal_map:
-        base = relabel(base, internal_map)
-
-    buffers = set(buffers_for)
-    queues = [
-        name for name in arch.bundle(aei)[1:]
-        if arch.aeis[name].queue.partner in buffers
-    ]
-
-    def family_of(queue_name: str) -> Family:
-        inner = QUEUE_DEPART if arch.aeis[queue_name].queue.kind == "IAQ" else QUEUE_ARRIVE
-        for f in arch.families:
-            if f.internal_owner == aei and (queue_name, inner) in f.endpoints:
-                return f
-        raise AssertionError(f"no internal family for {queue_name}")
+    if closure not in ("open", "pc", "tc"):
+        raise ValueError(f"unknown closure {closure!r}")
 
     def cascade_rank(queue_name: str) -> tuple[int, int]:
         info = arch.aeis[queue_name].queue
@@ -756,27 +724,56 @@ def aei_semantics(
             stage = 3 if is_and else 2
         return (stage, int(queue_name.split("_")[1]))
 
-    acc = base
-    for queue_name in sorted(queues, key=cascade_rank):
-        info = arch.aeis[queue_name].queue
+    buffers = set(buffers_for)
+    queues = sorted(
+        (name for name in arch.bundle(aei)[1:] if arch.aeis[name].queue.partner in buffers),
+        key=cascade_rank,
+    )
+    key = (aei, frozenset(context), closure, tuple(queues), state_limit)
+    cached = arch._semantics.get(key)
+    if cached is not None:
+        return cached
+
+    ssync = frozenset(
+        name
+        for name, inter in elab.interactions.items()
+        if inter.synchronicity is m.Synchronicity.SSYNC
+    )
+    acc = generate_lts(
+        elab.equations, prefix=aei, ssync_actions=ssync, state_limit=state_limit
+    )
+
+    # The AEI's internal families: its own side is relabeled to the
+    # family's name, and each of its queues synchronizes on that name.
+    internal_map: dict[str, str] = {}
+    queue_sync: dict[str, str] = {}
+    for f in arch.families:
+        if f.internal_owner == aei:
+            for x, inter in f.endpoints:
+                if x == aei:
+                    internal_map[f"{x}.{inter}"] = f.composite
+                else:
+                    queue_sync[x] = f.composite
+    if internal_map:
+        acc = relabel(acc, internal_map)
+
+    for queue_name in queues:
         q = queue_lts(arch, queue_name, state_limit)
-        name = family_of(queue_name).composite
-        if info.kind == "IAQ":
-            acc = parallel(q, acc, {name}, state_limit)
+        if arch.aeis[queue_name].queue.kind == "IAQ":
+            acc = parallel(q, acc, {queue_sync[queue_name]}, state_limit)
         else:
-            acc = parallel(acc, q, {name}, state_limit)
+            acc = parallel(acc, q, {queue_sync[queue_name]}, state_limit)
 
     sets = build_name_sets(arch, aei, context)
     phi = sets.phi_map()
     if phi:
         acc = relabel(acc, phi)
-    if closure == "open":
-        return acc
     if closure == "pc":
-        return hide(acc, keep_only=sets.visible)
-    if closure == "tc":
-        return hide(acc, keep_only=sets.visible - sets.oali)
-    raise ValueError(f"unknown closure {closure!r}")
+        acc = hide(acc, keep_only=sets.visible)
+    elif closure == "tc":
+        acc = hide(acc, keep_only=sets.visible - sets.oali)
+    arch._semantics[key] = acc
+    return acc
 
 
 def composite_semantics(

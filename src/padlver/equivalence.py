@@ -290,11 +290,11 @@ def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _refine(lts: Lts) -> list[list[int]]:
+def _refine(lts: Lts) -> Iterator[list[int]]:
     """Signature-based refinement to the coarsest strong bisimulation.
 
-    Returns the full round history (round 0 is the single-block
-    partition); the last entry is the stable partition.  A state's
+    Yields the partition of every round (round 0 is the single-block
+    partition); the last one is the stable partition.  A state's
     signature is its (label, set of target blocks) pairs in label
     order, which rows being sorted makes canonical; blocks are
     numbered in order of first occurrence over the states."""
@@ -311,7 +311,7 @@ def _refine(lts: Lts) -> list[list[int]]:
             k += 1
         n_groups.append(k)
     parts = [0] * lts.n_states
-    rounds = [parts]
+    yield parts
     n_blocks = 1
     while True:
         pairs = zip(labels, map(frozenset, map(map, repeat(parts.__getitem__), targets)))
@@ -322,10 +322,17 @@ def _refine(lts: Lts) -> list[list[int]]:
         first = list(map(fresh.setdefault, zip(parts, signatures), count()))
         number = dict(zip(dict.fromkeys(first), count()))
         parts = list(map(number.__getitem__, first))
-        rounds.append(parts)
+        yield parts
         if len(fresh) == n_blocks:
-            return rounds
+            return
         n_blocks = len(fresh)
+
+
+def _stable(lts: Lts) -> list[int]:
+    """The stable partition of _refine, earlier rounds dropped."""
+    for parts in _refine(lts):
+        pass
+    return parts
 
 
 def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
@@ -334,7 +341,7 @@ def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
     the quadratic saturation.  The partition is stable, so the members
     of a block have the same moves up to blocks and the first member's
     row stands for all of them."""
-    parts = _refine(lts)[-1]
+    parts = _stable(lts)
     n_blocks = max(parts) + 1
     rows: list[list[tuple[int, int, int, int]] | None] = [None] * n_blocks
     for s, b in enumerate(parts):
@@ -344,17 +351,17 @@ def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
     return _canonical(lts.labels, rows, parts[lts.initial], marked), parts
 
 
-def _weak_rounds(
+def _weak_saturation(
     lts: Lts, saturation_budget: int | None = None
-) -> tuple[list[list[int]], Lts, list[int]]:
-    """Refinement rounds for weak bisimilarity: collapse tau cycles,
-    quotient by strong bisimilarity, saturate, refine.  Returns
-    (rounds, saturated system, state map)."""
+) -> tuple[Lts, list[int]]:
+    """What weak bisimilarity refines: collapse tau cycles, quotient by
+    strong bisimilarity, saturate.  Returns (saturated system, state
+    map); strong bisimilarity on the result is weak bisimilarity on
+    the input."""
     collapsed, scc_map = _collapse_tau_sccs(lts)
     reduced, strong_map = _strong_quotient(collapsed)
     mapping = [strong_map[scc_map[s]] for s in range(lts.n_states)]
-    saturated = saturate(reduced, saturation_budget)
-    return _refine(saturated), saturated, mapping
+    return saturate(reduced, saturation_budget), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +414,8 @@ def weak_bisim_check(
         if lts.has_semisync():
             raise ValueError("weak_bisim_check requires resolved LTSs")
     union, i1, i2 = _disjoint_union(l1, l2)
-    rounds, saturated, mapping = _weak_rounds(union, saturation_budget)
+    saturated, mapping = _weak_saturation(union, saturation_budget)
+    rounds = list(_refine(saturated))
     final = rounds[-1]
     blocks = [final[mapping[s]] for s in range(union.n_states)]
     left = tuple(blocks[: l1.n_states])
@@ -426,7 +434,7 @@ def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
         if lts.has_semisync():
             raise ValueError("strong_bisim_check requires resolved LTSs")
     union, i1, i2 = _disjoint_union(l1, l2)
-    rounds = _refine(union)
+    rounds = list(_refine(union))
     final = rounds[-1]
     left = tuple(final[: l1.n_states])
     right = tuple(final[l1.n_states :])
@@ -453,8 +461,8 @@ def minimize(lts: Lts) -> Lts:
     dropped, and unreachable blocks are pruned."""
     if lts.has_semisync():
         raise ValueError("minimize requires a resolved LTS")
-    rounds, _, mapping = _weak_rounds(lts)
-    final = rounds[-1]
+    saturated, mapping = _weak_saturation(lts)
+    final = _stable(saturated)
     block = [final[mapping[s]] for s in range(lts.n_states)]
     return renumber_bfs(_quotient(lts, block, max(final) + 1))
 

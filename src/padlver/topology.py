@@ -281,9 +281,50 @@ class CheckOutcome:
     rhs: Lts | None = field(default=None, repr=False)
 
 
-def _border(arch: ElabArchitecture, aei: str) -> tuple[str, ...]:
-    graph = build_flow_graph(arch.source)
-    return tuple(graph.neighbors(aei))
+def _aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
+    """The AEI alone, partially closed and without buffers, resolved:
+    what both checks compare against and what the isolation check
+    searches."""
+    return resolve(
+        aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
+                      state_limit=state_limit)
+    )
+
+
+def _compare(
+    arch: ElabArchitecture,
+    kind: str,
+    subject: tuple[str, ...],
+    partner: str,
+    aei: str,
+    others: set[str],
+    lhs: Lts,
+    state_limit: int,
+    started: float,
+) -> CheckOutcome:
+    """The tail both checks share: hide the queue names and exceptions
+    that `aei` shares with the others, resolve, and compare against
+    `aei` alone."""
+    hidden = h_set(arch, aei, others) | e_set(arch, aei, others)
+    if hidden:
+        lhs = hide(lhs, hide_set=hidden)
+    lhs = resolve(lhs)
+    rhs = _aei_alone(arch, aei, state_limit)
+    verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
+    return CheckOutcome(
+        kind=kind,
+        subject=subject,
+        partner=partner,
+        equivalent=verdict.equivalent,
+        formula_text=None if verdict.formula is None else verdict.formula.render(),
+        lhs_states=lhs.n_states,
+        rhs_states=rhs.n_states,
+        saturated=bool(lhs.marked),
+        time_ms=(time.perf_counter() - started) * 1000.0,
+        verdict=verdict,
+        lhs=lhs,
+        rhs=rhs,
+    )
 
 
 def check_compatibility(
@@ -298,12 +339,17 @@ def check_compatibility(
     closed relative to the star) against the center alone without
     buffers, after hiding the queue names and exceptions shared by the
     pair."""
-    border = _border(arch, center)
+    border = {
+        aei
+        for att in arch.source.description.attachments
+        if center in (att.from_aei, att.to_aei)
+        for aei in (att.from_aei, att.to_aei)
+    } - {center}
     if partner not in border:
         raise ValueError(f"{partner} is not attached to {center}")
     started = time.perf_counter()
     context = arch.real_aeis
-    star_context = tuple(dict.fromkeys((center,) + border))
+    star_context = (center,) + tuple(aei for aei in context if aei in border)
     lhs_left = aei_semantics(
         arch, center, context=context, closure="pc", buffers_for=(partner,),
         state_limit=state_limit,
@@ -312,31 +358,9 @@ def check_compatibility(
         arch, partner, context=star_context, closure="tc", buffers_for=(center,),
         state_limit=state_limit,
     )
-    sync = sync_set(arch, center, partner)
-    hidden = h_set(arch, center, {partner}) | e_set(arch, center, {partner})
-    lhs = parallel(lhs_left, lhs_right, sync, state_limit)
-    if hidden:
-        lhs = hide(lhs, hide_set=hidden)
-    lhs = resolve(lhs)
-    rhs = resolve(
-        aei_semantics(arch, center, context=context, closure="pc", buffers_for=(),
-                      state_limit=state_limit)
-    )
-    verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
-    return CheckOutcome(
-        kind="compatibility",
-        subject=(center,),
-        partner=partner,
-        equivalent=verdict.equivalent,
-        formula_text=None if verdict.formula is None else verdict.formula.render(),
-        lhs_states=lhs.n_states,
-        rhs_states=rhs.n_states,
-        saturated=bool(lhs.marked),
-        time_ms=(time.perf_counter() - started) * 1000.0,
-        verdict=verdict,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    lhs = parallel(lhs_left, lhs_right, sync_set(arch, center, partner), state_limit)
+    return _compare(arch, "compatibility", (center,), partner, center, {partner}, lhs,
+                    state_limit, started)
 
 
 def check_interoperability(
@@ -367,32 +391,9 @@ def check_interoperability(
         ),
         state_limit,
     )
-    visible = build_name_sets(arch, member, context).visible
-    lhs = hide(lhs, keep_only=visible)
-    others = set(cycle) - {member}
-    hidden = h_set(arch, member, others) | e_set(arch, member, others)
-    if hidden:
-        lhs = hide(lhs, hide_set=hidden)
-    lhs = resolve(lhs)
-    rhs = resolve(
-        aei_semantics(arch, member, context=context, closure="pc", buffers_for=(),
-                      state_limit=state_limit)
-    )
-    verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
-    return CheckOutcome(
-        kind="interoperability",
-        subject=tuple(cycle),
-        partner=member,
-        equivalent=verdict.equivalent,
-        formula_text=None if verdict.formula is None else verdict.formula.render(),
-        lhs_states=lhs.n_states,
-        rhs_states=rhs.n_states,
-        saturated=bool(lhs.marked),
-        time_ms=(time.perf_counter() - started) * 1000.0,
-        verdict=verdict,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    lhs = hide(lhs, keep_only=build_name_sets(arch, member, context).visible)
+    return _compare(arch, "interoperability", tuple(cycle), member, member,
+                    set(cycle) - {member}, lhs, state_limit, started)
 
 
 def aei_deadlock_free(
@@ -401,11 +402,19 @@ def aei_deadlock_free(
 ) -> tuple[bool, int]:
     """Deadlock freedom of the AEI alone (partially closed, without
     buffers); returns (verdict, state count)."""
-    lts = resolve(
-        aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
-                      state_limit=state_limit)
-    )
+    lts = _aei_alone(arch, aei, state_limit)
     return (not find_deadlocks(lts, notion), lts.n_states)
+
+
+def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
+    """All AEIs with all their buffers, partially closed, resolved."""
+    request = SemanticsRequest(
+        subject=arch.real_aeis,
+        context=arch.real_aeis,
+        closure="pc",
+        buffers_for=arch.real_aeis,
+    )
+    return resolve(composite_semantics(arch, request, state_limit))
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +441,12 @@ def verify_deadlock_direct(
     partially closed, searched for (weak) deadlocks."""
     started = time.perf_counter()
     try:
-        full = composite_semantics(
-            arch,
-            SemanticsRequest(
-                subject=arch.real_aeis,
-                context=arch.real_aeis,
-                closure="pc",
-                buffers_for=arch.real_aeis,
-            ),
-            state_limit,
-        )
+        full = _whole_system(arch, state_limit)
     except StateLimitExceeded as exc:
         return DirectResult(
             "inconclusive", None, exc.states_seen,
             (time.perf_counter() - started) * 1000.0, False, str(exc),
         )
-    full = resolve(full)
     dead = find_deadlocks(full, notion)
     elapsed = (time.perf_counter() - started) * 1000.0
     if dead:
@@ -648,23 +647,8 @@ def check_behavioral_conformity(
     semantics is weakly bisimilar to the original's up to the injective
     relabeling that matches local interactions."""
     started = time.perf_counter()
-
-    def full(arch: ElabArchitecture) -> Lts:
-        return resolve(
-            composite_semantics(
-                arch,
-                SemanticsRequest(
-                    subject=arch.real_aeis,
-                    context=arch.real_aeis,
-                    closure="pc",
-                    buffers_for=arch.real_aeis,
-                ),
-                state_limit,
-            )
-        )
-
-    variant = full(arch_variant)
-    original = full(arch_original)
+    variant = _whole_system(arch_variant, state_limit)
+    original = _whole_system(arch_original, state_limit)
     lifted = extend_rename(variant.labels, rename)
     verdict = weak_bisim_upto_relabeling(
         variant, original, lifted, saturation_budget=8 * state_limit

@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass, field
 
 from . import model as m
-from .diagnostics import Diagnostic, Loc, PadlError, Severity
+from .diagnostics import Diagnostic, Loc, PadlError, SemanticsError, Severity
+from .semantics import eval_expr
 
 _RESERVED_INSTANCE = re.compile(r"^(IAQ|OAQ)_\d+$")
 RESERVED_QUEUE_AET = "Async_Queue_Type"
@@ -46,13 +47,6 @@ class ValidatedArchitecture:
     def interaction(self, aei: str, name: str) -> m.InteractionDecl | None:
         return self.aet_of(aei).interaction(name)
 
-    def endpoints(self) -> list[tuple[str, str]]:
-        result = []
-        for inst in self.description.instances:
-            for decl in self.aets[inst.aet].interactions:
-                result.append((inst.name, decl.name))
-        return result
-
     def attach_no(self, endpoint: tuple[str, str]) -> int:
         """Number of attachments involving an (aei, interaction) endpoint."""
         aei, inter = endpoint
@@ -63,57 +57,6 @@ class ValidatedArchitecture:
 
 def attach_no(arch: ValidatedArchitecture, endpoint: tuple[str, str]) -> int:
     return arch.attach_no(endpoint)
-
-
-# ---------------------------------------------------------------------------
-# Constant evaluation (defaults and instance arguments)
-# ---------------------------------------------------------------------------
-
-
-def eval_const(expr: m.Expr, env: dict[str, bool | int]) -> bool | int:
-    """Evaluate a constant expression; raises ValueError on unbound names."""
-    if isinstance(expr, m.BoolLit):
-        return expr.value
-    if isinstance(expr, m.IntLit):
-        return expr.value
-    if isinstance(expr, m.Var):
-        if expr.name not in env:
-            raise ValueError(f"unbound name '{expr.name}'")
-        return env[expr.name]
-    if isinstance(expr, m.SuccessVar):
-        raise ValueError("success variables are not constants")
-    if isinstance(expr, m.Unary):
-        val = eval_const(expr.operand, env)
-        return (not val) if expr.op == "not" else -val
-    if isinstance(expr, m.Binary):
-        left = eval_const(expr.left, env)
-        right = eval_const(expr.right, env)
-        return _apply_binary(expr.op, left, right)
-    raise ValueError(f"unsupported expression {expr!r}")
-
-
-def _apply_binary(op: str, left, right):
-    if op == "and":
-        return bool(left) and bool(right)
-    if op == "or":
-        return bool(left) or bool(right)
-    if op == "=":
-        return left == right
-    if op == "/=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    raise ValueError(f"unknown operator {op}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +142,8 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
         at_types[p.name] = p.type
         if p.default is not None:
             try:
-                at_env[p.name] = eval_const(p.default, dict(at_env))
-            except ValueError as exc:
+                at_env[p.name] = eval_expr(p.default, dict(at_env))
+            except SemanticsError as exc:
                 ck.error("E_CONST", f"cannot evaluate default of '{p.name}': {exc}", p.loc)
 
     aets: dict[str, m.AetDef] = {}
@@ -233,8 +176,8 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
             continue
         for arg, formal in zip(inst.args, aet.params):
             try:
-                value = eval_const(arg, at_env)
-            except ValueError as exc:
+                value = eval_expr(arg, at_env)
+            except SemanticsError as exc:
                 ck.error("E_CONST", f"parameter of '{inst.name}': {exc}", inst.loc)
                 continue
             if isinstance(formal.type, m.BoolType) != isinstance(value, bool):
@@ -437,8 +380,8 @@ def _validate_aet(ck: _Checker, aet: m.AetDef, at_types: dict[str, m.DataType]) 
             env[p.name] = p.type
             if p.default is not None:
                 try:
-                    value = eval_const(p.default, {})
-                except ValueError as exc:
+                    value = eval_expr(p.default, {})
+                except SemanticsError as exc:
                     ck.error("E_CONST", f"default of '{p.name}': {exc}", p.loc)
                     continue
                 if isinstance(p.type, m.IntType) and isinstance(value, int) \

@@ -256,6 +256,16 @@ def test_lts_rejects_unknown_buffer_or_context(capsys):
     assert code == 2
 
 
+def test_lts_rejects_implicit_queue_names_in_aei_lists(capsys):
+    # OAQ_1 is a queue AEI, not an AEI buffers or context can name
+    for flag, what in (("--buffers", "buffer"), ("--context", "context")):
+        code, out, err = run(capsys, "lts", fixture("client_server_async"),
+                             "--aei", "S", "--variant", "pc", flag, "OAQ_1")
+        assert code == 2
+        assert out == ""
+        assert f"unknown {what} AEIs ['OAQ_1']" in err
+
+
 def test_lts_unknown_aei_and_variant(capsys):
     code, _, err = run(capsys, "lts", fixture("client_server_sync"),
                        "--aei", "Nope")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
+from collections import Counter
+
 import pytest
 
 from conftest import fixture_source, load_arch
-from padlver import PadlError, parse, validate
+from padlver import PadlError, StateLimitExceeded, parse, validate
 from padlver import model as m
 from padlver.elaborate import (
     SemanticsRequest,
@@ -17,6 +20,9 @@ from padlver.elaborate import (
     queue_lts,
 )
 from padlver.lts import resolve
+
+# The package re-exports the function elaborate under the module's name.
+elaborate_module = importlib.import_module("padlver.elaborate")
 
 
 # -- or-rewrite -------------------------------------------------------------------
@@ -438,3 +444,57 @@ def test_capacity_sublts_for_queues():
     v1 = {(s, l, d) for s, l, d, _, _ in q1.transition_view() if d < q1.n_states}
     v3 = {(s, l, d) for s, l, d, _, _ in q3.transition_view()}
     assert {t for t in v1 if not (t[1].endswith("arrive") and t[0] == q1.n_states - 1)} <= v3
+
+
+# -- the per-architecture memo ------------------------------------------------------
+
+
+@pytest.fixture
+def generated(monkeypatch) -> Counter:
+    """generate_lts calls by prefix (the AEI or queue generated)."""
+    calls: Counter = Counter()
+    original = elaborate_module.generate_lts
+
+    def counting(*args, **kwargs):
+        calls[kwargs["prefix"]] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(elaborate_module, "generate_lts", counting)
+    return calls
+
+
+def test_a_repeated_request_is_built_once(generated):
+    arch = load_arch("client_server_async")
+    first = aei_semantics(arch, "S", closure="pc", buffers_for=("C_1",))
+    again = aei_semantics(arch, "S", closure="pc", buffers_for=("C_1",))
+    assert again is first
+    assert generated["S"] == 1
+    assert generated["OAQ_1"] == 1
+
+
+def test_a_different_limit_closure_or_buffer_set_builds_anew(generated):
+    arch = load_arch("client_server_async")
+    base = aei_semantics(arch, "S", closure="pc", buffers_for=(), state_limit=1000)
+    assert aei_semantics(arch, "S", closure="pc", buffers_for=(), state_limit=1000) is base
+    assert generated["S"] == 1
+    variants = [
+        aei_semantics(arch, "S", closure="pc", buffers_for=(), state_limit=999),
+        aei_semantics(arch, "S", closure="tc", buffers_for=(), state_limit=1000),
+        aei_semantics(arch, "S", closure="pc", buffers_for=("C_1",), state_limit=1000),
+    ]
+    assert generated["S"] == 4
+    assert all(v is not base for v in variants)
+    # the new limit builds the same system; tc and the buffer do not
+    assert variants[0] == base
+    assert variants[1] != base and variants[2] != base
+
+
+def test_a_build_over_its_limit_raises_every_time(generated):
+    arch = load_arch("client_server_async")
+    for _ in range(2):
+        with pytest.raises(StateLimitExceeded):
+            aei_semantics(arch, "S", closure="pc", buffers_for=(), state_limit=1)
+    assert generated["S"] == 2
+    built = aei_semantics(arch, "S", closure="pc", buffers_for=())
+    assert aei_semantics(arch, "S", closure="pc", buffers_for=()) is built
+    assert generated["S"] == 3

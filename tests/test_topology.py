@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib
+from collections import Counter
+
 import pytest
 
 from conftest import fixture_source, load_arch
@@ -339,6 +342,35 @@ def test_a_check_that_hits_the_limit_is_not_retried(interop_calls):
         assert by_id[condition].outcomes == []
         assert "state limit" in by_id[condition].detail
     assert by_id["2a"].detail == by_id["2c"].detail
+
+
+def test_reduction_generates_each_aei_request_once(monkeypatch):
+    # The isolation check and every check's right-hand side ask for the
+    # same pc-wob semantics; only the first request may generate it.
+    elaborate_module = importlib.import_module("padlver.elaborate")
+    generate, semantics = elaborate_module.generate_lts, elaborate_module.aei_semantics
+    requests: list[tuple] = []
+    generated: Counter = Counter()
+
+    def aei_semantics(arch, aei, **request):
+        requests.append((aei, tuple(sorted(request.items()))))
+        try:
+            return semantics(arch, aei, **request)
+        finally:
+            requests.pop()
+
+    def generate_lts(*args, **kwargs):
+        if requests and kwargs["prefix"] == requests[-1][0]:
+            generated[requests[-1]] += 1
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(elaborate_module, "generate_lts", generate_lts)
+    for module in (elaborate_module, topology):
+        monkeypatch.setattr(module, "aei_semantics", aei_semantics)
+    reduction = verify_deadlock_by_reduction(load_arch("cycle_dying_member"))
+    assert reduction.status == "conditions_failed"
+    assert len(generated) > 5
+    assert set(generated.values()) == {1}
 
 
 def test_mutant_direct_confirms_failed_check():

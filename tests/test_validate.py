@@ -230,3 +230,26 @@ def test_attach_no_sums():
                 else:
                     in_sum += n
         assert out_sum == in_sum == len(d.attachments)
+
+
+def const_errors(src: str) -> list:
+    with pytest.raises(PadlError) as err:
+        validate(parse(src))
+    return [d for d in err.value.diagnostics if d.code == "E_CONST"]
+
+
+def test_unbound_name_in_architectural_default_is_a_const_error():
+    src = minimal().replace("ARCHI_TYPE T(void)", "ARCHI_TYPE T(int(0..3) n := 1 + m)")
+    (diag,) = const_errors(src)
+    assert diag.message == "cannot evaluate default of 'n': unbound name 'm'"
+    assert (diag.loc.line, diag.loc.column) == (1, 14)
+
+
+def test_unbound_name_in_instance_argument_is_a_const_error():
+    src = (minimal()
+           .replace("ARCHI_TYPE T(void)", "ARCHI_TYPE T(int(0..3) n := 2)")
+           .replace("ARCHI_ELEM_TYPE A_Type(void)", "ARCHI_ELEM_TYPE A_Type(int(0..3) k)")
+           .replace("A_1 : A_Type();", "A_1 : A_Type(n - m);"))
+    (diag,) = const_errors(src)
+    assert diag.message == "parameter of 'A_1': unbound name 'm'"
+    assert (diag.loc.line, diag.loc.column) == (15, 7)
