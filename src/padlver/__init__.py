@@ -11,7 +11,6 @@ cross-validation.
 from .diagnostics import Diagnostic, PadlError, SemanticsError, StateLimitExceeded
 from .elaborate import (
     ElabArchitecture,
-    SemanticsRequest,
     aei_semantics,
     build_name_sets,
     composite_semantics,
@@ -61,7 +60,6 @@ __all__ = [
     "Lts",
     "PadlError",
     "SemanticsError",
-    "SemanticsRequest",
     "StateLimitExceeded",
     "ValidatedArchitecture",
     "aei_semantics",

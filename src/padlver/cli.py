@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .diagnostics import PadlError, SemanticsError, StateLimitExceeded
 from .elaborate import ElabArchitecture, aei_semantics, elaborate
-from .equivalence import strong_bisim_check, weak_bisim_check
+from .equivalence import MAX_FORMULA_ROUNDS, strong_bisim_check, weak_bisim_check
 from .lts import DEFAULT_STATE_LIMIT, read_aut, resolve, write_aut
 from .parser import parse
 from .report import VerificationReport
@@ -161,7 +161,11 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     if verdict.equivalent:
         print("equivalent")
         return 0
-    print(f"distinct: {verdict.formula.render()}")
+    if verdict.formula is None:
+        print("distinct: no formula, the systems separate only after over "
+              f"{MAX_FORMULA_ROUNDS} refinement rounds")
+    else:
+        print(f"distinct: {verdict.formula.render()}")
     return 1
 
 
@@ -206,7 +210,10 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_graph)
     p_graph.set_defaults(func=cmd_graph)
 
-    p_equiv = sub.add_parser("equiv", help="compare two AUT files")
+    p_equiv = sub.add_parser("equiv", help="compare two AUT files", description=(
+        "Prints 'equivalent' (exit 0), or 'distinct' (exit 1) with a formula true on the left "
+        "file only, or with the reason there is none: the files separate only after over "
+        f"{MAX_FORMULA_ROUNDS} refinement rounds."))
     p_equiv.add_argument("left")
     p_equiv.add_argument("right")
     p_equiv.add_argument("--strong", action="store_true",

@@ -13,9 +13,10 @@ The pipeline mirrors the semantics of the language:
 3. group the rewired attachments into families, one fresh composite
    name per family (original dotted names joined by '#', senders
    first);
-4. assemble per-AEI and composite semantics: behavior with the selected
-   buffers composed in (input queues first, then output queues),
-   relabeled to composite names, then partially or totally closed.
+4. assemble per-AEI semantics: behavior with the selected buffers
+   composed in (input queues first, then output queues), relabeled to
+   composite names, then partially or totally closed; composite
+   semantics chain the per-AEI parts a caller builds.
 
 Queues are bounded: arrive is enabled only while fewer than the
 configured capacity of items are waiting, and the full states are
@@ -25,6 +26,7 @@ marked so capacity saturation can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
@@ -567,16 +569,17 @@ class NameSets:
         return dict(self.phi)
 
 
-def _external_families(arch: ElabArchitecture) -> list[Family]:
-    return [f for f in arch.families if f.internal_owner is None]
+def _external_families(arch: ElabArchitecture) -> list[tuple[Family, set[str]]]:
+    """The families between AEIs, each with the AEIs owning its ends."""
+    return [(f, {arch.bundle_owner(x) for x, _ in f.endpoints})
+            for f in arch.families if f.internal_owner is None]
 
 
 def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) -> NameSets:
     members = set(arch.bundle(aei))
     ctx = set(context)
     phi: dict[str, str] = {}
-    for f in _external_families(arch):
-        owners = {arch.bundle_owner(x) for x, _ in f.endpoints}
+    for f, owners in _external_families(arch):
         if aei not in owners:
             continue
         if not (owners - {aei}) & ctx:
@@ -604,8 +607,7 @@ def sync_set(arch: ElabArchitecture, left: str, right: str) -> frozenset[str]:
     """Pairwise synchronization set: composite names of external
     families touching both bundles."""
     out = set()
-    for f in _external_families(arch):
-        owners = {arch.bundle_owner(x) for x, _ in f.endpoints}
+    for f, owners in _external_families(arch):
         if left in owners and right in owners:
             out.add(f.composite)
     return frozenset(out)
@@ -616,8 +618,7 @@ def h_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
     to any of the other AEIs."""
     queues = set(arch.bundle(aei)) - {aei}
     out = set()
-    for f in _external_families(arch):
-        owners = {arch.bundle_owner(x) for x, _ in f.endpoints}
+    for f, owners in _external_families(arch):
         if owners & set(others) and any(x in queues for x, _ in f.endpoints):
             out.add(f.composite)
     return frozenset(out)
@@ -627,8 +628,7 @@ def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
     """Exception labels of semi-synchronous interactions involved in
     attachments between `aei` (or its queues) and the other AEIs."""
     out = set()
-    for f in _external_families(arch):
-        owners = {arch.bundle_owner(x) for x, _ in f.endpoints}
+    for f, owners in _external_families(arch):
         if aei in owners and owners & set(others):
             for x, inter in f.endpoints:
                 decl = arch.aeis[x].interactions[inter]
@@ -642,50 +642,15 @@ def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemanticsRequest:
-    """Which LTS to build: a subject AEI (or set) relative to a context,
-    with a closure level and the buffers to include.
-
-    closure: "open" (no hiding), "pc" (hide everything outside the
-    visibility set), or "tc" (additionally hide the originally
-    asynchronous names).  buffers_for selects the implicit queues whose
-    far side lies in the given set; an empty tuple is the
-    without-buffers variant.  Members listed in totally_closed_up_to
-    stay partially closed inside an otherwise totally closed composite.
-    """
-
-    subject: tuple[str, ...]
-    context: tuple[str, ...]
-    closure: str = "pc"
-    buffers_for: tuple[str, ...] = ()
-    totally_closed_up_to: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.closure not in ("open", "pc", "tc"):
-            raise ValueError(f"unknown closure {self.closure!r}")
-        unknown = set(self.totally_closed_up_to) - set(self.subject)
-        if unknown:
-            raise ValueError(f"totally_closed_up_to not within subject: {sorted(unknown)}")
-
-
 def queue_lts(arch: ElabArchitecture, queue_name: str,
               state_limit: int = DEFAULT_STATE_LIMIT) -> Lts:
-    """The bounded queue behavior under its internal composite name."""
-    elab = arch.aeis[queue_name]
-    info = elab.queue
-    assert info is not None
-    lts = generate_lts(
-        elab.equations,
+    """The bounded queue behavior, its full states marked."""
+    return generate_lts(
+        arch.aeis[queue_name].equations,
         prefix=queue_name,
         state_limit=state_limit,
         mark_when=lambda env: env.get("n") == arch.capacity,
     )
-    inner = QUEUE_DEPART if info.kind == "IAQ" else QUEUE_ARRIVE
-    for f in arch.families:
-        if f.internal_owner == info.owner and (queue_name, inner) in f.endpoints:
-            return relabel(lts, {f"{queue_name}.{inner}": f.composite})
-    return lts
 
 
 def aei_semantics(
@@ -743,26 +708,27 @@ def aei_semantics(
         elab.equations, prefix=aei, ssync_actions=ssync, state_limit=state_limit
     )
 
-    # The AEI's internal families: its own side is relabeled to the
-    # family's name, and each of its queues synchronizes on that name.
+    # The AEI's internal families: its own side and each queue's inner
+    # end are relabeled to the family's name, the one they synchronize on.
     internal_map: dict[str, str] = {}
-    queue_sync: dict[str, str] = {}
+    queue_end: dict[str, tuple[str, str]] = {}  # queue -> (inner end, family)
     for f in arch.families:
         if f.internal_owner == aei:
             for x, inter in f.endpoints:
                 if x == aei:
                     internal_map[f"{x}.{inter}"] = f.composite
                 else:
-                    queue_sync[x] = f.composite
+                    queue_end[x] = (f"{x}.{inter}", f.composite)
     if internal_map:
         acc = relabel(acc, internal_map)
 
     for queue_name in queues:
-        q = queue_lts(arch, queue_name, state_limit)
+        inner, family = queue_end[queue_name]
+        q = relabel(queue_lts(arch, queue_name, state_limit), {inner: family})
         if arch.aeis[queue_name].queue.kind == "IAQ":
-            acc = parallel(q, acc, {queue_sync[queue_name]}, state_limit)
+            acc = parallel(q, acc, {family}, state_limit)
         else:
-            acc = parallel(acc, q, {queue_sync[queue_name]}, state_limit)
+            acc = parallel(acc, q, {family}, state_limit)
 
     sets = build_name_sets(arch, aei, context)
     phi = sets.phi_map()
@@ -778,43 +744,20 @@ def aei_semantics(
 
 def composite_semantics(
     arch: ElabArchitecture,
-    request: SemanticsRequest,
+    parts: Iterable[tuple[str, Lts]],
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Lts:
-    """Left-associated parallel chain over the subject AEIs with
-    pairwise-accumulated synchronization sets; each member closed
-    according to the request."""
-    unknown = [s for s in request.subject if s not in arch.aeis or arch.aeis[s].is_queue]
-    if unknown:
-        raise ValueError(f"unknown subject AEIs: {unknown}")
-    members = list(request.subject)
-    if not members:
-        raise ValueError("empty subject")
-
-    def member_closure(name: str) -> str:
-        if request.closure == "tc" and name in request.totally_closed_up_to:
-            return "pc"
-        return request.closure
-
-    acc = aei_semantics(
-        arch,
-        members[0],
-        context=request.context,
-        closure=member_closure(members[0]),
-        buffers_for=request.buffers_for,
-        state_limit=state_limit,
-    )
-    for k in range(1, len(members)):
-        sync: set[str] = set()
-        for i in range(k):
-            sync |= sync_set(arch, members[i], members[k])
-        nxt = aei_semantics(
-            arch,
-            members[k],
-            context=request.context,
-            closure=member_closure(members[k]),
-            buffers_for=request.buffers_for,
-            state_limit=state_limit,
-        )
-        acc = parallel(acc, nxt, sync, state_limit)
+    """Left-associated parallel chain over (AEI, semantics) parts: each
+    part synchronizes with the parts before it on the union of their
+    pairwise synchronization sets.  Callers build the parts, choosing
+    each member's closure and buffers; a part is taken from the
+    iterable only once the parts before it are composed."""
+    names: list[str] = []
+    acc: Lts | None = None
+    for name, lts in parts:
+        sync = set().union(*(sync_set(arch, prev, name) for prev in names))
+        acc = lts if acc is None else parallel(acc, lts, sync, state_limit)
+        names.append(name)
+    if acc is None:
+        raise ValueError("no parts to compose")
     return acc

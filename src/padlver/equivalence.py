@@ -10,8 +10,9 @@ and keeps the closure cheap.
 
 On inequivalence a formula of the weak Hennessy-Milner fragment
 (tt, negation, conjunction, weak diamond) is produced from the
-refinement history; it holds at the first system's initial state and
-fails at the second's.
+refinement history, when the initial states separate within
+MAX_FORMULA_ROUNDS rounds; it holds at the first system's initial
+state and fails at the second's.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .lts import (
     _canonical,
     _from_canonical_rows,
     _new,
+    _require_resolved,
     relabel,
     renumber_bfs,
 )
@@ -39,6 +41,23 @@ from .lts import (
 # Weak Hennessy-Milner formulas
 # ---------------------------------------------------------------------------
 
+# Most refinement rounds a distinguishing formula is built from.  A
+# round adds at most a not, a diamond and an and: 4 stack frames in
+# render and eval_formula, 3 in _distinguish, none in hash, so the
+# deepest formula takes 800 of the default recursion limit of 1000.
+MAX_FORMULA_ROUNDS = 200
+
+
+class _Formula:
+    """Base of the nodes with parts: each hashes once, when made, from
+    its parts' hashes, so hashing a deep formula does not recurse."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Tt:
@@ -47,28 +66,31 @@ class Tt:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Formula):
     sub: "WeakFormula"
+    __hash__ = _Formula.__hash__
 
     def render(self) -> str:
         return f"not {self.sub.render()}"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Formula):
     subs: tuple["WeakFormula", ...]
+    __hash__ = _Formula.__hash__
 
     def render(self) -> str:
-        return "(" + " and ".join(f.render() for f in self.subs) + ")"
+        return "(" + " and ".join([f.render() for f in self.subs]) + ")"
 
 
 @dataclass(frozen=True)
-class Dia:
+class Dia(_Formula):
     """Weak diamond: some tau*-label-tau* step (tau* alone for label
     tau) reaches a state satisfying the subformula."""
 
     label: str
     sub: "WeakFormula"
+    __hash__ = _Formula.__hash__
 
     def render(self) -> str:
         return f"<<{self.label}>> {self.sub.render()}"
@@ -98,20 +120,19 @@ def eval_formula(lts: Lts, formula: WeakFormula, state: int | None = None) -> bo
         elif isinstance(f, Not):
             result = not ev(s, f.sub)
         elif isinstance(f, And):
-            result = all(ev(s, sub) for sub in f.subs)
+            result = all([ev(s, sub) for sub in f.subs])
         elif isinstance(f, Dia):
             if f.label == TAU:
-                result = any(ev(u, f.sub) for u in closures[s])
+                after = closures[s]
+            else:
+                after = [u for x in closures[s] for t in lts.trans[x]
+                         if lts.labels[t.label] == f.label for u in closures[t.target]]
+            for u in after:
+                if ev(u, f.sub):
+                    result = True
+                    break
             else:
                 result = False
-                for x in closures[s]:
-                    for t in lts.trans[x]:
-                        if lts.labels[t.label] == f.label:
-                            if any(ev(u, f.sub) for u in closures[t.target]):
-                                result = True
-                                break
-                    if result:
-                        break
         else:  # pragma: no cover
             raise TypeError(f"unexpected formula {f!r}")
         memo[key] = result
@@ -226,8 +247,7 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     The result shares the input's label table: every label in use
     stays in use.
     """
-    if lts.has_semisync():
-        raise ValueError("saturate requires a resolved LTS")
+    _require_resolved(lts, "saturate")
     n = lts.n_states
     closures = _tau_closures(lts)
     # after[x]: per visible label, the sorted states tau* reaches after
@@ -290,11 +310,11 @@ def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _refine(lts: Lts) -> Iterator[list[int]]:
+def _refine(lts: Lts, keep: int = 0) -> tuple[list[int], list[list[int]]]:
     """Signature-based refinement to the coarsest strong bisimulation.
 
-    Yields the partition of every round (round 0 is the single-block
-    partition); the last one is the stable partition.  A state's
+    Returns the stable partition and the partitions of the first `keep`
+    rounds (round 0 is the single-block partition).  A state's
     signature is its (label, set of target blocks) pairs in label
     order, which rows being sorted makes canonical; blocks are
     numbered in order of first occurrence over the states."""
@@ -311,7 +331,7 @@ def _refine(lts: Lts) -> Iterator[list[int]]:
             k += 1
         n_groups.append(k)
     parts = [0] * lts.n_states
-    yield parts
+    history = [parts][:keep]
     n_blocks = 1
     while True:
         pairs = zip(labels, map(frozenset, map(map, repeat(parts.__getitem__), targets)))
@@ -322,17 +342,11 @@ def _refine(lts: Lts) -> Iterator[list[int]]:
         first = list(map(fresh.setdefault, zip(parts, signatures), count()))
         number = dict(zip(dict.fromkeys(first), count()))
         parts = list(map(number.__getitem__, first))
-        yield parts
+        if len(history) < keep:
+            history.append(parts)
         if len(fresh) == n_blocks:
-            return
+            return parts, history
         n_blocks = len(fresh)
-
-
-def _stable(lts: Lts) -> list[int]:
-    """The stable partition of _refine, earlier rounds dropped."""
-    for parts in _refine(lts):
-        pass
-    return parts
 
 
 def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
@@ -341,7 +355,7 @@ def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
     the quadratic saturation.  The partition is stable, so the members
     of a block have the same moves up to blocks and the first member's
     row stands for all of them."""
-    parts = _stable(lts)
+    parts, _ = _refine(lts)
     n_blocks = max(parts) + 1
     rows: list[list[tuple[int, int, int, int]] | None] = [None] * n_blocks
     for s, b in enumerate(parts):
@@ -401,6 +415,21 @@ def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
     return union, l1.initial, offset + l2.initial
 
 
+def _verdict(
+    refined: Lts, block_of: Sequence[int], n_left: int, p: int, q: int
+) -> EquivalenceVerdict:
+    """The verdict both checks end in: refine `refined`, whose states p
+    and q stand for the initial states, and map the union's states (n_left
+    on the left) through block_of."""
+    final, rounds = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    blocks = [final[s] for s in block_of]
+    verdict = EquivalenceVerdict(final[p] == final[q], None, tuple(blocks[:n_left]),
+                                 tuple(blocks[n_left:]), max(final) + 1)
+    if not verdict.equivalent and rounds[-1][p] != rounds[-1][q]:
+        verdict.formula = _distinguish(refined, rounds, p, q)
+    return verdict
+
+
 def weak_bisim_check(
     l1: Lts, l2: Lts, saturation_budget: int | None = None
 ) -> EquivalenceVerdict:
@@ -408,41 +437,22 @@ def weak_bisim_check(
 
     On success the stable partition is the witness; on failure the
     verdict carries a weak Hennessy-Milner formula holding at l1's
-    initial state and failing at l2's.
+    initial state and failing at l2's, or None when the two separate
+    only after MAX_FORMULA_ROUNDS refinement rounds.
     """
     for lts in (l1, l2):
-        if lts.has_semisync():
-            raise ValueError("weak_bisim_check requires resolved LTSs")
+        _require_resolved(lts, "weak_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
     saturated, mapping = _weak_saturation(union, saturation_budget)
-    rounds = list(_refine(saturated))
-    final = rounds[-1]
-    blocks = [final[mapping[s]] for s in range(union.n_states)]
-    left = tuple(blocks[: l1.n_states])
-    right = tuple(blocks[l1.n_states :])
-    n_blocks = max(final) + 1 if final else 0
-    p, q = mapping[i1], mapping[i2]
-    if final[p] == final[q]:
-        return EquivalenceVerdict(True, None, left, right, n_blocks)
-    formula = _distinguish(saturated, rounds, p, q)
-    return EquivalenceVerdict(False, formula, left, right, n_blocks)
+    return _verdict(saturated, mapping, l1.n_states, mapping[i1], mapping[i2])
 
 
 def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
     """Strong bisimilarity of the initial states (no saturation)."""
     for lts in (l1, l2):
-        if lts.has_semisync():
-            raise ValueError("strong_bisim_check requires resolved LTSs")
+        _require_resolved(lts, "strong_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
-    rounds = list(_refine(union))
-    final = rounds[-1]
-    left = tuple(final[: l1.n_states])
-    right = tuple(final[l1.n_states :])
-    n_blocks = max(final) + 1
-    if final[i1] == final[i2]:
-        return EquivalenceVerdict(True, None, left, right, n_blocks)
-    formula = _distinguish(union, rounds, i1, i2)
-    return EquivalenceVerdict(False, formula, left, right, n_blocks)
+    return _verdict(union, range(union.n_states), l1.n_states, i1, i2)
 
 
 def weak_bisim_upto_relabeling(
@@ -459,10 +469,9 @@ def minimize(lts: Lts) -> Lts:
     The result is weakly bisimilar to the input; transitions are the
     block images of the original ones with intra-block tau steps
     dropped, and unreachable blocks are pruned."""
-    if lts.has_semisync():
-        raise ValueError("minimize requires a resolved LTS")
+    _require_resolved(lts, "minimize")
     saturated, mapping = _weak_saturation(lts)
-    final = _stable(saturated)
+    final, _ = _refine(saturated)
     block = [final[mapping[s]] for s in range(lts.n_states)]
     return renumber_bfs(_quotient(lts, block, max(final) + 1))
 
@@ -474,7 +483,12 @@ def minimize(lts: Lts) -> Lts:
 
 def _distinguish(saturated: Lts, rounds: list[list[int]], p: int, q: int) -> WeakFormula:
     """Formula (over weak moves) true at p and false at q, built from
-    the refinement history.  Depth minimality is not claimed."""
+    the refinement history.  Depth minimality is not claimed.  Equal
+    subformulas are made one object, so comparing them is shallow."""
+    made: dict[WeakFormula, WeakFormula] = {}
+
+    def node(f: WeakFormula) -> WeakFormula:
+        return made.setdefault(f, f)
 
     def signature(s: int, parts: list[int]) -> set[tuple[int, int]]:
         return {(t.label, parts[t.target]) for t in saturated.trans[s]}
@@ -492,7 +506,7 @@ def _distinguish(saturated: Lts, rounds: list[list[int]], p: int, q: int) -> Wea
         sig_b = signature(b, prev)
         forward = sorted(sig_a - sig_b)
         if not forward:
-            return Not(dist(b, a))
+            return node(Not(dist(b, a)))
         label_idx, target_block = forward[0]
         label = saturated.labels[label_idx]
         witness = min(
@@ -504,9 +518,9 @@ def _distinguish(saturated: Lts, rounds: list[list[int]], p: int, q: int) -> Wea
             {t.target for t in saturated.trans[b] if t.label == label_idx}
         )
         if not rivals:
-            return Dia(label, Tt())
-        subs = list(dict.fromkeys(dist(witness, r) for r in rivals))
-        body = subs[0] if len(subs) == 1 else And(tuple(subs))
-        return Dia(label, body)
+            return node(Dia(label, node(Tt())))
+        subs = list(dict.fromkeys([dist(witness, r) for r in rivals]))
+        body = subs[0] if len(subs) == 1 else node(And(tuple(subs)))
+        return node(Dia(label, body))
 
     return dist(p, q)

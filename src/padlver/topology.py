@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 from .diagnostics import StateLimitExceeded
 from .elaborate import (
     ElabArchitecture,
-    SemanticsRequest,
     aei_semantics,
     build_name_sets,
     composite_semantics,
     e_set,
     h_set,
-    sync_set,
 )
 from .equivalence import EquivalenceVerdict, weak_bisim_check, weak_bisim_upto_relabeling
 from .lts import (
@@ -39,7 +37,7 @@ from .lts import (
     find_deadlocks,
     hide,
     is_exception,
-    parallel,
+    parallel,  # unused here; perfbench's tracer test still looks it up on this module
     resolve,
     shortest_trace,
 )
@@ -350,15 +348,12 @@ def check_compatibility(
     started = time.perf_counter()
     context = arch.real_aeis
     star_context = (center,) + tuple(aei for aei in context if aei in border)
-    lhs_left = aei_semantics(
-        arch, center, context=context, closure="pc", buffers_for=(partner,),
-        state_limit=state_limit,
-    )
-    lhs_right = aei_semantics(
-        arch, partner, context=star_context, closure="tc", buffers_for=(center,),
-        state_limit=state_limit,
-    )
-    lhs = parallel(lhs_left, lhs_right, sync_set(arch, center, partner), state_limit)
+    lhs = composite_semantics(arch, (
+        (center, aei_semantics(arch, center, context=context, closure="pc",
+                               buffers_for=(partner,), state_limit=state_limit)),
+        (partner, aei_semantics(arch, partner, context=star_context, closure="tc",
+                                buffers_for=(center,), state_limit=state_limit)),
+    ), state_limit)
     return _compare(arch, "compatibility", (center,), partner, center, {partner}, lhs,
                     state_limit, started)
 
@@ -380,17 +375,12 @@ def check_interoperability(
         raise ValueError("a cycle traverses at least three AEIs")
     started = time.perf_counter()
     context = arch.real_aeis
-    lhs = composite_semantics(
-        arch,
-        SemanticsRequest(
-            subject=tuple(cycle),
-            context=context,
-            closure="tc",
-            buffers_for=tuple(cycle),
-            totally_closed_up_to=(member,),
-        ),
-        state_limit,
+    parts = (
+        (aei, aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
+                            buffers_for=cycle, state_limit=state_limit))
+        for aei in cycle
     )
+    lhs = composite_semantics(arch, parts, state_limit)
     lhs = hide(lhs, keep_only=build_name_sets(arch, member, context).visible)
     return _compare(arch, "interoperability", tuple(cycle), member, member,
                     set(cycle) - {member}, lhs, state_limit, started)
@@ -408,13 +398,13 @@ def aei_deadlock_free(
 
 def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
     """All AEIs with all their buffers, partially closed, resolved."""
-    request = SemanticsRequest(
-        subject=arch.real_aeis,
-        context=arch.real_aeis,
-        closure="pc",
-        buffers_for=arch.real_aeis,
+    everyone = arch.real_aeis
+    parts = (
+        (aei, aei_semantics(arch, aei, context=everyone, closure="pc", buffers_for=everyone,
+                            state_limit=state_limit))
+        for aei in everyone
     )
-    return resolve(composite_semantics(arch, request, state_limit))
+    return resolve(composite_semantics(arch, parts, state_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,59 @@ def test_equiv_prints_formula_on_distinct(tmp_path, capsys):
     assert "<<a>> tt" in out
 
 
+def deep_star(sends: int, receives: int) -> str:
+    """A sender of `sends` actions attached to a receiver of `receives`,
+    both stopping after them."""
+    return f"""ARCHI_TYPE Deep_Star(void)
+  ARCHI_BEHAVIOR
+    ARCHI_ELEM_TYPE Sender_Type(void)
+      BEHAVIOR
+        Send(void; void) = {"send . " * sends}stop
+      INPUT_INTERACTIONS  void
+      OUTPUT_INTERACTIONS SYNC UNI send
+    ARCHI_ELEM_TYPE Receiver_Type(void)
+      BEHAVIOR
+        Receive(void; void) = {"receive . " * receives}stop
+      INPUT_INTERACTIONS  SYNC UNI receive
+      OUTPUT_INTERACTIONS void
+  ARCHI_TOPOLOGY
+    ARCHI_ELEM_INSTANCES
+      C : Sender_Type();
+      P : Receiver_Type()
+    ARCHI_INTERACTIONS void
+    ARCHI_ATTACHMENTS
+      FROM C.send TO P.receive
+END
+"""
+
+
+def test_check_fails_without_formula_when_too_deep(tmp_path, capsys):
+    # The compatibility check separates its sides after 400 refinement
+    # rounds, past the rounds a formula is built from.
+    source = tmp_path / "deep.padl"
+    source.write_text(deep_star(400, 399))
+    code, out, err = run(capsys, "check", str(source))
+    assert (code, err) == (1, "")
+    assert "FAILS" in out and "distinguishing formula" not in out
+    code, out, err = run(capsys, "check", str(source), "--format", "json", "--no-timings")
+    assert (code, err) == (1, "")
+    [condition] = json.loads(out)["reduction"]["conditions"]
+    assert condition["holds"] is False
+    assert all("distinguishing_formula" not in check for check in condition["checks"])
+
+
+@pytest.mark.parametrize("strong", [[], ["--strong"]])
+def test_equiv_distinct_without_formula_when_too_deep(strong, tmp_path, capsys):
+    from padlver.lts import from_traces, write_aut
+
+    left, right = tmp_path / "a400.aut", tmp_path / "a401.aut"
+    left.write_text(write_aut(from_traces(("a",) * 400)))
+    right.write_text(write_aut(from_traces(("a",) * 401)))
+    code, out, err = run(capsys, "equiv", str(left), str(right), *strong)
+    assert (code, err) == (1, "")
+    assert out.startswith("distinct: no formula") and out.count("\n") == 1
+
+
 def test_equiv_malformed_aut(tmp_path, capsys):
     bad = tmp_path / "bad.aut"
     bad.write_text("this is not an aut file")

@@ -9,7 +9,6 @@ from conftest import fixture_source, load_arch
 from padlver import PadlError, StateLimitExceeded, parse, validate
 from padlver import model as m
 from padlver.elaborate import (
-    SemanticsRequest,
     aei_semantics,
     build_name_sets,
     composite_semantics,
@@ -18,11 +17,20 @@ from padlver.elaborate import (
     h_set,
     or_rewrite,
     queue_lts,
+    sync_set,
 )
 from padlver.lts import resolve
 
 # The package re-exports the function elaborate under the module's name.
 elaborate_module = importlib.import_module("padlver.elaborate")
+
+
+def parts_of(arch, aeis, closure, buffers_for=(), context=None):
+    """(AEI, semantics) parts, each member with the same closure."""
+    return [
+        (aei, aei_semantics(arch, aei, context=context, closure=closure, buffers_for=buffers_for))
+        for aei in aeis
+    ]
 
 
 # -- or-rewrite -------------------------------------------------------------------
@@ -236,9 +244,8 @@ END
         "E.announce#OAQ_1.arrive#OAQ_2.arrive#OAQ_3.arrive"
     )
     # the whole system still verifies
-    full = resolve(composite_semantics(arch, SemanticsRequest(
-        subject=arch.real_aeis, context=arch.real_aeis,
-        closure="pc", buffers_for=arch.real_aeis)))
+    full = resolve(composite_semantics(
+        arch, parts_of(arch, arch.real_aeis, "pc", buffers_for=arch.real_aeis)))
     from padlver import find_deadlocks
     assert not find_deadlocks(full)
 
@@ -365,22 +372,15 @@ def test_tc_hides_the_originally_asynchronous_names():
 
 def test_singleton_composite_equals_aei_semantics():
     arch = load_arch("client_server_async")
-    single = composite_semantics(
-        arch,
-        SemanticsRequest(subject=("S",), context=arch.real_aeis,
-                         closure="pc", buffers_for=arch.real_aeis),
-    )
+    single = composite_semantics(arch, parts_of(arch, ("S",), "pc", buffers_for=arch.real_aeis))
     direct = aei_semantics(arch, "S", closure="pc", buffers_for=arch.real_aeis)
     assert single == direct
 
 
 def test_totally_closed_composite_visibility():
     arch = load_arch("client_server_async")
-    req = SemanticsRequest(
-        subject=arch.real_aeis, context=arch.real_aeis,
-        closure="tc", buffers_for=arch.real_aeis,
-    )
-    lts = composite_semantics(arch, req)
+    lts = composite_semantics(arch, parts_of(arch, arch.real_aeis, "tc",
+                                             buffers_for=arch.real_aeis))
     allowed = set()
     for aei in arch.real_aeis:
         allowed |= set(build_name_sets(arch, aei, arch.real_aeis).phi_map().values())
@@ -419,20 +419,51 @@ def test_whole_sync_composite_matches_the_displayed_term():
         )
     manual = parallel(parallel(server, clients[1], {n[1], n[2]}),
                       clients[2], {n[3], n[4]})
-    composed = composite_semantics(
-        arch,
-        SemanticsRequest(subject=arch.real_aeis, context=arch.real_aeis,
-                         closure="open", buffers_for=()),
-    )
+    composed = composite_semantics(arch, parts_of(arch, arch.real_aeis, "open"))
     assert manual == composed
 
 
 def test_semantics_request_validation():
+    arch = load_arch("client_server_sync")
     with pytest.raises(ValueError):
-        SemanticsRequest(subject=("S",), context=("S",), closure="weird")
+        aei_semantics(arch, "S", context=("S",), closure="weird")
+
+
+def test_composite_takes_each_part_after_composing_the_ones_before(monkeypatch):
+    arch = load_arch("cruise_control")
+    built = parts_of(arch, arch.real_aeis, "pc", buffers_for=arch.real_aeis)
+    calls = []
+    real_parallel = elaborate_module.parallel
+
+    def counting_parallel(*args, **kwargs):
+        calls.append(args[2])
+        return real_parallel(*args, **kwargs)
+
+    monkeypatch.setattr(elaborate_module, "parallel", counting_parallel)
+    seen = []
+
+    def lazily():
+        for part in built:
+            seen.append(len(calls))
+            yield part
+
+    composed = composite_semantics(arch, lazily())
+    n = len(built)
+    assert n >= 3
+    assert seen == [0] + list(range(n - 1))
+    assert len(calls) == n - 1
+    # the last part synchronizes with every part before it
+    expected = set()
+    for aei, _ in built[:-1]:
+        expected |= sync_set(arch, aei, built[-1][0])
+    assert calls[-1] == expected
+    assert composed.n_states > 0
+
+
+def test_composite_of_no_parts_is_an_error():
+    arch = load_arch("client_server_sync")
     with pytest.raises(ValueError):
-        SemanticsRequest(subject=("S",), context=("S",),
-                         totally_closed_up_to=("X",))
+        composite_semantics(arch, iter(()))
 
 
 def test_capacity_sublts_for_queues():

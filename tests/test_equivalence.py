@@ -7,7 +7,7 @@ import pytest
 from conftest import naive_weak_bisim, prefix_lts, random_lts, tau_pad
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
 from padlver import strong_bisim_check, weak_bisim_check, weak_bisim_upto_relabeling
-from padlver.equivalence import Dia, Tt, eval_formula
+from padlver.equivalence import MAX_FORMULA_ROUNDS, And, Dia, Tt, eval_formula
 from padlver.lts import from_traces
 
 
@@ -202,3 +202,69 @@ def test_witness_partition_groups_equivalent_states():
     assert verdict.blocks_left[l1.initial] == verdict.blocks_right[l2.initial]
     # the post-a states are all equivalent to each other
     assert verdict.blocks_left[1] == verdict.blocks_left[2] == verdict.blocks_right[1]
+
+
+# -- deep distinguishing formulas --------------------------------------------------
+
+
+def formula_levels(formula) -> int:
+    """Nesting depth of a formula, counted level by level."""
+    levels, layer = 0, [formula]
+    while layer:
+        levels += 1
+        layer = [sub for f in layer
+                 for sub in (f.subs if isinstance(f, And) else (getattr(f, "sub", None),))
+                 if sub is not None]
+    return levels
+
+
+def alternating_pair(k: int):
+    """Two systems whose distinguishing formula gains a not, a diamond
+    and an and in every refinement round, the deepest a round can add;
+    their initial states separate in round k + 1."""
+    a_, b_ = (lambda j: 2 + 2 * j), (lambda j: 3 + 2 * j)  # 0: stop, 1: c-then-stop
+    trans = [(1, "c", 0), (b_(0), "b", 0)]
+    for j in range(1, k + 1):
+        trans += [(a_(j), "a", b_(j - 1)), (a_(j), "a", 1)]
+        trans += [(b_(j), "a", b_(j - 1)), (b_(j), "a", 1), (b_(j), "a", a_(j - 1))]
+    n = 4 + 2 * k
+    return build_lts(n, a_(k), trans), build_lts(n, b_(k), trans)
+
+
+def under_frames(n: int, thunk):
+    """Run thunk with n more frames on the stack, as a deeper caller would."""
+    return thunk() if n == 0 else under_frames(n - 1, thunk)
+
+
+@pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
+def test_chain_formulas_of_200_levels_are_still_built(check):
+    l1, l2 = from_traces(("a",) * 199), from_traces(("a",) * 200)
+    verdict = check(l1, l2)
+    assert not verdict.equivalent
+    assert formula_levels(verdict.formula) >= 200
+    assert eval_formula(l1, verdict.formula)
+    assert not eval_formula(l2, verdict.formula)
+
+
+@pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
+def test_the_deepest_formula_renders_hashes_and_evaluates(check):
+    # Separation in the last round a formula is built from, with the
+    # costliest shape per round and a hundred caller frames on the stack.
+    l1, l2 = alternating_pair(MAX_FORMULA_ROUNDS - 1)
+    verdict = under_frames(100, lambda: check(l1, l2))
+    formula = verdict.formula
+    assert formula_levels(formula) >= 3 * (MAX_FORMULA_ROUNDS - 1)
+    text = under_frames(100, formula.render)
+    assert text.startswith("not <<a>> (") and text.count("not") >= MAX_FORMULA_ROUNDS
+    assert under_frames(100, lambda: hash(formula)) == hash(formula)
+    assert under_frames(100, lambda: eval_formula(l1, formula))
+    assert not under_frames(100, lambda: eval_formula(l2, formula))
+
+
+@pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
+def test_past_the_round_limit_a_verdict_has_no_formula(check):
+    for l1, l2 in [alternating_pair(MAX_FORMULA_ROUNDS),
+                   (from_traces(("a",) * 400), from_traces(("a",) * 401))]:
+        verdict = check(l1, l2)
+        assert not verdict.equivalent
+        assert verdict.formula is None

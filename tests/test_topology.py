@@ -373,6 +373,33 @@ def test_reduction_generates_each_aei_request_once(monkeypatch):
     assert set(generated.values()) == {1}
 
 
+def test_each_check_and_direct_run_composes_once(monkeypatch):
+    # Compatibility, interoperability and the direct route all build
+    # their left-hand side through the one composition routine.
+    calls: Counter = Counter()
+
+    def counted(name):
+        real = getattr(topology, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(topology, name, wrapper)
+
+    for name in ("check_compatibility", "check_interoperability", "composite_semantics"):
+        counted(name)
+    arch = load_arch("cruise_control")
+    assert verify_deadlock_by_reduction(arch).status == "deadlock_free"
+    assert calls["check_compatibility"] > 0 and calls["check_interoperability"] > 0
+    assert calls["composite_semantics"] == (
+        calls["check_compatibility"] + calls["check_interoperability"]
+    )
+    calls.clear()
+    assert verify_deadlock_direct(arch).status == "deadlock_free"
+    assert calls == {"composite_semantics": 1}
+
+
 def test_mutant_direct_confirms_failed_check():
     arch = load_arch("mutant_server_silent")
     reduction = verify_deadlock_by_reduction(arch)
@@ -418,7 +445,6 @@ def test_star_reduction_target():
     # shared queue names and exceptions, is weakly bisimilar to the
     # center alone without buffers
     from padlver.elaborate import (
-        SemanticsRequest,
         aei_semantics,
         composite_semantics,
         e_set,
@@ -435,11 +461,11 @@ def test_star_reduction_target():
         for partner in border:
             assert check_compatibility(arch, center, partner).equivalent
         star = (center,) + border
-        lhs = composite_semantics(
-            arch,
-            SemanticsRequest(subject=star, context=star, closure="tc",
-                             buffers_for=star, totally_closed_up_to=(center,)),
-        )
+        lhs = composite_semantics(arch, [
+            (aei, aei_semantics(arch, aei, context=star, closure="pc" if aei == center else "tc",
+                                buffers_for=star))
+            for aei in star
+        ])
         hidden = set()
         for partner in border:
             hidden |= h_set(arch, center, {partner}) | e_set(arch, center, {partner})

@@ -1,0 +1,79 @@
+"""Digest of every benchmark input's deterministic check reports.
+
+    python3 tools/report_digest.py ROOT
+
+Imports the ``padlver`` package under ``ROOT/src`` and the benchmark's
+inputs from ``ROOT/perfbench/workloads.py``, writing nothing there (no
+bytecode either).  Each of the inputs of every workload is verified on
+both routes, ``reduce`` and ``direct``, as ``padlver check --mode ROUTE
+--no-timings`` would, and rendered as a JSON and a text report.  One
+line is printed per input and route: the sha256 of its JSON report,
+a newline and its text report, then the workload and input names.  The
+last line is the sha256 of all lines before it.
+
+Run it on two checkouts and ``diff`` the outputs: equal totals mean
+byte-identical reports, and the differing lines name the reports that
+changed.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+WORKLOADS = ("random-suite", "star", "ring", "fixtures")
+ROUTES = ("reduce", "direct")
+SEED = 0  # salts generated instance names, so it is part of every report
+
+
+def load(root: Path):
+    """The checkout's benchmark inputs module, and a function giving
+    one input's JSON and text reports on one route."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+    from padlver import parse, validate
+    from padlver.elaborate import elaborate
+    from padlver.report import VerificationReport
+    from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
+
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def reports(inp, route: str) -> str:
+        arch = elaborate(validate(parse(inp.text, filename=inp.name)), inp.capacity)
+        report = VerificationReport(
+            architecture=arch.name, mode=route, notion="weak",
+            queue_capacity=inp.capacity, state_limit=inp.state_limit, with_timings=False,
+        )
+        if route == "reduce":
+            report.reduction = verify_deadlock_by_reduction(arch, "weak", inp.state_limit)
+        else:
+            report.direct = verify_deadlock_direct(arch, "weak", inp.state_limit)
+        return report.to_json() + "\n" + report.to_text()
+
+    return workloads, reports
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", type=Path, help="checkout to digest")
+    args = parser.parse_args(argv)
+    workloads, reports = load(args.root.resolve())
+    total = hashlib.sha256()
+    for workload in WORKLOADS:
+        for inp in sorted(workloads.build_inputs(workload, SEED), key=lambda i: i.name):
+            for route in ROUTES:
+                digest = hashlib.sha256(reports(inp, route).encode("utf-8")).hexdigest()
+                line = f"{digest}  {workload}/{inp.name} {route}\n"
+                total.update(line.encode("utf-8"))
+                sys.stdout.write(line)
+    sys.stdout.write(f"{total.hexdigest()}  total\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
