@@ -24,7 +24,6 @@ from .equivalence import (
     saturate,
     strong_bisim_check,
     weak_bisim_check,
-    weak_bisim_upto_relabeling,
 )
 from .lts import (
     Lts,
@@ -49,7 +48,7 @@ from .topology import (
     verify_deadlock_by_reduction,
     verify_deadlock_direct,
 )
-from .validate import ValidatedArchitecture, attach_no, validate
+from .validate import ValidatedArchitecture, validate
 
 __version__ = "0.1.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "StateLimitExceeded",
     "ValidatedArchitecture",
     "aei_semantics",
-    "attach_no",
     "build_flow_graph",
     "build_lts",
     "build_name_sets",
@@ -91,7 +89,6 @@ __all__ = [
     "verify_deadlock_by_reduction",
     "verify_deadlock_direct",
     "weak_bisim_check",
-    "weak_bisim_upto_relabeling",
     "write_aut",
     "__version__",
 ]

@@ -9,7 +9,9 @@ Subcommands:
          bisimilarity
 
 Exit codes for check: 0 deadlock-free, 1 deadlock or failed check,
-2 usage/parse error, 3 inconclusive (resource limits).  equiv: 0
+2 usage/parse error, 3 inconclusive (resource limits).  lts: 0, 2 on
+a usage/parse error or an unknown AEI, variant or AEI list, 3 when
+--state-limit is hit.  graph: 0, 2 on a usage/parse error.  equiv: 0
 equivalent, 1 distinct, 2 error.  Any subcommand exits 4 on an
 internal error, after a one-line message on stderr.
 
@@ -178,14 +180,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="PADL source file (UTF-8, .padl)")
+        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+
+    def limits(p: argparse.ArgumentParser) -> None:
         p.add_argument("--queue-capacity", type=int, default=2, metavar="N",
                        help="bound for implicit asynchronous queues (default 2)")
         p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT,
                        metavar="N", help="state-space bound per construction")
-        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
 
     p_check = sub.add_parser("check", help="verify deadlock freedom")
     common(p_check)
+    limits(p_check)
     p_check.add_argument("--deadlock", choices=("weak", "strict"), default="weak")
     p_check.add_argument("--mode", choices=("reduce", "direct", "both"), default="reduce")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
@@ -195,6 +200,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_lts = sub.add_parser("lts", help="export the LTS of one AEI (AUT format)")
     common(p_lts)
+    limits(p_lts)
     p_lts.add_argument("--aei", required=True, help="AEI name")
     p_lts.add_argument("--variant", default="pc-wob",
                        help="open | pc | tc | pc-wob | tc-wob (default pc-wob)")

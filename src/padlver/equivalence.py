@@ -32,7 +32,6 @@ from .lts import (
     _from_canonical_rows,
     _new,
     _require_resolved,
-    relabel,
     renumber_bfs,
 )
 
@@ -297,14 +296,6 @@ def _quotient(lts: Lts, block: list[int], n_blocks: int) -> Lts:
     return _canonical(lts.labels, rows, block[lts.initial], marked)
 
 
-def _collapse_tau_sccs(lts: Lts) -> tuple[Lts, list[int]]:
-    """Collapse states on common tau-cycles (they are weakly bisimilar).
-
-    Returns the collapsed system and the state mapping."""
-    comp, n_comps = _tau_sccs(lts)
-    return _quotient(lts, comp, n_comps), comp
-
-
 # ---------------------------------------------------------------------------
 # Partition refinement
 # ---------------------------------------------------------------------------
@@ -349,33 +340,20 @@ def _refine(lts: Lts, keep: int = 0) -> tuple[list[int], list[list[int]]]:
         n_blocks = len(fresh)
 
 
-def _strong_quotient(lts: Lts) -> tuple[Lts, list[int]]:
-    """Quotient by strong bisimilarity (no saturation).  Strong classes
-    refine weak ones, so this is a sound and cheap shrinking step before
-    the quadratic saturation.  The partition is stable, so the members
-    of a block have the same moves up to blocks and the first member's
-    row stands for all of them."""
-    parts, _ = _refine(lts)
-    n_blocks = max(parts) + 1
-    rows: list[list[tuple[int, int, int, int]] | None] = [None] * n_blocks
-    for s, b in enumerate(parts):
-        if rows[b] is None:
-            rows[b] = [(l, parts[d], -1, -1) for l, d, _, _ in lts.trans[s]]
-    marked = frozenset(parts[s] for s in lts.marked)
-    return _canonical(lts.labels, rows, parts[lts.initial], marked), parts
-
-
 def _weak_saturation(
     lts: Lts, saturation_budget: int | None = None
 ) -> tuple[Lts, list[int]]:
     """What weak bisimilarity refines: collapse tau cycles, quotient by
-    strong bisimilarity, saturate.  Returns (saturated system, state
-    map); strong bisimilarity on the result is weak bisimilarity on
-    the input."""
-    collapsed, scc_map = _collapse_tau_sccs(lts)
-    reduced, strong_map = _strong_quotient(collapsed)
-    mapping = [strong_map[scc_map[s]] for s in range(lts.n_states)]
-    return saturate(reduced, saturation_budget), mapping
+    strong bisimilarity, saturate; strong bisimilarity on the result,
+    returned with the state map, is weak bisimilarity on the input.
+    After the collapse no tau step joins two strongly bisimilar states
+    (a bisimilar tau successor would have one too: an infinite tau path
+    in an acyclic tau graph), so the strong quotient drops no step."""
+    comp, n_comps = _tau_sccs(lts)
+    collapsed = _quotient(lts, comp, n_comps)
+    parts, _ = _refine(collapsed)
+    reduced = _quotient(collapsed, parts, max(parts) + 1)
+    return saturate(reduced, saturation_budget), [parts[c] for c in comp]
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +368,6 @@ class EquivalenceVerdict:
     blocks_left: tuple[int, ...]
     blocks_right: tuple[int, ...]
     n_blocks: int
-
-    @property
-    def witness(self) -> dict[str, tuple[int, ...]]:
-        """The stable partition as a witness relation: states of either
-        system sharing a block are weakly bisimilar."""
-        return {"left": self.blocks_left, "right": self.blocks_right}
 
 
 def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
@@ -453,14 +425,6 @@ def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
         _require_resolved(lts, "strong_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
     return _verdict(union, range(union.n_states), l1.n_states, i1, i2)
-
-
-def weak_bisim_upto_relabeling(
-    l1: Lts, l2: Lts, mapping: dict[str, str],
-    saturation_budget: int | None = None,
-) -> EquivalenceVerdict:
-    """Weak bisimilarity after applying an injective relabeling to l1."""
-    return weak_bisim_check(relabel(l1, mapping), l2, saturation_budget)
 
 
 def minimize(lts: Lts) -> Lts:

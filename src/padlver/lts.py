@@ -358,19 +358,6 @@ def parallel(
     return builder.finish(init)
 
 
-def expand_semisync(lts: Lts) -> Lts:
-    """Encode each semi-synchronous transition as its two potential
-    moves (success label and exception label) as ordinary transitions.
-    Used by tests that compare compositions structurally."""
-    triples: list[tuple] = []
-    for src, ts in enumerate(lts.trans):
-        for t in ts:
-            triples.append((src, lts.labels[t.label], t.target))
-            if t.semisync:
-                triples.append((src, lts.labels[t.exc_label], t.exc_target))
-    return build_lts(lts.n_states, lts.initial, triples, lts.marked)
-
-
 def hide(
     lts: Lts,
     hide_set: set[str] | frozenset[str] | None = None,
@@ -605,21 +592,8 @@ def read_aut(text: str) -> Lts:
 
 
 # ---------------------------------------------------------------------------
-# Small prefixed constructors, mostly for tests and documentation
+# Renumbering
 # ---------------------------------------------------------------------------
-
-
-def from_traces(*traces: tuple[str, ...]) -> Lts:
-    """An LTS that is the choice among the given action sequences."""
-    triples: list[tuple[int, str, int]] = []
-    n = 1
-    for trace in traces:
-        src = 0
-        for label in trace:
-            triples.append((src, label, n))
-            src = n
-            n += 1
-    return build_lts(max(n, 1), 0, triples)
 
 
 def renumber_bfs(lts: Lts) -> Lts:

@@ -231,9 +231,3 @@ class ArchiDescription:
             if a.name == name:
                 return a
         return None
-
-    def instance(self, name: str) -> Instance | None:
-        for i in self.instances:
-            if i.name == name:
-                return i
-        return None

@@ -142,14 +142,12 @@ class _Program:
 def generate_lts(
     equations: Sequence[m.BehaviorEquation],
     *,
-    initial: str | None = None,
-    initial_args: Sequence[Value] | None = None,
     prefix: str | None = None,
     ssync_actions: frozenset[str] | set[str] = frozenset(),
     state_limit: int = DEFAULT_STATE_LIMIT,
     mark_when: Callable[[dict[str, Value]], bool] | None = None,
 ) -> Lts:
-    """Exhaustive reachability from an initial invocation.
+    """Exhaustive reachability from the first equation's default invocation.
 
     Action names become dotted labels "<prefix>.<action>" when a prefix
     is given.  Each action in ssync_actions yields a semi-synchronous
@@ -162,19 +160,14 @@ def generate_lts(
     if not equations:
         raise SemanticsError("no equations given")
     program = _Program(equations)
-    first = equations[0] if initial is None else program.equations.get(initial)
-    if first is None:
-        raise SemanticsError(f"unknown initial equation '{initial}'")
-
-    if initial_args is None:
-        args: list[Value] = []
-        for p in first.params:
-            if p.default is None:
-                raise SemanticsError(
-                    f"initial equation '{first.name}' parameter '{p.name}' has no default"
-                )
-            args.append(eval_expr(p.default, {}))
-        initial_args = args
+    first = equations[0]
+    args: list[Value] = []
+    for p in first.params:
+        if p.default is None:
+            raise SemanticsError(
+                f"initial equation '{first.name}' parameter '{p.name}' has no default"
+            )
+        args.append(eval_expr(p.default, {}))
 
     ssync = frozenset(ssync_actions)
 
@@ -234,7 +227,7 @@ def generate_lts(
             queue.append(idx)
         return idx
 
-    init = intern(*resolve(first.body, bind(first, list(initial_args))))
+    init = intern(*resolve(first.body, bind(first, args)))
 
     def emit(src: int, body: m.ProcessBody, env: dict[str, Value]) -> None:
         if isinstance(body, m.Stop):

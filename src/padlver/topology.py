@@ -30,14 +30,18 @@ from .elaborate import (
     e_set,
     h_set,
 )
-from .equivalence import EquivalenceVerdict, weak_bisim_check, weak_bisim_upto_relabeling
+from .equivalence import EquivalenceVerdict, weak_bisim_check
 from .lts import (
     DEFAULT_STATE_LIMIT,
+    EXCEPTION_SUFFIX,
+    TAU,
     Lts,
+    exception_label,
     find_deadlocks,
     hide,
     is_exception,
     parallel,  # unused here; perfbench's tracer test still looks it up on this module
+    relabel,
     resolve,
     shortest_trace,
 )
@@ -53,15 +57,6 @@ from .validate import ValidatedArchitecture
 class AbstractFlowGraph:
     vertices: tuple[str, ...]  # AEIs in declaration order
     edges: tuple[tuple[str, str], ...]  # ordered by declaration index, no duplicates
-
-    def neighbors(self, v: str) -> list[str]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
 
 
 def build_flow_graph(arch: ValidatedArchitecture) -> AbstractFlowGraph:
@@ -607,11 +602,10 @@ def extend_rename(labels: tuple[str, ...], rename: dict[str, str]) -> dict[str, 
 
     out: dict[str, str] = {}
     for label in labels:
-        if label == "tau":
+        if label == TAU:
             continue
         if is_exception(label):
-            base = label[: -len("_exception")]
-            mapped = map_part(base) + "_exception"
+            mapped = exception_label(map_part(label[: -len(EXCEPTION_SUFFIX)]))
         else:
             mapped = "#".join(map_part(p) for p in label.split("#"))
         if mapped != label:
@@ -640,8 +634,8 @@ def check_behavioral_conformity(
     variant = _whole_system(arch_variant, state_limit)
     original = _whole_system(arch_original, state_limit)
     lifted = extend_rename(variant.labels, rename)
-    verdict = weak_bisim_upto_relabeling(
-        variant, original, lifted, saturation_budget=8 * state_limit
+    verdict = weak_bisim_check(
+        relabel(variant, lifted), original, saturation_budget=8 * state_limit
     )
     return ConformityResult(
         conformant=verdict.equivalent,

@@ -35,7 +35,6 @@ class ValidatedArchitecture:
         d = self.description
         self.aets: dict[str, m.AetDef] = {a.name: a for a in d.aets}
         self.instances: dict[str, m.Instance] = {i.name: i for i in d.instances}
-        self.archi_interactions: set[tuple[str, str]] = set(d.archi_interactions)
         self.attachments_of: dict[tuple[str, str], list[m.Attachment]] = {}
         for att in d.attachments:
             self.attachments_of.setdefault(att.source, []).append(att)
@@ -53,10 +52,6 @@ class ValidatedArchitecture:
         if aei not in self.instances or self.interaction(aei, inter) is None:
             raise ValueError(f"unknown endpoint {aei}.{inter}")
         return len(self.attachments_of.get(endpoint, []))
-
-
-def attach_no(arch: ValidatedArchitecture, endpoint: tuple[str, str]) -> int:
-    return arch.attach_no(endpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,19 @@ def fixtures_dir() -> Path:
 LABELS = ("a", "b", "c")
 
 
+def from_traces(*traces: tuple[str, ...]) -> Lts:
+    """An LTS that is the choice among the given action sequences."""
+    triples: list[tuple[int, str, int]] = []
+    n = 1
+    for trace in traces:
+        src = 0
+        for label in trace:
+            triples.append((src, label, n))
+            src = n
+            n += 1
+    return build_lts(n, 0, triples)
+
+
 def random_lts(rng: random.Random, max_states: int = 8,
                labels: tuple[str, ...] = LABELS, tau_bias: float = 0.3) -> Lts:
     n = rng.randint(1, max_states)

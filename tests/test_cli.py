@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, fixture_source, load_arch
+from conftest import FIXTURES, fixture_source, from_traces, load_arch
 from padlver.cli import main
-from padlver.lts import read_aut
+from padlver.lts import read_aut, write_aut
 from padlver.diagnostics import PadlError
 from padlver.parser import parse
 
@@ -288,12 +288,18 @@ def test_graph_export(tmp_path, capsys):
     assert dot.count("--") == 5
 
 
+def test_graph_takes_no_limits(capsys):
+    # graph reads neither limit, so it does not accept them.
+    with pytest.raises(SystemExit) as exit_:
+        main(["graph", fixture("cruise_control"), "--queue-capacity", "2"])
+    assert exit_.value.code == 2
+    assert "--queue-capacity" in capsys.readouterr().err
+
+
 # -- equiv -------------------------------------------------------------------------
 
 
 def test_equiv_self_and_weak_vs_strong(tmp_path, capsys):
-    from padlver.lts import from_traces, write_aut
-
     a_tau = tmp_path / "a_tau.aut"
     a = tmp_path / "a.aut"
     a_tau.write_text(write_aut(from_traces(("a", "tau"))))
@@ -309,8 +315,6 @@ def test_equiv_self_and_weak_vs_strong(tmp_path, capsys):
 
 
 def test_equiv_prints_formula_on_distinct(tmp_path, capsys):
-    from padlver.lts import from_traces, write_aut
-
     a = tmp_path / "a.aut"
     b = tmp_path / "b.aut"
     a.write_text(write_aut(from_traces(("a",))))
@@ -363,8 +367,6 @@ def test_check_fails_without_formula_when_too_deep(tmp_path, capsys):
 
 @pytest.mark.parametrize("strong", [[], ["--strong"]])
 def test_equiv_distinct_without_formula_when_too_deep(strong, tmp_path, capsys):
-    from padlver.lts import from_traces, write_aut
-
     left, right = tmp_path / "a400.aut", tmp_path / "a401.aut"
     left.write_text(write_aut(from_traces(("a",) * 400)))
     right.write_text(write_aut(from_traces(("a",) * 401)))
@@ -377,8 +379,6 @@ def test_equiv_malformed_aut(tmp_path, capsys):
     bad = tmp_path / "bad.aut"
     bad.write_text("this is not an aut file")
     good = tmp_path / "good.aut"
-    from padlver.lts import from_traces, write_aut
-
     good.write_text(write_aut(from_traces(("a",))))
     code, _, err = run(capsys, "equiv", str(bad), str(good))
     assert code == 2

@@ -3,12 +3,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_weak_bisim, prefix_lts, random_lts, tau_pad
+from conftest import from_traces, naive_weak_bisim, prefix_lts, random_lts, tau_pad
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
-from padlver import strong_bisim_check, weak_bisim_check, weak_bisim_upto_relabeling
-from padlver.equivalence import MAX_FORMULA_ROUNDS, And, Dia, Tt, eval_formula
-from padlver.lts import from_traces
+from padlver import strong_bisim_check, weak_bisim_check
+from padlver.equivalence import (
+    MAX_FORMULA_ROUNDS,
+    And,
+    Dia,
+    Tt,
+    _quotient,
+    _refine,
+    _tau_sccs,
+    eval_formula,
+)
 
 
 # -- saturation ----------------------------------------------------------------
@@ -51,6 +61,21 @@ def test_saturation_budget_surfaces_as_resource_error():
         saturate(chain, max_transitions=3)
     with pytest.raises(StateLimitExceeded):
         weak_bisim_check(chain, chain, saturation_budget=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_no_tau_step_inside_a_strong_block_once_tau_cycles_collapse(rng, max_states):
+    # The premise that lets the weak check take its strong quotient
+    # with _quotient, which drops intra-block tau steps: after the
+    # tau-SCC collapse there are none to drop.
+    lts = random_lts(rng, max_states=max_states, tau_bias=0.7)
+    comp, n_comps = _tau_sccs(lts)
+    collapsed = _quotient(lts, comp, n_comps)
+    parts, _ = _refine(collapsed)
+    inside = [(s, t.target) for s, ts in enumerate(collapsed.trans) for t in ts
+              if t.label == 0 and parts[s] == parts[t.target]]
+    assert inside == []
 
 
 # -- basic verdicts --------------------------------------------------------------
@@ -110,9 +135,9 @@ def test_minimize_already_minimal_keeps_count():
 
 def test_upto_relabeling_identity_and_rename():
     a, b = from_traces(("a",)), from_traces(("b",))
-    assert weak_bisim_upto_relabeling(a, a, {}).equivalent
-    assert weak_bisim_upto_relabeling(a, b, {"a": "b"}).equivalent
-    assert not weak_bisim_upto_relabeling(a, b, {}).equivalent
+    assert weak_bisim_check(relabel(a, {}), a).equivalent
+    assert weak_bisim_check(relabel(a, {"a": "b"}), b).equivalent
+    assert not weak_bisim_check(relabel(a, {}), b).equivalent
 
 
 # -- property suites (the larger runs live in the acceptance module) --------------

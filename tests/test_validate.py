@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import fixture_source
-from padlver import PadlError, attach_no, parse, validate
+from padlver import PadlError, parse, validate
 
 MINIMAL = """ARCHI_TYPE T(void)
   ARCHI_BEHAVIOR
@@ -204,16 +204,16 @@ def test_all_violations_collected_in_one_pass():
 
 def test_attach_no_known_values():
     cs = validate(parse(fixture_source("client_server_sync")))
-    assert attach_no(cs, ("S", "receive_request")) == 2
-    assert attach_no(cs, ("C_1", "send_request")) == 1
+    assert cs.attach_no(("S", "receive_request")) == 2
+    assert cs.attach_no(("C_1", "send_request")) == 1
     cc = validate(parse(fixture_source("cruise_control")))
-    assert attach_no(cc, ("P", "init_applet")) == 0
+    assert cc.attach_no(("P", "init_applet")) == 0
 
 
 def test_attach_no_unknown_endpoint():
     cs = validate(parse(fixture_source("client_server_sync")))
     with pytest.raises(ValueError):
-        attach_no(cs, ("S", "no_such"))
+        cs.attach_no(("S", "no_such"))
 
 
 def test_attach_no_sums():
