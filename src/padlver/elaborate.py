@@ -320,7 +320,8 @@ class ElabArchitecture:
     real_aeis: tuple[str, ...]
     families: tuple[Family, ...]
     source: ValidatedArchitecture
-    # aei_semantics results by normalized request (see there).
+    # aei_semantics results by normalized request (see there), and the
+    # resolved AEI-alone systems of topology._aei_alone.
     _semantics: dict[tuple, Lts] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

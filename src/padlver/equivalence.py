@@ -4,9 +4,13 @@ minimization, and distinguishing-formula diagnostics.
 The decision procedure saturates the transition relation (tau*-a-tau*
 as single steps, tau-closure including the empty sequence) and then
 runs plain signature-based partition refinement, i.e. strong
-bisimilarity on the saturated system.  Before saturating, states on a
-common tau-cycle are collapsed, which is sound for weak bisimilarity
-and keeps the closure cheap.
+bisimilarity on the saturated system.  Saturation is quadratic in the
+worst case, so the system is first made as small as weak bisimilarity
+allows cheaply: states on a common tau-cycle are collapsed, and the
+result is quotiented by branching bisimilarity, which implies weak
+bisimilarity and is computed without saturating.  Both steps keep
+every state weakly bisimilar to its image, so either is sound for
+every weak check.
 
 On inequivalence a formula of the weak Hennessy-Milner fragment
 (tt, negation, conjunction, weak diamond) is produced from the
@@ -17,6 +21,7 @@ state and fails at the second's.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import count, groupby, islice, repeat
 from typing import Iterator, Sequence
@@ -243,8 +248,9 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     quadratic in the worst case, so a transition budget can bound the
     construction; exceeding it raises StateLimitExceeded, and the
     budget is counted, state by state, before any transition is built.
-    The result shares the input's label table: every label in use
-    stays in use.
+    Each (label, target) pair is one Transition object, shared by every
+    row that has it.  The result shares the input's label table: every
+    label in use stays in use.
     """
     _require_resolved(lts, "saturate")
     n = lts.n_states
@@ -272,12 +278,20 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
         n_moves += len(closure) + sum(map(len, targets.values()))
         if max_transitions is not None and n_moves > max_transitions:
             raise StateLimitExceeded(max_transitions, n, n_moves)
+    # made[l][u]: the one Transition on label l to u.  A state's targets
+    # on l are the after-targets of its closure, so the after lists hold
+    # every target in use; every state has its reflexive tau step.
+    used: dict[int, set[int]] = {0: set(range(n))}
+    for step in after:
+        for l, dsts in step.items():
+            used.setdefault(l, set()).update(dsts)
+    made = {l: dict(zip(dsts, _moves(l, dsts))) for l, dsts in used.items()}
     trans = []
     for s in range(n):
-        row = list(_moves(0, closures[s]))
+        row = list(map(made[0].__getitem__, closures[s]))
         targets = moves[s]
         for l in sorted(targets):
-            row += _moves(l, targets[l])
+            row += map(made[l].__getitem__, targets[l])
         trans.append(tuple(row))
     return _from_canonical_rows(lts.labels, tuple(trans), lts.initial, lts.marked)
 
@@ -340,18 +354,99 @@ def _refine(lts: Lts, keep: int = 0) -> tuple[list[int], list[list[int]]]:
         n_blocks = len(fresh)
 
 
+def _branching_partition(collapsed: Lts) -> list[int]:
+    """The coarsest branching bisimulation of a tau-SCC-collapsed
+    system, by signature refinement (Blom & Orzan 2003).
+
+    A state's signature is its non-inert (label, block) moves plus the
+    signatures of its inert tau successors, those in its own block;
+    states of one block stay together while their signatures agree.
+    After the collapse every tau step leads to a lower-numbered state
+    (_tau_sccs numbers components in completion order, and _quotient
+    drops the steps inside one), so in state order each inert tau
+    successor's signature is ready before its predecessors need it.
+    After the first round a round recomputes only states that moved to
+    a new block, their predecessors, and the inert tau predecessors of
+    any state whose signature changed.  Blocks are numbered in order of
+    first occurrence over the states."""
+    rows = collapsed.trans
+    n = collapsed.n_states
+    width = len(collapsed.labels)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    tau_preds: list[list[int]] = [[] for _ in range(n)]
+    for s, ts in enumerate(rows):
+        for l, d, _, _ in ts:
+            preds[d].append(s)
+            if not l:
+                tau_preds[d].append(s)
+    block = [0] * n
+    size = [n]  # members per block
+    # Every member of a block has the same signature at the start of a
+    # round, so a state whose signature changes leaves its block unless
+    # all of its block's members change with it.
+    sig: list[frozenset[int] | None] = [None] * n
+    dirty = list(range(n))
+    while dirty:
+        # Scanned in state order: a state queues only inert tau
+        # predecessors, numbered above it, so insort puts them ahead.
+        dirty.sort()
+        queued = set(dirty)
+        changed: dict[int, list[int]] = {}  # block -> its members whose signature changed
+        i = 0
+        while i < len(dirty):
+            s = dirty[i]
+            i += 1
+            b = block[s]
+            own: set[int] = set()
+            for l, d, _, _ in rows[s]:
+                c = block[d]
+                if l or c != b:
+                    own.add(c * width + l)
+                else:
+                    own |= sig[d]
+            if own != sig[s]:
+                sig[s] = frozenset(own)
+                changed.setdefault(b, []).append(s)
+                for p in tau_preds[s]:
+                    if p not in queued and block[p] == b:
+                        queued.add(p)
+                        insort(dirty, p, i)
+        moved: list[int] = []
+        for b, states in changed.items():
+            groups: dict[frozenset[int], list[int]] = {}
+            for s in states:
+                groups.setdefault(sig[s], []).append(s)
+            members = iter(groups.values())
+            if len(states) == size[b]:
+                next(members)  # the first group keeps the block
+            for group in members:
+                size[b] -= len(group)
+                new = len(size)
+                size.append(len(group))
+                for s in group:
+                    block[s] = new
+                moved += group
+        dirty = list(set(moved).union(*map(preds.__getitem__, moved)))
+    number: dict[int, int] = {}
+    return [number.setdefault(b, len(number)) for b in block]
+
+
 def _weak_saturation(
     lts: Lts, saturation_budget: int | None = None
 ) -> tuple[Lts, list[int]]:
     """What weak bisimilarity refines: collapse tau cycles, quotient by
-    strong bisimilarity, saturate; strong bisimilarity on the result,
+    branching bisimilarity, saturate; strong bisimilarity on the result,
     returned with the state map, is weak bisimilarity on the input.
-    After the collapse no tau step joins two strongly bisimilar states
-    (a bisimilar tau successor would have one too: an infinite tau path
-    in an acyclic tau graph), so the strong quotient drops no step."""
+    Both quotients are sound for it: states on a tau cycle are weakly
+    bisimilar, and branching bisimilarity implies weak bisimilarity
+    (Groote & Vaandrager 1990).  The tau steps the second quotient
+    drops join states of one block, so they are inert, and the
+    quotient stays free of tau cycles: by the stuttering property every
+    member of a block on such a cycle would reach the next block by tau
+    steps, an infinite tau path in the finite, tau-acyclic collapse."""
     comp, n_comps = _tau_sccs(lts)
     collapsed = _quotient(lts, comp, n_comps)
-    parts, _ = _refine(collapsed)
+    parts = _branching_partition(collapsed)
     reduced = _quotient(collapsed, parts, max(parts) + 1)
     return saturate(reduced, saturation_budget), [parts[c] for c in comp]
 

@@ -277,11 +277,16 @@ class CheckOutcome:
 def _aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
     """The AEI alone, partially closed and without buffers, resolved:
     what both checks compare against and what the isolation check
-    searches."""
-    return resolve(
-        aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
-                      state_limit=state_limit)
-    )
+    searches.  Resolved once per architecture and kept in its semantics
+    memo, beside the unresolved request that compositions use."""
+    key = ("resolved", aei, state_limit)
+    lts = arch._semantics.get(key)
+    if lts is None:
+        lts = arch._semantics[key] = resolve(
+            aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
+                          state_limit=state_limit)
+        )
+    return lts
 
 
 def _compare(

@@ -152,3 +152,47 @@ def naive_weak_bisim(l1: Lts, l2: Lts) -> bool:
                 related.discard((p, q))
                 changed = True
     return (l1.initial, l2.initial) in related
+
+
+def naive_branching_blocks(lts: Lts) -> list[int]:
+    """Branching bisimilarity classes of one LTS, numbered in order of
+    first occurrence: the greatest fixpoint over state pairs, straight
+    from the definition.  Every step p -a-> p' must be answered by q,
+    either trivially (a is tau and p' is related to q) or by
+    q -tau*-> q'' -a-> q' with p related to q'' and p' to q'."""
+    n = lts.n_states
+    closure = []
+    for q in range(n):
+        seen = {q}
+        work = [q]
+        while work:
+            x = work.pop()
+            for t in lts.trans[x]:
+                if t.label == 0 and t.target not in seen:
+                    seen.add(t.target)
+                    work.append(t.target)
+        closure.append(seen)
+    related = {(p, q) for p in range(n) for q in range(n)}
+
+    def matches(p, t, q2):  # p ~ q2, and q2 -a-> some q' ~ p' for t = p -a-> p'
+        return (p, q2) in related and any(
+            u.label == t.label and (t.target, u.target) in related for u in lts.trans[q2])
+
+    def answered(p, q):
+        for t in lts.trans[p]:
+            if t.label == 0 and (t.target, q) in related:
+                continue
+            if not any(matches(p, t, q2) for q2 in closure[q]):
+                return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for p, q in list(related):
+            if not answered(p, q) or not answered(q, p):
+                related.discard((p, q))
+                changed = True
+    number: dict[int, int] = {}
+    return [number.setdefault(min(q for q in range(n) if (p, q) in related), len(number))
+            for p in range(n)]

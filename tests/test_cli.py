@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,16 @@ def test_check_json_matches_golden(name, capacity, capsys):
     _, out, _ = run(capsys, "check", fixture(name), "--mode", "both", "--format", "json",
                     "--no-timings", "--queue-capacity", capacity)
     assert out.encode("utf-8") == (GOLDEN / f"{name}.cap{capacity}.json").read_bytes()
+
+
+def test_benchmark_reports_match_golden_digest():
+    # tests/golden/report_digest.txt holds the output of
+    # `python3 tools/report_digest.py .`: one sha256 per benchmark input
+    # and route over its --no-timings JSON and text reports, then a total.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "tools" / "report_digest.py"), str(root)],
+                          capture_output=True, check=True)
+    assert done.stdout == (GOLDEN / "report_digest.txt").read_bytes()
 
 
 VARIANTS = ("open", "pc", "tc", "pc-wob", "tc-wob")

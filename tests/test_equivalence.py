@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_traces, naive_weak_bisim, prefix_lts, random_lts, tau_pad
+from conftest import (
+    from_traces,
+    naive_branching_blocks,
+    naive_weak_bisim,
+    prefix_lts,
+    random_lts,
+    tau_pad,
+)
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
 from padlver import strong_bisim_check, weak_bisim_check
 from padlver.equivalence import (
@@ -14,6 +21,7 @@ from padlver.equivalence import (
     And,
     Dia,
     Tt,
+    _branching_partition,
     _quotient,
     _refine,
     _tau_sccs,
@@ -76,6 +84,30 @@ def test_no_tau_step_inside_a_strong_block_once_tau_cycles_collapse(rng, max_sta
     inside = [(s, t.target) for s, ts in enumerate(collapsed.trans) for t in ts
               if t.label == 0 and parts[s] == parts[t.target]]
     assert inside == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_saturated_rows_share_each_transition(rng):
+    sat = saturate(random_lts(rng, tau_bias=0.5))
+    moves = [t for ts in sat.trans for t in ts]
+    assert len({id(t) for t in moves}) == len({(t.label, t.target) for t in moves})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 14))
+def test_branching_partition_matches_the_naive_fixpoint(rng, max_states):
+    lts = random_lts(rng, max_states=max_states, tau_bias=0.7)
+    comp, n_comps = _tau_sccs(lts)
+    collapsed = _quotient(lts, comp, n_comps)
+    parts = _branching_partition(collapsed)
+    assert parts == naive_branching_blocks(collapsed)
+    reduced = _quotient(collapsed, parts, max(parts) + 1)
+    _, n_components = _tau_sccs(reduced)
+    assert n_components == reduced.n_states
+    assert not [s for s, ts in enumerate(reduced.trans) for t in ts
+                if t.label == 0 and t.target == s]
+    assert naive_weak_bisim(lts, reduced)
 
 
 # -- basic verdicts --------------------------------------------------------------

@@ -128,3 +128,21 @@ def test_random_architectures_cover_both_verdicts():
             verdicts.add(reduction.status)
     assert "deadlock_free" in verdicts
     assert "deadlock" in verdicts
+
+
+def test_random_suite_041_fits_the_saturation_budget():
+    # The benchmark's random-suite input #041: its three
+    # interoperability checks used to exceed the saturation budget
+    # (8 x the state limit), so reduction ended inconclusive.
+    rng = random.Random(4242)
+    for _ in range(42):
+        description = random_architecture(rng)
+        capacity = rng.randint(1, 2)
+    assert capacity == 1
+    arch = elaborate(validate(description), capacity=capacity)
+    reduction = verify_deadlock_by_reduction(arch, state_limit=40_000)
+    assert reduction.status == "conditions_failed"
+    failed = {c.condition: c for c in reduction.conditions if c.condition in ("2a", "2c")}
+    assert sorted(failed) == ["2a", "2c"]
+    assert all(c.holds is False and c.detail is None for c in failed.values())
+    assert verify_deadlock_direct(arch, state_limit=40_000).status == "deadlock"

@@ -373,6 +373,23 @@ def test_reduction_generates_each_aei_request_once(monkeypatch):
     assert set(generated.values()) == {1}
 
 
+def test_each_cached_semantics_is_resolved_once(monkeypatch):
+    # The AEI-alone system every check compares against is resolved
+    # once per architecture, not once per check.
+    arch = load_arch("cycle_dying_member")
+    resolved: Counter = Counter()
+    real = topology.resolve
+
+    def counted(lts):
+        if any(lts is entry for entry in arch._semantics.values()):
+            resolved[id(lts)] += 1
+        return real(lts)
+
+    monkeypatch.setattr(topology, "resolve", counted)
+    verify_deadlock_by_reduction(arch)
+    assert resolved and max(resolved.values()) == 1
+
+
 def test_each_check_and_direct_run_composes_once(monkeypatch):
     # Compatibility, interoperability and the direct route all build
     # their left-hand side through the one composition routine.
