@@ -15,6 +15,8 @@ ignores layout.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .diagnostics import Loc
@@ -89,20 +91,65 @@ class SuccessVar:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # "not" | "-"
+    op: str  # a key of UNARY_OPS
     operand: "Expr"
     loc: Loc = field(default_factory=Loc, compare=False)
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # "and" "or" "=" "/=" "<" "<=" ">" ">=" "+" "-"
+    op: str  # a key of BINARY_OPS
     left: "Expr"
     right: "Expr"
     loc: Loc = field(default_factory=Loc, compare=False)
 
 
 Expr = BoolLit | IntLit | Var | SuccessVar | Unary | Binary
+
+
+# ---------------------------------------------------------------------------
+# Operators: the one table the parser, type checker, evaluator and
+# printer all read
+# ---------------------------------------------------------------------------
+
+# Binding levels, loosest first: a higher level binds tighter.
+OR_LEVEL, AND_LEVEL, NOT_LEVEL, CMP_LEVEL, ADD_LEVEL, ATOM_LEVEL = range(1, 7)
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A guard operator: its binding level, the types it takes and gives,
+    and the function that evaluates it."""
+
+    level: int
+    operand: str | None  # "bool" or "int"; None: either, the same on both sides
+    result: str
+    apply: Callable[..., bool | int]
+
+    @property
+    def chains(self) -> bool:
+        """Whether ``a op b op c`` parses, as ``(a op b) op c``; a
+        comparison does not chain."""
+        return self.level != CMP_LEVEL
+
+
+BINARY_OPS: dict[str, Operator] = {
+    "or": Operator(OR_LEVEL, "bool", "bool", lambda a, b: bool(a or b)),
+    "and": Operator(AND_LEVEL, "bool", "bool", lambda a, b: bool(a and b)),
+    "=": Operator(CMP_LEVEL, None, "bool", operator.eq),
+    "/=": Operator(CMP_LEVEL, None, "bool", operator.ne),
+    "<": Operator(CMP_LEVEL, None, "bool", operator.lt),
+    "<=": Operator(CMP_LEVEL, None, "bool", operator.le),
+    ">": Operator(CMP_LEVEL, None, "bool", operator.gt),
+    ">=": Operator(CMP_LEVEL, None, "bool", operator.ge),
+    "+": Operator(ADD_LEVEL, "int", "int", operator.add),
+    "-": Operator(ADD_LEVEL, "int", "int", operator.sub),
+}
+
+UNARY_OPS: dict[str, Operator] = {
+    "not": Operator(NOT_LEVEL, "bool", "bool", operator.not_),
+    "-": Operator(ATOM_LEVEL, "int", "int", operator.neg),
+}
 
 
 # ---------------------------------------------------------------------------

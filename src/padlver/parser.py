@@ -9,7 +9,10 @@ interactions, attachments), and a closing END.
 
 Keywords are case-sensitive.  Guards use a small expression language:
 boolean and integer literals, parameters, ``x.success`` references,
-comparisons, + and -, and the boolean connectives.
+comparisons, + and -, and the boolean connectives.  One
+precedence-climbing routine, ``parse_expr``, parses it from the
+operator table in ``model`` (loosest first: or, and, not, the
+non-chaining comparisons, + and -, unary minus).
 
 Nesting is bounded by MAX_NESTING: deeper input is rejected with a
 positioned ``E_DEPTH`` diagnostic instead of exhausting the stack here
@@ -28,11 +31,12 @@ from .diagnostics import Diagnostic, Loc, PadlError, Severity
 # stages' recursive walkers, whichever is more, so input at this depth
 # passes every stage within Python's default recursion limit of 1000,
 # with room for the caller's own frames.  An action prefix, 'not',
-# unary '-' and a binary operator cost one frame per level in every
-# walker; a choice branch and a parenthesis cost the parser more.
+# unary '-' and a binary operator cost at most one frame per level in
+# every walker, this parser included; a choice branch and a parenthesis
+# cost the parser more.
 MAX_NESTING = 900
 BRANCH_LEVELS = 3  # parse_body -> parse_choice -> parse_branch
-PAREN_LEVELS = 7  # parse_expr down to parse_atom
+PAREN_LEVELS = 2  # parse_atom -> parse_expr
 
 _SECTION_KEYWORDS = {
     "ARCHI_TYPE",
@@ -66,18 +70,15 @@ _KEYWORDS = _SECTION_KEYWORDS | {
     "false",
     "boolean",
     "int",
-    "not",
-    "and",
-    "or",
-}
+} | {op for op in (*m.BINARY_OPS, *m.UNARY_OPS) if op.isalpha()}
 
-_PUNCT = (
+# The notation's punctuation ('=' ends an equation's head, '-' signs a
+# range bound) and the operators' symbols, longest first so that "<="
+# is one token and not "<" then "=".
+_PUNCT = sorted({
     "->",
     ":=",
     "..",
-    "/=",
-    "<=",
-    ">=",
     "(",
     ")",
     "{",
@@ -87,11 +88,8 @@ _PUNCT = (
     ".",
     ":",
     "=",
-    "<",
-    ">",
-    "+",
     "-",
-)
+} | {op for op in m.BINARY_OPS if not op.isalpha()}, key=lambda p: (-len(p), p))
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # nesting charged on the current path, see MAX_NESTING
-        self.peak = 0  # the most charged since the innermost open chain
+        self.peak = 0  # the most charged in the expression being parsed, see parse_expr
 
     # -- token helpers ------------------------------------------------------
 
@@ -205,20 +203,6 @@ class _Parser:
                 "action prefix, 'not', unary '-' or binary operator 1)",
                 loc,
             )])
-
-    # A chain of binary operators nests to the left: each operator wraps
-    # everything parsed before it, so the chain's n-th operator sits n
-    # levels above its deepest operand so far, and the chain's peak is
-    # checked after each operator.  open_chain starts measuring the
-    # operands' peak and returns the enclosing one; close_chain adds
-    # the chain's levels to it.
-
-    def open_chain(self) -> int:
-        outer, self.peak = self.peak, self.depth
-        return outer
-
-    def close_chain(self, outer: int, n_ops: int) -> None:
-        self.peak = max(outer, self.peak + n_ops)
 
     # -- grammar ------------------------------------------------------------
 
@@ -481,64 +465,40 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> m.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> m.Expr:
-        outer = self.open_chain()
-        left = self.parse_and()
-        n_ops = 0
-        while self.at("or"):
-            loc = self.advance().loc
-            left = m.Binary("or", left, self.parse_and(), loc=loc)
-            n_ops += 1
-            self.check_depth(self.peak + n_ops, loc)
-        self.close_chain(outer, n_ops)
-        return left
-
-    def parse_and(self) -> m.Expr:
-        outer = self.open_chain()
-        left = self.parse_not()
-        n_ops = 0
-        while self.at("and"):
-            loc = self.advance().loc
-            left = m.Binary("and", left, self.parse_not(), loc=loc)
-            n_ops += 1
-            self.check_depth(self.peak + n_ops, loc)
-        self.close_chain(outer, n_ops)
-        return left
-
-    def parse_not(self) -> m.Expr:
-        if self.at("not"):
-            loc = self.advance().loc
-            self.descend(loc)
-            sub = self.parse_not()
+    def parse_expr(self, level: int = m.OR_LEVEL) -> m.Expr:
+        """An expression whose operators bind at `level` or tighter, by
+        precedence climbing over model.BINARY_OPS: after an operator only
+        one of its own level or a looser one may follow, and after a
+        comparison or a leading 'not' only a looser one."""
+        # self.peak becomes the most charged on any path through the
+        # expression: an operator sits one level above its left operand,
+        # known only once the loop reaches it, and its right operand is
+        # charged on the path, as parsing it takes a frame.
+        outer, self.peak = self.peak, self.depth
+        nots = []
+        while level <= m.NOT_LEVEL and self.at("not"):
+            nots.append(self.advance().loc)
+            self.descend(nots[-1])
+        if nots:
+            left = self.parse_expr(m.NOT_LEVEL + 1)
+            for loc in reversed(nots):
+                left = m.Unary("not", left, loc=loc)
+            self.depth -= len(nots)
+            tightest = m.NOT_LEVEL - 1
+        else:
+            left = self.parse_atom()
+            tightest = m.ATOM_LEVEL
+        while (op := m.BINARY_OPS.get(self.cur.kind)) and level <= op.level <= tightest:
+            tok = self.advance()
+            left_peak = self.peak
+            self.descend(tok.loc)
+            right = self.parse_expr(op.level + 1)
             self.depth -= 1
-            return m.Unary("not", sub, loc=loc)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> m.Expr:
-        outer = self.open_chain()
-        left = self.parse_additive()
-        n_ops = 0
-        if self.cur.kind in ("=", "/=", "<", "<=", ">", ">="):
-            op = self.advance()
-            left = m.Binary(op.kind, left, self.parse_additive(), loc=op.loc)
-            n_ops = 1
-            self.check_depth(self.peak + n_ops, op.loc)
-        self.close_chain(outer, n_ops)
-        return left
-
-    def parse_additive(self) -> m.Expr:
-        outer = self.open_chain()
-        left = self.parse_atom()
-        n_ops = 0
-        while self.cur.kind in ("+", "-"):
-            op = self.advance()
-            left = m.Binary(op.kind, left, self.parse_atom(), loc=op.loc)
-            n_ops += 1
-            self.check_depth(self.peak + n_ops, op.loc)
-        self.close_chain(outer, n_ops)
+            self.peak = max(self.peak, left_peak + 1)
+            self.check_depth(self.peak, tok.loc)
+            left = m.Binary(tok.kind, left, right, loc=tok.loc)
+            tightest = op.level if op.chains else op.level - 1
+        self.peak = max(outer, self.peak)
         return left
 
     def parse_atom(self) -> m.Expr:

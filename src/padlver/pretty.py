@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from . import model as m
 
-_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "add": 5, "atom": 6}
-
 
 def pretty_print(description: m.ArchiDescription) -> str:
     out: list[str] = []
@@ -134,25 +132,14 @@ def render_expr(expr: m.Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, m.SuccessVar):
         return f"{expr.action}.success"
     if isinstance(expr, m.Unary):
-        if expr.op == "not":
-            inner = render_expr(expr.operand, _PREC["not"])
-            text = f"not {inner}"
-            prec = _PREC["not"]
-        else:
-            text = f"-{render_expr(expr.operand, _PREC['atom'])}"
-            prec = _PREC["atom"]
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(expr, m.Binary):
-        if expr.op in ("or",):
-            prec = _PREC["or"]
-        elif expr.op in ("and",):
-            prec = _PREC["and"]
-        elif expr.op in ("+", "-"):
-            prec = _PREC["add"]
-        else:
-            prec = _PREC["cmp"]
-        left = render_expr(expr.left, prec)
-        right = render_expr(expr.right, prec + 1)
-        text = f"{left} {expr.op} {right}"
-        return f"({text})" if prec < parent_prec else text
-    raise TypeError(f"unexpected expression {expr!r}")
+        op = m.UNARY_OPS[expr.op]
+        space = " " if expr.op.isalpha() else ""
+        text = f"{expr.op}{space}{render_expr(expr.operand, op.level)}"
+    elif isinstance(expr, m.Binary):
+        op = m.BINARY_OPS[expr.op]
+        # a comparison does not chain, so one on its left needs parentheses
+        left = render_expr(expr.left, op.level if op.chains else op.level + 1)
+        text = f"{left} {expr.op} {render_expr(expr.right, op.level + 1)}"
+    else:
+        raise TypeError(f"unexpected expression {expr!r}")
+    return f"({text})" if op.level < parent_prec else text

@@ -46,31 +46,10 @@ def eval_expr(expr: m.Expr, env: dict[str, Value]) -> Value:
                 f"'{expr.action}.success' read before '{expr.action}' was executed"
             ) from None
     if isinstance(expr, m.Unary):
-        val = eval_expr(expr.operand, env)
-        return (not val) if expr.op == "not" else -val
+        return m.UNARY_OPS[expr.op].apply(eval_expr(expr.operand, env))
     if isinstance(expr, m.Binary):
         left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        if expr.op == "and":
-            return bool(left and right)
-        if expr.op == "or":
-            return bool(left or right)
-        if expr.op == "=":
-            return left == right
-        if expr.op == "/=":
-            return left != right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        if expr.op == ">=":
-            return left >= right
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
+        return m.BINARY_OPS[expr.op].apply(left, eval_expr(expr.right, env))
     raise SemanticsError(f"cannot evaluate {expr!r}")
 
 

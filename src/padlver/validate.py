@@ -58,9 +58,7 @@ class ValidatedArchitecture:
 # Type checking
 # ---------------------------------------------------------------------------
 
-_BOOL_OPS = {"and", "or"}
-_CMP_OPS = {"=", "/=", "<", "<=", ">", ">="}
-_ARITH_OPS = {"+", "-"}
+_TYPE_WORDS = {"bool": "boolean", "int": "integer"}
 
 
 class _Checker:
@@ -95,27 +93,23 @@ class _Checker:
             return "bool"
         if isinstance(expr, m.Unary):
             inner = self.type_of(expr.operand, env, ssync)
-            want = "bool" if expr.op == "not" else "int"
+            want = m.UNARY_OPS[expr.op].operand
             if inner is not None and inner != want:
                 self.error("E_TYPE", f"operator '{expr.op}' expects a {want} operand", expr.loc)
             return want
         if isinstance(expr, m.Binary):
+            op = m.BINARY_OPS[expr.op]
             lt = self.type_of(expr.left, env, ssync)
             rt = self.type_of(expr.right, env, ssync)
-            if expr.op in _BOOL_OPS:
-                for t in (lt, rt):
-                    if t is not None and t != "bool":
-                        self.error("E_TYPE", f"operator '{expr.op}' expects boolean operands", expr.loc)
-                return "bool"
-            if expr.op in _CMP_OPS:
+            if op.operand is None:
                 if lt is not None and rt is not None and lt != rt:
                     self.error("E_TYPE", f"comparison '{expr.op}' mixes {lt} and {rt}", expr.loc)
-                return "bool"
-            if expr.op in _ARITH_OPS:
+            else:
                 for t in (lt, rt):
-                    if t is not None and t != "int":
-                        self.error("E_TYPE", f"operator '{expr.op}' expects integer operands", expr.loc)
-                return "int"
+                    if t is not None and t != op.operand:
+                        self.error("E_TYPE", f"operator '{expr.op}' expects {_TYPE_WORDS[op.operand]} "
+                                   "operands", expr.loc)
+            return op.result
         return None
 
 

@@ -142,6 +142,8 @@ def deep_variant(shape: str, depth: int) -> str:
     else:
         guard = {
             "parens": "(" * depth + "true" + ")" * depth,
+            "right_parens": "1 + (" * depth + "1" + ")" * depth + f" = {depth + 1}",
+            "not_parens": "not (" * depth + ("true" if depth % 2 == 0 else "false") + ")" * depth,
             "not": "not " * depth + ("true" if depth % 2 == 0 else "false"),
             "minus": "- " * depth + "1 = " + ("1" if depth % 2 == 0 else "-1"),
             "plus": "+".join(["1"] * (depth + 1)) + f" = {depth + 1}",
@@ -153,7 +155,8 @@ def deep_variant(shape: str, depth: int) -> str:
     return source.replace("take . give . Node()", body)
 
 
-DEEP_SHAPES = ["prefix", "choice", "parens", "not", "minus", "plus", "and", "nested_plus"]
+DEEP_SHAPES = ["prefix", "choice", "parens", "right_parens", "not_parens", "not", "minus", "plus",
+               "and", "nested_plus"]
 
 
 @pytest.mark.parametrize("shape", DEEP_SHAPES)
@@ -185,8 +188,10 @@ def deepest_accepted(shape: str) -> int:
 def test_check_accepts_the_deepest_nesting_on_both_routes(shape, tmp_path, capsys):
     depth = deepest_accepted(shape)
     # each shape is charged its cost on the stack: a prefix or an
-    # operator one level, a choice three, a parenthesis seven
-    assert depth >= {"choice": 290, "parens": 120, "nested_plus": 440}.get(shape, 890)
+    # operator one level, a choice three, a parenthesis two
+    floors = {"choice": 290, "parens": 440, "right_parens": 290, "not_parens": 290,
+              "nested_plus": 440}
+    assert depth >= floors.get(shape, 890)
     source = tmp_path / "deep.padl"
     source.write_text(deep_variant(shape, depth))
     code, out, err = run(capsys, "check", str(source), "--mode", "both")

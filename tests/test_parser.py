@@ -193,3 +193,40 @@ def test_deep_expression_is_a_depth_diagnostic(guard):
         parse(source)
     assert err.value.codes() == ["E_DEPTH"]
     assert err.value.diagnostics[0].loc.line == 8
+
+
+def parse_guard(guard: str) -> m.Expr:
+    """The guard of a one-branch choice on line 8 of deadlock_pair; the
+    guard text starts at column 25."""
+    source = fixture_source("deadlock_pair").replace(
+        "take . give . Node()", f"choice {{ cond({guard}) -> take . give . Node() }}")
+    return parse(source).aets[0].equations[0].body.branches[0].guard
+
+
+a, b, c = (m.Var(name) for name in "abc")
+one, two = m.IntLit(1), m.IntLit(2)
+
+
+@pytest.mark.parametrize("guard, ast", [
+    ("a or b and c", m.Binary("or", a, m.Binary("and", b, c))),
+    ("not a = b", m.Unary("not", m.Binary("=", a, b))),
+    ("not a and b", m.Binary("and", m.Unary("not", a), b)),
+    ("a - b - c", m.Binary("-", m.Binary("-", a, b), c)),
+    ("-1 + 2", m.Binary("+", m.Unary("-", one), two)),
+    ("(1 = 1) = true", m.Binary("=", m.Binary("=", one, one), m.BoolLit(True))),
+    ("1 = 1 = 1", "expected ')', found '=' at 31"),
+    ("true and false <= x = y", "expected ')', found '=' at 45"),
+    ("not 1 = 1 = x", "expected ')', found '=' at 35"),
+    ("a = not b", "expected an expression, found 'not' at 29"),
+])
+def test_operator_precedence_and_associativity(guard, ast):
+    # loosest to tightest: or, and, not, comparisons (which do not
+    # chain), + and - (to the left), unary minus
+    if isinstance(ast, str):
+        with pytest.raises(PadlError) as err:
+            parse_guard(guard)
+        (diag,) = err.value.diagnostics
+        assert (diag.code, f"{diag.message} at {diag.loc.column}", diag.loc.line) \
+            == ("E_SYNTAX", ast, 8)
+    else:
+        assert parse_guard(guard) == ast

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from conftest import fixture_source
 from padlver import PadlError, parse, pretty_print, validate
+from padlver import model as m
 
 ALL_FIXTURES = (
     "client_server_sync",
@@ -58,3 +62,43 @@ def test_validate_is_total_on_parseable_inputs():
     with pytest.raises(PadlError) as err:
         validate(parse(broken))
     assert len(err.value.diagnostics) >= 1
+
+
+def guarded(d: m.ArchiDescription, guard: m.Expr) -> m.ArchiDescription:
+    """d, a one-AET, one-equation description, with its body behind one
+    branch guarded by guard."""
+    (aet,) = d.aets
+    (eq,) = aet.equations
+    body = m.Choice((m.Branch(guard, eq.body),))
+    return replace(d, aets=(replace(aet, equations=(replace(eq, body=body),)),))
+
+
+def test_comparison_on_the_left_of_a_comparison_keeps_its_parentheses():
+    source = fixture_source("deadlock_pair").replace(
+        "take . give . Node()", "choice { cond((1 = 1) = true) -> take . give . Node() }")
+    d = parse(source)
+    validate(d)
+    text = pretty_print(d)
+    assert "cond((1 = 1) = true)" in text
+    assert parse(text) == d
+
+
+def random_guard(rng: random.Random, depth: int) -> m.Expr:
+    """Any tree of operators and literals the parser can build, well
+    typed or not."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return rng.choice([m.BoolLit(rng.random() < 0.5), m.IntLit(rng.randrange(3)),
+                           m.Var(rng.choice("ab")), m.SuccessVar("x")])
+    if roll < 0.4:
+        return m.Unary(rng.choice(["not", "-"]), random_guard(rng, depth - 1))
+    return m.Binary(rng.choice(["or", "and", "=", "/=", "<", "<=", ">", ">=", "+", "-"]),
+                    random_guard(rng, depth - 1), random_guard(rng, depth - 1))
+
+
+def test_random_guards_round_trip():
+    rng = random.Random(2026)
+    base = parse(fixture_source("deadlock_pair"))
+    for _ in range(2000):
+        d = guarded(base, random_guard(rng, rng.randint(1, 6)))
+        assert parse(pretty_print(d)) == d

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from conftest import fixture_source
@@ -7,7 +9,7 @@ from padlver import parse
 from padlver import model as m
 from padlver.diagnostics import SemanticsError, StateLimitExceeded
 from padlver.elaborate import _queue_aet_equations
-from padlver.semantics import generate_lts
+from padlver.semantics import eval_expr, generate_lts
 
 
 def eq(name, body, params=()):
@@ -131,3 +133,24 @@ def test_success_environment_is_live_only():
     lts = generate_lts([eq("E", body)], ssync_actions={"s"})
     (tr,) = [t for t in lts.trans[lts.initial] if t.semisync]
     assert tr.target == tr.exc_target
+
+
+PYTHON_OPS = {
+    "or": lambda a, b: a or b, "and": lambda a, b: a and b,
+    "=": operator.eq, "/=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+}
+
+
+@pytest.mark.parametrize("op", PYTHON_OPS)
+def test_eval_expr_applies_every_binary_operator(op):
+    # and/or take booleans, + and - integers, comparisons either
+    domains = {"or": [[False, True]], "and": [[False, True]], "+": [[-2, 0, 3]],
+               "-": [[-2, 0, 3]]}.get(op, [[False, True], [-2, 0, 3]])
+    result = int if op in ("+", "-") else bool
+    for values in domains:
+        for left in values:
+            for right in values:
+                got = eval_expr(m.Binary(op, m.Var("l"), m.Var("r")), {"l": left, "r": right})
+                assert got == PYTHON_OPS[op](left, right)
+                assert type(got) is result

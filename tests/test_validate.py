@@ -153,6 +153,28 @@ def test_guard_type_checking():
     assert "E_TYPE" in found
 
 
+COMPARISONS = ("=", "/=", "<", "<=", ">", ">=")
+
+
+@pytest.mark.parametrize("guard, messages", [
+    ("f and n", ["operator 'and' expects boolean operands"]),
+    ("n or n", ["operator 'or' expects boolean operands"] * 2),
+    *[(f"f {op} n", [f"comparison '{op}' mixes bool and int"]) for op in COMPARISONS],
+    ("f + 1 = n", ["operator '+' expects integer operands"]),
+    ("n - f = n", ["operator '-' expects integer operands"]),
+    ("not n", ["operator 'not' expects a bool operand"]),
+    ("-f = n", ["operator '-' expects a int operand"]),
+    ("n + 1", ["guards must be boolean"]),
+])
+def test_type_error_messages(guard, messages):
+    src = minimal().replace(
+        "A(void; void) = out . A()",
+        f"A(int(0..3) n := 0, boolean f := true; void) = choice {{ cond({guard}) -> out . A(n, f) }}")
+    with pytest.raises(PadlError) as err:
+        validate(parse(src))
+    assert [d.message for d in err.value.diagnostics if d.code == "E_TYPE"] == messages
+
+
 def test_success_requires_ssync_declaration():
     src = fixture_source("client_server_async").replace("SSYNC UNI send_request",
                                                         "SYNC UNI send_request")
