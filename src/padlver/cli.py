@@ -112,6 +112,10 @@ def cmd_lts(args: argparse.Namespace) -> int:
         )
         return USAGE_ERROR
     closure, fixed_buffers = _VARIANTS[args.variant]
+    if fixed_buffers and args.buffers is not None:
+        print(f"error: --buffers cannot be combined with --variant {args.variant}, "
+              "which has no buffers", file=sys.stderr)
+        return USAGE_ERROR
 
     def parse_aei_set(value: str, what: str) -> tuple[str, ...] | None:
         if value in ("all", "wob"):
@@ -123,12 +127,11 @@ def cmd_lts(args: argparse.Namespace) -> int:
             return None
         return names
 
-    buffers_for = parse_aei_set(args.buffers, "buffer")
+    buffers_for = parse_aei_set(fixed_buffers or ("all" if args.buffers is None else args.buffers),
+                                "buffer")
     context = parse_aei_set(args.context, "context")
     if buffers_for is None or context is None:
         return USAGE_ERROR
-    if fixed_buffers == "wob":
-        buffers_for = ()
     lts = aei_semantics(
         arch,
         args.aei,
@@ -204,8 +207,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_lts.add_argument("--aei", required=True, help="AEI name")
     p_lts.add_argument("--variant", default="pc-wob",
                        help="open | pc | tc | pc-wob | tc-wob (default pc-wob)")
-    p_lts.add_argument("--buffers", default="all", metavar="all|wob|AEI,...",
-                       help="which implicit queues to include (default all)")
+    p_lts.add_argument("--buffers", metavar="all|wob|AEI,...",
+                       help="which implicit queues to include (default all; "
+                            "not with pc-wob or tc-wob)")
     p_lts.add_argument("--context", default="all", metavar="all|AEI,...",
                        help="AEI set the interacting semantics is relative to")
     p_lts.add_argument("--dot-out", metavar="PATH",

@@ -34,7 +34,6 @@ from .lts import (
     Lts,
     Transition,
     _canonical,
-    _from_canonical_rows,
     _new,
     _require_resolved,
     renumber_bfs,
@@ -293,7 +292,11 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
         for l in sorted(targets):
             row += map(made[l].__getitem__, targets[l])
         trans.append(tuple(row))
-    return _from_canonical_rows(lts.labels, tuple(trans), lts.initial, lts.marked)
+    # Already the canonical form _canonical would establish, so built
+    # directly: every label of the input's table stays in use, and each
+    # row is emitted sorted (tau first, then by label and target) and
+    # free of duplicates.
+    return Lts(lts.labels, n, lts.initial, tuple(trans), lts.marked)
 
 
 def _quotient(lts: Lts, block: list[int], n_blocks: int) -> Lts:

@@ -78,8 +78,8 @@ class Lts:
     and structurally equal systems compare equal.
 
     The constructor does not check this form; the constructions below
-    establish it.  All of them end in _canonical except saturate, whose
-    rows come out in this form and enter through _from_canonical_rows.
+    establish it.  All of them end in _canonical except saturate, which
+    emits its rows in this form and calls the constructor directly.
     Code that walks rows (the tau-SCC search, partition refinement)
     relies on the sorted order."""
 
@@ -162,21 +162,6 @@ def _canonical(
     ))
     trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
     return Lts(labels, len(rows), initial, trans, frozenset(marked))
-
-
-def _from_canonical_rows(
-    labels: tuple[str, ...],
-    trans: tuple[tuple[Transition, ...], ...],
-    initial: int,
-    marked: frozenset[int],
-) -> Lts:
-    """An Lts from rows already in canonical form, without the work of
-    _canonical.  The caller guarantees what _canonical would establish:
-    every label in ``labels`` in use, tau first and the rest sorted,
-    and each row sorted and free of duplicates.  Only saturate builds
-    this way: its rows are emitted in order over its input's label
-    table, which saturation leaves in use."""
-    return Lts(labels, len(trans), initial, trans, marked)
 
 
 def build_lts(

@@ -2,11 +2,12 @@
 checks, and the deadlock-freedom drivers.
 
 The abstract enriched flow graph has one vertex per AEI and an edge
-wherever an attachment exists.  Cyclic unions are its nontrivial
-biconnected components (intersecting cycles share a component, so the
-covering is total); after contracting them, the remaining bridges are
-grouped greedily into stars, hub first, which yields the ordered
-center-to-border pairs the compatibility condition ranges over.
+wherever an attachment exists.  An edge lies on a cycle iff it is not a
+bridge, and the cyclic unions are the connected components of the edges
+that lie on a cycle (intersecting cycles share a union, so the covering
+is total); after contracting them, the bridges are grouped greedily
+into stars, hub first, which yields the ordered center-to-border pairs
+the compatibility condition ranges over.
 
 Two drivers are provided: the compositional one evaluates the
 compatibility condition on every star pair and the interoperability
@@ -19,6 +20,8 @@ oracle.  When the compositional conditions fail, no verdict is claimed.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .diagnostics import StateLimitExceeded
@@ -101,139 +104,88 @@ class Decomposition:
         return None
 
 
-def _biconnected_components(graph: AbstractFlowGraph) -> list[list[tuple[str, str]]]:
-    """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
+def _bridges(graph: AbstractFlowGraph) -> set[tuple[str, str]]:
+    """The edges on no cycle, in both orientations: one iterative
+    depth-first search with Tarjan's low-link test (a tree edge (u, v)
+    is a bridge iff no back edge from v's subtree reaches u or above)."""
     adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for a, b in graph.edges:
         adj[a].append(b)
         adj[b].append(a)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    counter = 0
-    stack: list[tuple[str, str]] = []
-    components: list[list[tuple[str, str]]] = []
-
+    bridges: set[tuple[str, str]] = set()
     for root in graph.vertices:
         if root in index:
             continue
-        work: list[tuple[str, str | None, int]] = [(root, None, 0)]
+        index[root] = low[root] = len(index)
+        work: list[tuple[str, str | None, Iterator[str]]] = [(root, None, iter(adj[root]))]
         while work:
-            v, parent, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if w == parent:
-                    continue
+            v, parent, neighbors = work[-1]
+            for w in neighbors:
                 if w not in index:
-                    stack.append((v, w))
-                    work[-1] = (v, parent, pi)
-                    work.append((w, v, 0))
-                    advanced = True
+                    index[w] = low[w] = len(index)
+                    work.append((w, v, iter(adj[w])))
                     break
-                if index[w] < index[v]:
-                    stack.append((v, w))
+                if w != parent:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= index[u]:
-                    comp: list[tuple[str, str]] = []
-                    while stack:
-                        e = stack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
-                    if comp:
-                        components.append(comp)
-    return components
+            else:
+                work.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > index[parent]:
+                        bridges.update(((parent, v), (v, parent)))
+    return bridges
 
 
 def decompose(graph: AbstractFlowGraph) -> Decomposition:
-    """Cyclic unions are the biconnected components containing a cycle
-    (three or more vertices); the acyclic remainder is partitioned into
-    stars by repeatedly picking the contracted vertex of maximal degree
-    as a center (supernodes first on ties, then declaration order)."""
+    """Cyclic unions are the connected components of the edges that lie
+    on a cycle (those that are not bridges), members and unions in
+    declaration order.  A union's frontier is its members that touch a
+    bridge: an edge leaving a union is a bridge, and no bridge joins two
+    members of one union.  The bridges are partitioned into stars by repeatedly
+    picking the contracted vertex of maximal degree as a center
+    (contracted unions first on ties, then declaration order)."""
     order = {v: k for k, v in enumerate(graph.vertices)}
-    union_edges: set[tuple[str, str]] = set()
-    cyclic_parts: list[set[str]] = []
-    for comp in _biconnected_components(graph):
-        members = {v for e in comp for v in e}
-        if len(members) >= 3:
-            cyclic_parts.append(members)
-            union_edges.update(comp)
-            union_edges.update((b, a) for a, b in comp)
-    # The cyclic union of a vertex is the union of all cycles through
-    # it, so components that merely share a vertex still merge.
-    merged: list[set[str]] = []
-    for part in cyclic_parts:
-        group = set(part)
-        rest = []
-        for existing in merged:
-            if existing & group:
-                group |= existing
-            else:
-                rest.append(existing)
-        rest.append(group)
-        merged = rest
-    unions = [tuple(sorted(g, key=order.__getitem__)) for g in merged]
-    unions.sort(key=lambda u: order[u[0]])
+    bridges = _bridges(graph)
+    parent = {v: v for v in graph.vertices}
 
-    member_union: dict[str, int] = {}
-    for k, union in enumerate(unions):
-        for v in union:
-            member_union[v] = k
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-    frontiers: list[tuple[str, ...]] = []
-    for union in unions:
-        inside = set(union)
-        frontier = [
-            v for v in union
-            if any((a if b == v else b) not in inside
-                   for a, b in graph.edges if v in (a, b))
-        ]
-        frontiers.append(tuple(frontier))
+    on_cycle: set[str] = set()
+    for a, b in graph.edges:
+        if (a, b) not in bridges:
+            parent[find(a)] = find(b)
+            on_cycle.update((a, b))
+    members: dict[str, list[str]] = {}
+    for v in graph.vertices:
+        if v in on_cycle:
+            members.setdefault(find(v), []).append(v)
+    unions = [tuple(union) for union in members.values()]
+    on_bridge = {a for a, _ in bridges}
+    frontiers = [tuple(v for v in union if v in on_bridge) for union in unions]
 
-    # Contract unions; the remaining edges are the bridges.
-    def node_of(v: str) -> str:
-        k = member_union.get(v)
-        return f"@cu{k}" if k is not None else v
-
-    bridges = [
-        (a, b) for a, b in graph.edges
-        if (a, b) not in union_edges
-    ]
-    remaining = list(bridges)
+    # Contract each union to one node; nodes sort unions first, then
+    # vertices, each in declaration order.
+    node = {v: (1, k) for v, k in order.items()}
+    node.update((v, (0, k)) for k, union in enumerate(unions) for v in union)
+    remaining = [e for e in graph.edges if e in bridges]
     star_pairs: list[tuple[str, str]] = []  # ordered (center endpoint, border endpoint)
     while remaining:
-        degree: dict[str, int] = {}
+        degree = Counter(node[v] for e in remaining for v in e)
+        center = min(degree, key=lambda n: (-degree[n], n))
+        rest = []
         for a, b in remaining:
-            degree[node_of(a)] = degree.get(node_of(a), 0) + 1
-            degree[node_of(b)] = degree.get(node_of(b), 0) + 1
-
-        def rank(node: str) -> tuple[int, int, int]:
-            is_super = node.startswith("@cu")
-            first = (
-                min(order[v] for v in unions[int(node[3:])])
-                if is_super
-                else order[node]
-            )
-            return (-degree[node], 0 if is_super else 1, first)
-
-        center = min(degree, key=rank)
-        taken = [e for e in remaining if node_of(e[0]) == center or node_of(e[1]) == center]
-        remaining = [e for e in remaining if e not in taken]
-        for a, b in taken:
-            if node_of(a) == center:
+            if node[a] == center:
                 star_pairs.append((a, b))
-            else:
+            elif node[b] == center:
                 star_pairs.append((b, a))
+            else:
+                rest.append((a, b))
+        remaining = rest
 
     stars_by_center: dict[str, list[str]] = {}
     for center, border in star_pairs:
@@ -242,12 +194,7 @@ def decompose(graph: AbstractFlowGraph) -> Decomposition:
         Star(center, tuple(sorted(border, key=order.__getitem__)))
         for center, border in sorted(stars_by_center.items(), key=lambda kv: order[kv[0]])
     )
-
-    in_union = set(member_union)
-    acyclic = [
-        v for v in graph.vertices
-        if v not in in_union or any(v in f for f in frontiers)
-    ]
+    acyclic = [v for v in graph.vertices if v not in on_cycle or v in on_bridge]
     return Decomposition(tuple(unions), tuple(frontiers), stars, tuple(acyclic))
 
 

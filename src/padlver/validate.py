@@ -4,7 +4,9 @@ Checks admissibility of the topology (attachments go from a local
 output interaction to a local input interaction of another AEI, a
 uni-interaction is attached at most once, and-/or-interactions attach
 only to uni-interactions), DEP well-formedness, type correctness of
-guards and invocations, and scoping of ``x.success`` reads.
+guards and invocations, parameter defaults and actual parameters
+against their declared types, and scoping of names and ``x.success``
+reads.
 
 All violations are collected before reporting, so a single run surfaces
 every problem.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, SemanticsError, Severity
-from .semantics import eval_expr
+from .semantics import Value, eval_expr
 
 _RESERVED_INSTANCE = re.compile(r"^(IAQ|OAQ)_\d+$")
 RESERVED_QUEUE_AET = "Async_Queue_Type"
@@ -112,6 +114,25 @@ class _Checker:
             return op.result
         return None
 
+    def constant(self, expr: m.Expr, env: dict[str, Value], declared: m.DataType, loc: Loc,
+                 subject: str, unevaluable: str) -> tuple[Value | None, bool]:
+        """Evaluate a constant in `env` and check it against its declared
+        type.  Returns the value (None when it cannot be evaluated) and
+        whether it fits, after reporting E_CONST (`unevaluable`: the
+        reason) or E_TYPE or E_RANGE (naming `subject`)."""
+        try:
+            value = eval_expr(expr, env)
+        except SemanticsError as exc:
+            self.error("E_CONST", f"{unevaluable}: {exc}", loc)
+            return None, False
+        if isinstance(declared, m.BoolType) != isinstance(value, bool):
+            self.error("E_TYPE", f"{subject} has the wrong type", loc)
+            return value, False
+        if isinstance(declared, m.IntType) and not declared.lo <= value <= declared.hi:
+            self.error("E_RANGE", f"{subject} is outside {declared.render()}", loc)
+            return value, False
+        return value, True
+
 
 def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     """Validate a parsed description.
@@ -122,27 +143,32 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     ck = _Checker(description)
     d = description
 
-    # Architectural-type parameters form the constant environment.
-    at_env: dict[str, bool | int] = {}
-    at_types: dict[str, m.DataType] = {}
+    # Architectural-type parameters form the constant environment of
+    # later architectural defaults and of the AEIs' actual parameters;
+    # the behavior equations do not see them.
+    at_env: dict[str, Value] = {}
+    at_names: set[str] = set()
     for p in d.params:
-        if p.name in at_types:
+        if p.name in at_names:
             ck.error("E_DUP_PARAM", f"duplicate architectural parameter '{p.name}'", p.loc)
-        at_types[p.name] = p.type
+        at_names.add(p.name)
         if p.default is not None:
-            try:
-                at_env[p.name] = eval_expr(p.default, dict(at_env))
-            except SemanticsError as exc:
-                ck.error("E_CONST", f"cannot evaluate default of '{p.name}': {exc}", p.loc)
+            # A default that does not fit stays bound, so that what reads
+            # it is checked with the value it would have.
+            value, _ = ck.constant(p.default, at_env, p.type, p.loc, f"default of '{p.name}'",
+                                   f"cannot evaluate default of '{p.name}'")
+            if value is not None:
+                at_env[p.name] = value
 
     aets: dict[str, m.AetDef] = {}
+    defaults: dict[str, list[tuple[m.Param, tuple[str, ...]]]] = {}
     for aet in d.aets:
         if aet.name in aets:
             ck.error("E_DUP_AET", f"duplicate AET '{aet.name}'", aet.loc)
         aets[aet.name] = aet
         if aet.name == RESERVED_QUEUE_AET:
             ck.error("E_RESERVED_NAME", f"AET name '{RESERVED_QUEUE_AET}' is reserved", aet.loc)
-        _validate_aet(ck, aet, at_types)
+        defaults[aet.name] = _validate_aet(ck, aet)
 
     instances: dict[str, m.Instance] = {}
     for inst in d.instances:
@@ -163,20 +189,23 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
                 inst.loc,
             )
             continue
-        for arg, formal in zip(inst.args, aet.params):
-            try:
-                value = eval_expr(arg, at_env)
-            except SemanticsError as exc:
-                ck.error("E_CONST", f"parameter of '{inst.name}': {exc}", inst.loc)
-                continue
-            if isinstance(formal.type, m.BoolType) != isinstance(value, bool):
-                ck.error("E_TYPE", f"parameter '{formal.name}' of '{inst.name}' has the wrong type", inst.loc)
-            elif isinstance(formal.type, m.IntType) and not formal.type.lo <= value <= formal.type.hi:
-                ck.error(
-                    "E_RANGE",
-                    f"parameter '{formal.name}' of '{inst.name}' is outside {formal.type.render()}",
-                    inst.loc,
-                )
+        checked = {
+            formal.name: ck.constant(arg, at_env, formal.type, inst.loc,
+                                     f"parameter '{formal.name}' of '{inst.name}'",
+                                     f"parameter of '{inst.name}'")
+            for arg, formal in zip(inst.args, aet.params)
+        }
+        if not all(fits for _, fits in checked.values()):
+            continue
+        actuals = {name: value for name, (value, _) in checked.items()}
+        # A default that fails is reported for the first such AEI only.
+        kept = []
+        for p, scope in defaults[aet.name]:
+            env = {name: actuals[name] for name in scope}
+            if ck.constant(p.default, env, p.type, p.loc, f"default of '{p.name}'",
+                           f"default of '{p.name}'")[1]:
+                kept.append((p, scope))
+        defaults[aet.name] = kept
 
     def interaction_of(aei: str, name: str) -> m.InteractionDecl | None:
         inst = instances.get(aei)
@@ -309,7 +338,11 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     return ValidatedArchitecture(description=d, warnings=ck.diags)
 
 
-def _validate_aet(ck: _Checker, aet: m.AetDef, at_types: dict[str, m.DataType]) -> None:
+def _validate_aet(ck: _Checker, aet: m.AetDef) -> list[tuple[m.Param, tuple[str, ...]]]:
+    """Check one AET on its own.  Its equations see the AET's parameters
+    and their own.  Returns each equation parameter whose default
+    type-checks, with the AET parameters the default may read, to be
+    range-checked with every AEI's actual parameters."""
     inter_by_name: dict[str, m.InteractionDecl] = {}
     for decl in aet.interactions:
         if decl.name in inter_by_name:
@@ -358,9 +391,15 @@ def _validate_aet(ck: _Checker, aet: m.AetDef, at_types: dict[str, m.DataType]) 
         if decl.synchronicity is m.Synchronicity.SSYNC
     }
 
+    aet_types = {p.name: p.type for p in aet.params}
+    defaults: list[tuple[m.Param, tuple[str, ...]]] = []
     used_actions: set[str] = set()
     for eq in aet.equations:
-        env: dict[str, m.DataType] = dict(at_types)
+        # A default sees the AET's parameters that the equation's own
+        # do not shadow, as elaborate substitutes them.
+        own = {p.name for p in eq.params}
+        outer = {k: t for k, t in aet_types.items() if k not in own}
+        env: dict[str, m.DataType] = dict(aet_types)
         seen_params: set[str] = set()
         for p in eq.params:
             if p.name in seen_params:
@@ -368,15 +407,13 @@ def _validate_aet(ck: _Checker, aet: m.AetDef, at_types: dict[str, m.DataType]) 
             seen_params.add(p.name)
             env[p.name] = p.type
             if p.default is not None:
-                try:
-                    value = eval_expr(p.default, {})
-                except SemanticsError as exc:
-                    ck.error("E_CONST", f"default of '{p.name}': {exc}", p.loc)
-                    continue
-                if isinstance(p.type, m.IntType) and isinstance(value, int) \
-                        and not isinstance(value, bool) \
-                        and not p.type.lo <= value <= p.type.hi:
-                    ck.error("E_RANGE", f"default of '{p.name}' is outside {p.type.render()}", p.loc)
+                reported = len(ck.diags)
+                _check_success_reads(ck, p.default, frozenset())
+                t = ck.type_of(p.default, outer, ssync_names)
+                if t is not None and (t == "bool") != isinstance(p.type, m.BoolType):
+                    ck.error("E_TYPE", f"default of '{p.name}' has the wrong type", p.loc)
+                if len(ck.diags) == reported:
+                    defaults.append((p, tuple(outer)))
         _validate_body(ck, aet, eq.body, env, ssync_names, frozenset(), equations, used_actions)
 
     for decl in aet.interactions:
@@ -386,6 +423,7 @@ def _validate_aet(ck: _Checker, aet: m.AetDef, at_types: dict[str, m.DataType]) 
                 f"interaction '{decl.name}' never occurs in the behavior of AET '{aet.name}'",
                 decl.loc,
             )
+    return defaults
 
 
 def _validate_body(

@@ -196,3 +196,44 @@ def naive_branching_blocks(lts: Lts) -> list[int]:
     number: dict[int, int] = {}
     return [number.setdefault(min(q for q in range(n) if (p, q) in related), len(number))
             for p in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Independent cyclic-union oracle (one reachability search per edge)
+# ---------------------------------------------------------------------------
+
+
+def _reach(edges: list[tuple[str, str]], start: str) -> set[str]:
+    adj: dict[str, list[str]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen, work = {start}, [start]
+    while work:
+        for w in adj.get(work.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                work.append(w)
+    return seen
+
+
+def naive_cyclic_unions(
+    vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]
+) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]]:
+    """Cyclic unions and their frontiers, straight from the definition:
+    an edge lies on a cycle iff its endpoints stay connected without
+    it; the unions are the connected components of those edges, members
+    and unions in declaration order; a frontier member has an edge
+    leaving its union."""
+    cyclic = [e for e in edges if e[1] in _reach([f for f in edges if f != e], e[0])]
+    on_cycle = {v for e in cyclic for v in e}
+    unions: list[tuple[str, ...]] = []
+    for v in vertices:
+        if v in on_cycle and not any(v in union for union in unions):
+            component = _reach(cyclic, v)
+            unions.append(tuple(w for w in vertices if w in component))
+    frontiers = tuple(
+        tuple(v for v in union if any(v in e and not set(e) <= set(union) for e in edges))
+        for union in unions
+    )
+    return tuple(unions), frontiers

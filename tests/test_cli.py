@@ -283,6 +283,19 @@ def test_lts_rejects_implicit_queue_names_in_aei_lists(capsys):
         assert f"unknown {what} AEIs ['OAQ_1']" in err
 
 
+def test_lts_buffers_flag_conflicts_with_wob_variants(capsys):
+    for variant in ("pc-wob", "tc-wob"):
+        code, out, err = run(capsys, "lts", fixture("client_server_async"),
+                             "--aei", "S", "--variant", variant, "--buffers", "all")
+        assert code == 2
+        assert out == ""
+        assert "--buffers" in err and f"--variant {variant}" in err
+    # without the flag, a variant with buffers still takes them all
+    code, out, _ = run(capsys, "lts", fixture("client_server_async"), "--aei", "S", "--variant", "pc")
+    assert code == 0
+    assert out.startswith("des (0, 108, 45)")
+
+
 def test_lts_unknown_aei_and_variant(capsys):
     code, _, err = run(capsys, "lts", fixture("client_server_sync"),
                        "--aei", "Nope")

@@ -74,9 +74,11 @@ def test_saturation_budget_surfaces_as_resource_error():
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 12))
 def test_no_tau_step_inside_a_strong_block_once_tau_cycles_collapse(rng, max_states):
-    # The premise that lets the weak check take its strong quotient
-    # with _quotient, which drops intra-block tau steps: after the
-    # tau-SCC collapse there are none to drop.
+    # After the tau-SCC collapse no tau step joins two strongly
+    # bisimilar states: such a step needs an endless tau path inside
+    # one block, which in a finite system is a tau cycle.  So this pins
+    # that _tau_sccs and _quotient leave no tau cycle, seen through
+    # _refine; no weak-check code relies on it any more.
     lts = random_lts(rng, max_states=max_states, tau_bias=0.7)
     comp, n_comps = _tau_sccs(lts)
     collapsed = _quotient(lts, comp, n_comps)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import importlib
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import fixture_source, load_arch
+from conftest import fixture_source, load_arch, naive_cyclic_unions
 from padlver import parse, topology, validate
 from padlver.elaborate import elaborate
 from padlver.equivalence import eval_formula
@@ -125,6 +126,44 @@ def test_frontier_members_have_outside_edges():
         for member in union:
             outside = [n for e in graph.edges if member in e for n in e if n not in inside]
             assert (member in frontier) == bool(outside)
+
+
+def random_graph(rng: random.Random, max_vertices: int = 12) -> AbstractFlowGraph:
+    vertices = [f"V{k}" for k in range(rng.randint(1, max_vertices))]
+    rng.shuffle(vertices)
+    p = rng.random() * 0.6
+    edges = tuple((a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]
+                  if rng.random() < p)
+    return AbstractFlowGraph(tuple(vertices), edges)
+
+
+def test_decomposition_matches_the_naive_oracle():
+    rng = random.Random(20181)
+    for _ in range(3000):
+        graph = random_graph(rng)
+        deco = decompose(graph)
+        unions, frontiers = naive_cyclic_unions(graph.vertices, graph.edges)
+        assert (deco.cyclic_unions, deco.frontiers) == (unions, frontiers)
+        in_union = {v for union in unions for v in union}
+        assert deco.acyclic_aeis == tuple(
+            v for v in graph.vertices if v not in in_union or any(v in f for f in frontiers))
+        # the stars cover every edge outside the unions exactly once
+        covered = Counter(frozenset((s.center, b)) for s in deco.stars for b in s.border)
+        outside = {frozenset(e) for e in graph.edges
+                   if not any(set(e) <= set(union) for union in unions)}
+        assert set(covered) == outside and set(covered.values()) <= {1}
+
+
+def test_long_ring_and_path_decompose_without_recursion():
+    # 1500 AEIs go past Python's default recursion limit of 1000.
+    vertices = tuple(f"A{k}" for k in range(1500))
+    path = tuple(zip(vertices, vertices[1:]))
+    ring = decompose(AbstractFlowGraph(vertices, path + ((vertices[0], vertices[-1]),)))
+    assert ring.cyclic_unions == (vertices,) and ring.frontiers == ((),)
+    assert ring.stars == ()
+    line = decompose(AbstractFlowGraph(vertices, path))
+    assert line.cyclic_unions == ()
+    assert sum(len(s.border) for s in line.stars) == len(path)
 
 
 # -- checks ------------------------------------------------------------------------

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import fixture_source
+from conftest import fixture_source, load_arch
 from padlver import PadlError, parse, validate
+from padlver.diagnostics import Severity
+from padlver.elaborate import elaborate
+from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
 
 MINIMAL = """ARCHI_TYPE T(void)
   ARCHI_BEHAVIOR
@@ -275,3 +278,66 @@ def test_unbound_name_in_instance_argument_is_a_const_error():
     (diag,) = const_errors(src)
     assert diag.message == "parameter of 'A_1': unbound name 'm'"
     assert (diag.loc.line, diag.loc.column) == (15, 7)
+
+
+# -- parameter scope and constant defaults -------------------------------------------
+
+
+def deadlock_pair(*replacements: tuple[str, str]) -> str:
+    src = fixture_source("deadlock_pair")
+    for old, new in replacements:
+        assert old in src
+        src = src.replace(old, new)
+    return src
+
+
+def errors(src: str) -> list[tuple[str, str, int, int]]:
+    with pytest.raises(PadlError) as err:
+        validate(parse(src))
+    return [(d.code, d.message, d.loc.line, d.loc.column)
+            for d in err.value.diagnostics if d.severity is Severity.ERROR]
+
+
+def guarded(guard: str, args: str = "") -> str:
+    return f"choice {{ cond({guard}) -> take . give . Node({args}) }}"
+
+
+def test_equations_do_not_see_architectural_parameters():
+    src = deadlock_pair(("Deadlock_Pair(void)", "Deadlock_Pair(int(0..3) n := 1)"),
+                        ("take . give . Node()", guarded("n = 1")))
+    assert errors(src) == [("E_SCOPE", "name 'n' is not in scope", 8, 25)]
+
+
+def test_equations_see_their_aet_parameters():
+    src = deadlock_pair(("Node_Type(void)", "Node_Type(int(0..3) k)"),
+                        ("take . give . Node()", guarded("k = 1")),
+                        ("Node_Type()", "Node_Type(1)"))
+    plain, arch = load_arch("deadlock_pair"), elaborate(validate(parse(src)))
+    for verify in (verify_deadlock_by_reduction, verify_deadlock_direct):
+        assert verify(arch).status == verify(plain).status
+
+
+@pytest.mark.parametrize("replacements, expected", [
+    pytest.param([("Deadlock_Pair(void)", "Deadlock_Pair(int(0..3) n := true)")],
+                 ("E_TYPE", "default of 'n' has the wrong type", 1, 26), id="archi-bool-for-int"),
+    pytest.param([("Deadlock_Pair(void)", "Deadlock_Pair(int(0..3) n := 7)")],
+                 ("E_RANGE", "default of 'n' is outside int(0..3)", 1, 26), id="archi-out-of-range"),
+    pytest.param([("Node(void; void)", "Node(int(0..3) n := true; void)"),
+                  ("take . give . Node()", guarded("n = 1", "n"))],
+                 ("E_TYPE", "default of 'n' has the wrong type", 7, 14), id="equation-bool-for-int"),
+    pytest.param([("Node(void; void)", "Node(boolean f := 2; void)"),
+                  ("take . give . Node()", guarded("f", "f"))],
+                 ("E_TYPE", "default of 'f' has the wrong type", 7, 14), id="equation-int-for-bool"),
+    # Both AEIs start from the same out-of-range default: one report.
+    pytest.param([("Node(void; void)", "Node(int(0..3) n := 7; void)"),
+                  ("take . give . Node()", guarded("n = 1", "n"))],
+                 ("E_RANGE", "default of 'n' is outside int(0..3)", 7, 14), id="equation-out-of-range"),
+    # A default read from the AET's parameter is range-checked per AEI.
+    pytest.param([("Node_Type(void)", "Node_Type(int(0..3) k)"),
+                  ("Node(void; void)", "Node(int(0..3) n := k + 2; void)"),
+                  ("take . give . Node()", guarded("n = 3", "n")),
+                  ("L : Node_Type()", "L : Node_Type(1)"), ("R : Node_Type()", "R : Node_Type(2)")],
+                 ("E_RANGE", "default of 'n' is outside int(0..3)", 7, 14), id="equation-per-aei"),
+])
+def test_defaults_are_checked_against_their_declared_types(replacements, expected):
+    assert errors(deadlock_pair(*replacements)) == [expected]
