@@ -2,21 +2,23 @@
 
 The pipeline mirrors the semantics of the language:
 
-1. per AEI, substitute actual parameters and rewrite or-interactions
-   with at least two attachments into indexed fresh uni-interactions
-   (with DEP tracking through the set of fresh input interactions in
-   force);
-2. insert one implicit queue AEI per asynchronous uni-interaction
-   attachment (input queues IAQ_n, output queues OAQ_n), re-attaching
-   senders and receivers and converting the original interaction
-   (inputs become semi-synchronous, outputs synchronous);
+1. per AEI, substitute the actual parameters that validate evaluated
+   and rewrite or-interactions with at least two attachments into
+   indexed fresh uni-interactions (with DEP tracking through the set
+   of fresh input interactions in force);
+2. insert one implicit queue AEI per attachment of an asynchronous
+   interaction, every input queue (IAQ_n) before every output queue
+   (OAQ_n) so that an attachment asynchronous at both ends gains both;
+   the queues take over the attachments, and the original interaction
+   becomes semi-synchronous (inputs) or synchronous (outputs);
 3. group the rewired attachments into families, one fresh composite
    name per family (original dotted names joined by '#', senders
-   first);
+   first), each with the real AEIs that own its ends;
 4. assemble per-AEI semantics: behavior with the selected buffers
-   composed in (input queues first, then output queues), relabeled to
-   composite names, then partially or totally closed; composite
-   semantics chain the per-AEI parts a caller builds.
+   composed in cascade order (the input queues of uni-interactions,
+   then of and-interactions, then the output queues in the same
+   order), relabeled to composite names, then partially or totally
+   closed; composite semantics chain the per-AEI parts a caller builds.
 
 Queues are bounded: arrive is enabled only while fewer than the
 configured capacity of items are waiting, and the full states are
@@ -26,12 +28,13 @@ marked so capacity saturation can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Iterable
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
 from .lts import DEFAULT_STATE_LIMIT, Lts, exception_label, hide, parallel, relabel
-from .semantics import Value, eval_expr, generate_lts
+from .semantics import Value, generate_lts
 from .validate import ValidatedArchitecture
 
 QUEUE_ARRIVE = "arrive"
@@ -270,12 +273,15 @@ def _substitute_aet_params(
 @dataclass(frozen=True)
 class Family:
     """A maximal set of attached interactions sharing one fresh name:
-    the two ends of a uni-uni attachment, or an and-interaction with
-    all its attached uni-interactions, or an originally-asynchronous
-    interaction with its queue ends (an internal family, owned by the
-    AEI that gained the queues)."""
+    the two ends of a uni-uni attachment, an and-interaction with all
+    its attached uni-interactions, or an originally-asynchronous
+    interaction with its queue ends (an internal family).  owners are
+    the real AEIs the endpoints belong to, directly or through their
+    queues, fixed when elaborate makes the family; an internal family's
+    only owner is its internal_owner, the AEI that gained the queues."""
 
     endpoints: tuple[tuple[str, str], ...]
+    owners: frozenset[str]
     internal_owner: str | None = None
 
     @property
@@ -285,6 +291,9 @@ class Family:
 
 @dataclass(frozen=True)
 class QueueInfo:
+    """The attachment an implicit queue AEI buffers.  Queues are named
+    IAQ_n and OAQ_n, numbered per kind in creation order."""
+
     owner: str  # AEI whose asynchronous interaction the queue serves
     kind: str  # "IAQ" | "OAQ"
     interaction: str  # the (rewritten) asynchronous interaction name
@@ -332,10 +341,6 @@ class ElabArchitecture:
             q.name for q in self.aeis.values() if q.queue is not None and q.queue.owner == aei
         ]
 
-    def bundle_owner(self, name: str) -> str:
-        info = self.aeis[name].queue
-        return info.owner if info is not None else name
-
 
 def _queue_aet_equations(capacity: int) -> tuple[m.BehaviorEquation, ...]:
     n = m.Var("n")
@@ -367,11 +372,6 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
         raise ValueError("queue capacity must be at least 1")
     d = arch.description
 
-    at_env: dict[str, Value] = {}
-    for p in d.params:
-        if p.default is not None:
-            at_env[p.name] = eval_expr(p.default, dict(at_env))
-
     aeis: dict[str, ElabAei] = {}
     # Attachments, rewritten in place as interactions are renamed/rewired.
     attachments: list[tuple[tuple[str, str], tuple[str, str]]] = [
@@ -380,10 +380,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
 
     for inst in d.instances:
         aet = arch.aets[inst.aet]
-        actuals = {
-            p.name: eval_expr(a, at_env) for p, a in zip(aet.params, inst.args)
-        }
-        equations = _substitute_aet_params(aet, actuals)
+        equations = _substitute_aet_params(aet, arch.actuals[inst.name])
 
         counts: dict[str, int] = {}
         for decl in aet.interactions:
@@ -440,76 +437,56 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
                     attachments[k] = (src, (inst.name, copy_name))
 
     families: list[Family] = []
-    iaq_counter = oaq_counter = 0
     queue_equations = _queue_aet_equations(capacity)
+    queue_interactions = {
+        name: ElabInteraction(name, direction, m.Multiplicity.UNI, m.Synchronicity.SYNC)
+        for name, direction in ((QUEUE_ARRIVE, m.Direction.INPUT),
+                                (QUEUE_DEPART, m.Direction.OUTPUT))
+    }
 
-    def add_queue(kind: str, owner: str, interaction: str, partner: str) -> str:
-        nonlocal iaq_counter, oaq_counter
-        if kind == "IAQ":
-            iaq_counter += 1
-            name = f"IAQ_{iaq_counter}"
-        else:
-            oaq_counter += 1
-            name = f"OAQ_{oaq_counter}"
-        aeis[name] = ElabAei(
-            name,
-            queue_equations,
-            {
-                QUEUE_ARRIVE: ElabInteraction(
-                    QUEUE_ARRIVE, m.Direction.INPUT, m.Multiplicity.UNI, m.Synchronicity.SYNC
-                ),
-                QUEUE_DEPART: ElabInteraction(
-                    QUEUE_DEPART, m.Direction.OUTPUT, m.Multiplicity.UNI, m.Synchronicity.SYNC
-                ),
-            },
-            queue=QueueInfo(owner, kind, interaction, partner),
-        )
-        return name
+    def owner(name: str) -> str:
+        """The real AEI that an AEI or implicit queue belongs to."""
+        info = aeis[name].queue
+        return info.owner if info is not None else name
 
-    # Queue insertion: all asynchronous inputs first, then all outputs,
-    # so that a fully asynchronous attachment gains both of its buffers.
-    for aei_name in [inst.name for inst in d.instances]:
-        elab = aeis[aei_name]
-        for name, inter in list(elab.interactions.items()):
-            if inter.synchronicity is not m.Synchronicity.ASYNC:
-                continue
-            if inter.direction is not m.Direction.INPUT:
-                continue
-            endpoint = (aei_name, name)
-            involved = [(k, a) for k, a in enumerate(attachments) if a[1] == endpoint]
-            departs = []
-            for k, (src, _) in involved:
-                queue = add_queue("IAQ", aei_name, name, src[0])
-                attachments[k] = (src, (queue, QUEUE_ARRIVE))
-                departs.append((queue, QUEUE_DEPART))
-            if departs:
-                families.append(
-                    Family(tuple(departs) + (endpoint,), internal_owner=aei_name)
+    def add_family(ends: tuple[tuple[str, str], ...], internal_owner: str | None = None) -> None:
+        owners = frozenset(owner(x) for x, _ in ends)
+        families.append(Family(ends, owners, internal_owner))
+
+    # Queue insertion, one pass per direction: all asynchronous inputs
+    # first, then all outputs, so that a fully asynchronous attachment
+    # gains both of its buffers (its output queue feeds its input
+    # queue).  Inputs become semi-synchronous, outputs synchronous.  A
+    # queue's outer end takes over the attachment, its inner end joins
+    # the owner's interaction in an internal family.
+    for kind, direction, converted, outer, inner_end in (
+        ("IAQ", m.Direction.INPUT, m.Synchronicity.SSYNC, QUEUE_ARRIVE, QUEUE_DEPART),
+        ("OAQ", m.Direction.OUTPUT, m.Synchronicity.SYNC, QUEUE_DEPART, QUEUE_ARRIVE),
+    ):
+        incoming = direction is m.Direction.INPUT
+        numbers = count(1)
+        for aei_name in [inst.name for inst in d.instances]:
+            elab = aeis[aei_name]
+            for name, inter in list(elab.interactions.items()):
+                if inter.synchronicity is not m.Synchronicity.ASYNC or inter.direction is not direction:
+                    continue
+                endpoint = (aei_name, name)
+                inner: list[tuple[str, str]] = []
+                for k, (src, dst) in enumerate(attachments):
+                    if (dst if incoming else src) != endpoint:
+                        continue
+                    queue = f"{kind}_{next(numbers)}"
+                    partner = owner(src[0] if incoming else dst[0])
+                    aeis[queue] = ElabAei(queue, queue_equations, dict(queue_interactions),
+                                          queue=QueueInfo(aei_name, kind, name, partner))
+                    attachments[k] = (src, (queue, outer)) if incoming else ((queue, outer), dst)
+                    inner.append((queue, inner_end))
+                if inner:
+                    add_family((*inner, endpoint) if incoming else (endpoint, *inner),
+                               internal_owner=aei_name)
+                elab.interactions[name] = replace(
+                    inter, synchronicity=converted, converted_from_async=True
                 )
-            elab.interactions[name] = replace(
-                inter, synchronicity=m.Synchronicity.SSYNC, converted_from_async=True
-            )
-
-    for aei_name in [inst.name for inst in d.instances]:
-        elab = aeis[aei_name]
-        for name, inter in list(elab.interactions.items()):
-            if inter.synchronicity is not m.Synchronicity.ASYNC:
-                continue
-            endpoint = (aei_name, name)
-            involved = [(k, a) for k, a in enumerate(attachments) if a[0] == endpoint]
-            arrives = []
-            for k, (_, dst) in involved:
-                queue = add_queue("OAQ", aei_name, name, aeis[dst[0]].queue.owner
-                                  if aeis[dst[0]].queue else dst[0])
-                arrives.append((queue, QUEUE_ARRIVE))
-                attachments[k] = ((queue, QUEUE_DEPART), dst)
-            if arrives:
-                families.append(
-                    Family((endpoint,) + tuple(arrives), internal_owner=aei_name)
-                )
-            elab.interactions[name] = replace(
-                inter, synchronicity=m.Synchronicity.SYNC, converted_from_async=True
-            )
 
     # Group the remaining attachments into external families: one per
     # and-interaction (with all its partners), one per uni-uni pair.
@@ -527,7 +504,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
             hub, hub_is_output = dst, False
         if hub is None:
             consumed[k] = True
-            families.append(Family((src, dst)))
+            add_family((src, dst))
             continue
         group = [
             (i, a) for i, a in enumerate(attachments)
@@ -538,9 +515,9 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
             consumed[i] = True
             ends.append(t if hub_is_output else s)
         if hub_is_output:
-            families.append(Family((hub, *ends)))
+            add_family((hub, *ends))
         else:
-            families.append(Family((*ends, hub)))
+            add_family((*ends, hub))
 
     return ElabArchitecture(
         name=d.name,
@@ -561,7 +538,6 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
 class NameSets:
     """Per-AEI bookkeeping relative to a context set of AEIs."""
 
-    aei: str
     phi: tuple[tuple[str, str], ...]  # dotted name -> composite, sorted
     oali: frozenset[str]  # composite internal names plus converted-input exceptions
     visible: frozenset[str]  # the V set: phi image union oali
@@ -570,20 +546,14 @@ class NameSets:
         return dict(self.phi)
 
 
-def _external_families(arch: ElabArchitecture) -> list[tuple[Family, set[str]]]:
-    """The families between AEIs, each with the AEIs owning its ends."""
-    return [(f, {arch.bundle_owner(x) for x, _ in f.endpoints})
-            for f in arch.families if f.internal_owner is None]
-
-
 def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) -> NameSets:
     members = set(arch.bundle(aei))
     ctx = set(context)
     phi: dict[str, str] = {}
-    for f, owners in _external_families(arch):
-        if aei not in owners:
+    for f in arch.families:
+        if aei not in f.owners:
             continue
-        if not (owners - {aei}) & ctx:
+        if not (f.owners - {aei}) & ctx:
             continue
         for x, inter in f.endpoints:
             if x in members:
@@ -597,7 +567,6 @@ def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) 
             oali.add(exception_label(f"{aei}.{name}"))
     visible = frozenset(phi.values()) | oali
     return NameSets(
-        aei=aei,
         phi=tuple(sorted(phi.items())),
         oali=frozenset(oali),
         visible=visible,
@@ -608,8 +577,8 @@ def sync_set(arch: ElabArchitecture, left: str, right: str) -> frozenset[str]:
     """Pairwise synchronization set: composite names of external
     families touching both bundles."""
     out = set()
-    for f, owners in _external_families(arch):
-        if left in owners and right in owners:
+    for f in arch.families:
+        if left in f.owners and right in f.owners:
             out.add(f.composite)
     return frozenset(out)
 
@@ -619,8 +588,8 @@ def h_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
     to any of the other AEIs."""
     queues = set(arch.bundle(aei)) - {aei}
     out = set()
-    for f, owners in _external_families(arch):
-        if owners & set(others) and any(x in queues for x, _ in f.endpoints):
+    for f in arch.families:
+        if not f.owners.isdisjoint(others) and any(x in queues for x, _ in f.endpoints):
             out.add(f.composite)
     return frozenset(out)
 
@@ -629,8 +598,8 @@ def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
     """Exception labels of semi-synchronous interactions involved in
     attachments between `aei` (or its queues) and the other AEIs."""
     out = set()
-    for f, owners in _external_families(arch):
-        if aei in owners and owners & set(others):
+    for f in arch.families:
+        if aei in f.owners and not f.owners.isdisjoint(others):
             for x, inter in f.endpoints:
                 decl = arch.aeis[x].interactions[inter]
                 if decl.synchronicity is m.Synchronicity.SSYNC:
@@ -680,16 +649,13 @@ def aei_semantics(
     if closure not in ("open", "pc", "tc"):
         raise ValueError(f"unknown closure {closure!r}")
 
-    def cascade_rank(queue_name: str) -> tuple[int, int]:
+    def cascade_rank(queue_name: str) -> tuple[bool, bool]:
         info = arch.aeis[queue_name].queue
         inter = elab.interactions[info.interaction]
-        is_and = inter.multiplicity is m.Multiplicity.AND
-        if info.kind == "IAQ":
-            stage = 1 if is_and else 0
-        else:
-            stage = 3 if is_and else 2
-        return (stage, int(queue_name.split("_")[1]))
+        return (info.kind == "OAQ", inter.multiplicity is m.Multiplicity.AND)
 
+    # The bundle lists each kind's queues in creation order, which the
+    # stable sort keeps within each stage of the cascade.
     buffers = set(buffers_for)
     queues = sorted(
         (name for name in arch.bundle(aei)[1:] if arch.aeis[name].queue.partner in buffers),

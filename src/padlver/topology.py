@@ -19,8 +19,8 @@ oracle.  When the compositional conditions fail, no verdict is claimed.
 
 from __future__ import annotations
 
+import heapq
 import time
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -169,23 +169,32 @@ def decompose(graph: AbstractFlowGraph) -> Decomposition:
     frontiers = [tuple(v for v in union if v in on_bridge) for union in unions]
 
     # Contract each union to one node; nodes sort unions first, then
-    # vertices, each in declaration order.
+    # vertices, each in declaration order.  A heap holds (-degree, node)
+    # over the bridges not yet in a star; degrees only fall, so an entry
+    # whose degree is no longer the node's is stale and skipped.
     node = {v: (1, k) for v, k in order.items()}
     node.update((v, (0, k)) for k, union in enumerate(unions) for v in union)
-    remaining = [e for e in graph.edges if e in bridges]
+    incident: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for a, b in graph.edges:
+        if (a, b) in bridges:
+            incident.setdefault(node[a], []).append((a, b))
+            incident.setdefault(node[b], []).append((b, a))
+    degree = {n: len(ends) for n, ends in incident.items()}
+    heap = [(-d, n) for n, d in degree.items()]
+    heapq.heapify(heap)
     star_pairs: list[tuple[str, str]] = []  # ordered (center endpoint, border endpoint)
-    while remaining:
-        degree = Counter(node[v] for e in remaining for v in e)
-        center = min(degree, key=lambda n: (-degree[n], n))
-        rest = []
-        for a, b in remaining:
-            if node[a] == center:
-                star_pairs.append((a, b))
-            elif node[b] == center:
-                star_pairs.append((b, a))
-            else:
-                rest.append((a, b))
-        remaining = rest
+    while heap:
+        d, center = heapq.heappop(heap)
+        if -d != degree[center]:
+            continue
+        degree[center] = 0
+        for hub, rim in incident[center]:
+            far = node[rim]
+            if degree[far]:  # far has not been a center: the bridge is in no star yet
+                star_pairs.append((hub, rim))
+                degree[far] -= 1
+                if degree[far]:
+                    heapq.heappush(heap, (-degree[far], far))
 
     stars_by_center: dict[str, list[str]] = {}
     for center, border in star_pairs:

@@ -15,7 +15,7 @@ every problem.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, SemanticsError, Severity
@@ -27,11 +27,16 @@ RESERVED_QUEUE_AET = "Async_Queue_Type"
 
 @dataclass
 class ValidatedArchitecture:
-    """A parsed description together with the lookup tables that the
-    elaboration pipeline needs.  Construction goes through validate()."""
+    """A parsed description together with what validate() hands over
+    to elaboration: the warnings, each AEI's actual parameters as
+    values (``actuals[aei][param]``, evaluated with the architectural
+    defaults and checked against the AET's declared types, which
+    elaboration substitutes without evaluating again), and the lookup
+    tables built here.  Construction goes through validate()."""
 
     description: m.ArchiDescription
-    warnings: list[Diagnostic] = field(default_factory=list)
+    warnings: list[Diagnostic]
+    actuals: dict[str, dict[str, Value]]
 
     def __post_init__(self) -> None:
         d = self.description
@@ -171,6 +176,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
         defaults[aet.name] = _validate_aet(ck, aet)
 
     instances: dict[str, m.Instance] = {}
+    aei_actuals: dict[str, dict[str, Value]] = {}
     for inst in d.instances:
         if inst.name in instances:
             ck.error("E_DUP_INSTANCE", f"duplicate AEI '{inst.name}'", inst.loc)
@@ -197,7 +203,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
         }
         if not all(fits for _, fits in checked.values()):
             continue
-        actuals = {name: value for name, (value, _) in checked.items()}
+        actuals = aei_actuals[inst.name] = {name: value for name, (value, _) in checked.items()}
         # A default that fails is reported for the first such AEI only.
         kept = []
         for p, scope in defaults[aet.name]:
@@ -335,7 +341,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     errors = [x for x in ck.diags if x.severity is Severity.ERROR]
     if errors:
         raise PadlError(ck.diags)
-    return ValidatedArchitecture(description=d, warnings=ck.diags)
+    return ValidatedArchitecture(description=d, warnings=ck.diags, actuals=aei_actuals)
 
 
 def _validate_aet(ck: _Checker, aet: m.AetDef) -> list[tuple[m.Param, tuple[str, ...]]]:

@@ -423,6 +423,91 @@ def test_whole_sync_composite_matches_the_displayed_term():
     assert manual == composed
 
 
+CASCADE_HUB = """ARCHI_TYPE T(void)
+  ARCHI_BEHAVIOR
+    ARCHI_ELEM_TYPE Hub_Type(void)
+      BEHAVIOR
+        Hub(void; void) = gather . get . scatter . put . Hub()
+      INPUT_INTERACTIONS  ASYNC AND gather; ASYNC UNI get
+      OUTPUT_INTERACTIONS ASYNC AND scatter; ASYNC UNI put
+    ARCHI_ELEM_TYPE Sender_Type(void)
+      BEHAVIOR
+        Send(void; void) = give . Send()
+      INPUT_INTERACTIONS  void
+      OUTPUT_INTERACTIONS SYNC UNI give
+    ARCHI_ELEM_TYPE Receiver_Type(void)
+      BEHAVIOR
+        Receive(void; void) = take . Receive()
+      INPUT_INTERACTIONS  SYNC UNI take
+      OUTPUT_INTERACTIONS void
+  ARCHI_TOPOLOGY
+    ARCHI_ELEM_INSTANCES
+      H : Hub_Type(); S_1 : Sender_Type(); S_2 : Sender_Type(); S_3 : Sender_Type();
+      R_1 : Receiver_Type(); R_2 : Receiver_Type(); R_3 : Receiver_Type()
+    ARCHI_INTERACTIONS void
+    ARCHI_ATTACHMENTS
+      FROM S_1.give TO H.gather;
+      FROM S_2.give TO H.gather;
+      FROM S_3.give TO H.get;
+      FROM H.scatter TO R_1.take;
+      FROM H.scatter TO R_2.take;
+      FROM H.put TO R_3.take
+END
+"""
+
+
+def test_buffers_cascade_uni_before_and_whatever_the_declaration_order():
+    # H declares its and-interactions first, so its queues are created
+    # IAQ_1, IAQ_2 (gather), IAQ_3 (get), OAQ_1, OAQ_2 (scatter), OAQ_3
+    # (put); build the cascade by hand in the documented order (input
+    # queues of uni-interactions, then of and-interactions, then the
+    # output queues in the same order) and compare against aei_semantics
+    from padlver.lts import parallel, relabel
+    from padlver.semantics import generate_lts
+
+    arch = elaborate(validate(parse(CASCADE_HUB)), 1)
+    family = {
+        "gather": "IAQ_1.depart#IAQ_2.depart#H.gather",
+        "get": "IAQ_3.depart#H.get",
+        "scatter": "H.scatter#OAQ_1.arrive#OAQ_2.arrive",
+        "put": "H.put#OAQ_3.arrive",
+    }
+    hub = relabel(
+        generate_lts(arch.aeis["H"].equations, prefix="H", ssync_actions={"gather", "get"}),
+        {f"H.{name}": composite for name, composite in family.items()},
+    )
+    # queue -> (its end on H's side, H's interaction)
+    inner = {
+        "IAQ_1": ("depart", "gather"), "IAQ_2": ("depart", "gather"), "IAQ_3": ("depart", "get"),
+        "OAQ_1": ("arrive", "scatter"), "OAQ_2": ("arrive", "scatter"), "OAQ_3": ("arrive", "put"),
+    }
+    phi = {
+        "IAQ_1.arrive": "S_1.give#IAQ_1.arrive",
+        "IAQ_2.arrive": "S_2.give#IAQ_2.arrive",
+        "IAQ_3.arrive": "S_3.give#IAQ_3.arrive",
+        "OAQ_1.depart": "OAQ_1.depart#R_1.take",
+        "OAQ_2.depart": "OAQ_2.depart#R_2.take",
+        "OAQ_3.depart": "OAQ_3.depart#R_3.take",
+    }
+
+    def cascade(order):
+        acc = hub
+        for queue in order:
+            end, name = inner[queue]
+            q = relabel(queue_lts(arch, queue), {f"{queue}.{end}": family[name]})
+            if queue.startswith("IAQ"):
+                acc = parallel(q, acc, {family[name]})
+            else:
+                acc = parallel(acc, q, {family[name]})
+        return relabel(acc, phi)
+
+    documented = cascade(("IAQ_3", "IAQ_1", "IAQ_2", "OAQ_3", "OAQ_1", "OAQ_2"))
+    built = aei_semantics(arch, "H", closure="open", buffers_for=arch.real_aeis)
+    assert built == documented
+    # the creation order builds a different system, so the order is pinned
+    assert cascade(("IAQ_1", "IAQ_2", "IAQ_3", "OAQ_1", "OAQ_2", "OAQ_3")) != documented
+
+
 def test_semantics_request_validation():
     arch = load_arch("client_server_sync")
     with pytest.raises(ValueError):

@@ -317,6 +317,24 @@ def test_equations_see_their_aet_parameters():
         assert verify(arch).status == verify(plain).status
 
 
+def test_aei_arguments_read_architectural_parameters():
+    def node_pair(arg: str):
+        return elaborate(validate(parse(deadlock_pair(
+            ("Deadlock_Pair(void)", "Deadlock_Pair(int(0..3) n := 1)"),
+            ("Node_Type(void)", "Node_Type(int(0..3) k)"),
+            ("take . give . Node()", guarded("k = 1")),
+            ("L : Node_Type()", f"L : Node_Type({arg})"),
+            ("R : Node_Type()", f"R : Node_Type({arg})"),
+        ))))
+
+    via_default, literal = node_pair("n"), node_pair("1")
+    assert via_default.source.actuals == literal.source.actuals == {"L": {"k": 1}, "R": {"k": 1}}
+    for aei in literal.real_aeis:
+        assert via_default.aeis[aei].equations == literal.aeis[aei].equations
+    for verify in (verify_deadlock_by_reduction, verify_deadlock_direct):
+        assert verify(via_default).status == verify(literal).status
+
+
 @pytest.mark.parametrize("replacements, expected", [
     pytest.param([("Deadlock_Pair(void)", "Deadlock_Pair(int(0..3) n := true)")],
                  ("E_TYPE", "default of 'n' has the wrong type", 1, 26), id="archi-bool-for-int"),
