@@ -54,15 +54,18 @@ class PadlError(Exception):
 class StateLimitExceeded(Exception):
     """Raised when state-space construction exceeds the configured bound.
 
-    Carries partial statistics so callers can report how far exploration got.
+    Carries partial statistics so callers can report how far exploration
+    got, and names the bound: a state limit, or the saturation budget of
+    weak checks, which counts transitions.
     """
 
-    def __init__(self, limit: int, states_seen: int, transitions_seen: int):
+    def __init__(self, limit: int, states_seen: int, transitions_seen: int,
+                 bound: str = "state limit"):
         self.limit = limit
         self.states_seen = states_seen
         self.transitions_seen = transitions_seen
         super().__init__(
-            f"state limit {limit} exceeded "
+            f"{bound} {limit} exceeded "
             f"({states_seen} states, {transitions_seen} transitions explored)"
         )
 

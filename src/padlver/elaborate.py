@@ -33,7 +33,8 @@ from typing import Iterable
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
-from .lts import DEFAULT_STATE_LIMIT, Lts, exception_label, hide, parallel, relabel
+from .equivalence import branching_quotient
+from .lts import DEFAULT_STATE_LIMIT, Lts, exception_label, hide, parallel, relabel, restrict
 from .semantics import Value, generate_lts
 from .validate import ValidatedArchitecture
 
@@ -594,6 +595,21 @@ def h_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
     return frozenset(out)
 
 
+def semisync_names(arch: ElabArchitecture, aei: str) -> frozenset[str]:
+    """Composite names of the families in which `aei` has a
+    semi-synchronous endpoint: every label its semi-synchronous moves
+    can carry in a closed part (a name no family maps is hidden by
+    either closure, which makes its moves tau steps)."""
+    out = set()
+    for f in arch.families:
+        if aei in f.owners:
+            for x, inter in f.endpoints:
+                decl = arch.aeis[x].interactions[inter]
+                if x == aei and decl.synchronicity is m.Synchronicity.SSYNC:
+                    out.add(f.composite)
+    return frozenset(out)
+
+
 def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -> frozenset[str]:
     """Exception labels of semi-synchronous interactions involved in
     attachments between `aei` (or its queues) and the other AEIs."""
@@ -709,22 +725,80 @@ def aei_semantics(
     return acc
 
 
+def _reduction_plan(
+    arch: ElabArchitecture, members: tuple[str, ...]
+) -> list[tuple[frozenset[str], bool]]:
+    """For each step k of a composition of the parts named by members
+    (after members[k] is composed): the names later steps synchronize
+    on, `future`, and whether the accumulator may be quotiented.
+
+    future is the union of sync_set(i, j) over composed parts i and
+    later parts j: the names of families with an owner on each side,
+    the intersection of the prefix and suffix unions of each part's
+    families.  The quotient is barred while a later part has a
+    semi-synchronous move on a name in future: the exception rule of
+    parallel tests that the other side offers nothing on the name, a
+    negative premise that branching bisimilarity does not preserve."""
+    n = len(members)
+    families = [frozenset(f.composite for f in arch.families if aei in f.owners)
+                for aei in members]
+    # Suffix unions: the families and the semi-synchronous names of the
+    # parts after k.
+    later = [frozenset()] * n
+    later_semisync = [frozenset()] * n
+    for k in range(n - 2, -1, -1):
+        later[k] = later[k + 1] | families[k + 1]
+        later_semisync[k] = later_semisync[k + 1] | semisync_names(arch, members[k + 1])
+    plan = []
+    composed: frozenset[str] = frozenset()
+    for k in range(n):
+        composed |= families[k]
+        future = composed & later[k]
+        plan.append((future, future.isdisjoint(later_semisync[k])))
+    return plan
+
+
 def composite_semantics(
     arch: ElabArchitecture,
     parts: Iterable[tuple[str, Lts]],
     state_limit: int = DEFAULT_STATE_LIMIT,
+    *,
+    keep: frozenset[str] | None = None,
+    members: tuple[str, ...] = (),
 ) -> Lts:
     """Left-associated parallel chain over (AEI, semantics) parts: each
     part synchronizes with the parts before it on the union of their
     pairwise synchronization sets.  Callers build the parts, choosing
     each member's closure and buffers; a part is taken from the
-    iterable only once the parts before it are composed."""
+    iterable only once the parts before it are composed.
+
+    Given keep, the set of names to leave visible, and members, the
+    parts' AEIs in order, the result is resolve(hide(chain,
+    keep_only=keep)) up to weak bisimilarity, and the chain is
+    minimized as it grows: after every step but the last, the
+    accumulator is restricted to keep and the names later steps
+    synchronize on (restrict), then quotiented by branching
+    bisimilarity where _reduction_plan allows and no semi-synchronous
+    move is left."""
+    plan = None if keep is None else _reduction_plan(arch, members)
+    expected = iter(members)
     names: list[str] = []
     acc: Lts | None = None
     for name, lts in parts:
+        if plan is not None and next(expected, None) != name:
+            raise ValueError(f"part {name!r} out of the order of {members}")
         sync = set().union(*(sync_set(arch, prev, name) for prev in names))
         acc = lts if acc is None else parallel(acc, lts, sync, state_limit)
         names.append(name)
+        if plan is not None and 1 < len(names) < len(members):
+            future, may_quotient = plan[len(names) - 1]
+            acc = restrict(acc, keep, future)
+            if may_quotient and not acc.has_semisync():
+                acc, _ = branching_quotient(acc)
     if acc is None:
         raise ValueError("no parts to compose")
-    return acc
+    if plan is None:
+        return acc
+    if len(names) != len(members):
+        raise ValueError(f"parts {names} are not all of {members}")
+    return restrict(acc, keep)

@@ -112,7 +112,11 @@ def eval_formula(lts: Lts, formula: WeakFormula, state: int | None = None) -> bo
     if state is None:
         state = lts.initial
     closures = _tau_closures(lts)
+    position = {name: i for i, name in enumerate(lts.labels)}
     memo: dict[tuple[int, int], bool] = {}
+    # Weak successors by (tau-closure, label); the states of one tau-SCC
+    # share their closure list.
+    weak_after: dict[tuple[int, int], set[int]] = {}
 
     def ev(s: int, f: WeakFormula) -> bool:
         key = (s, id(f))
@@ -128,8 +132,13 @@ def eval_formula(lts: Lts, formula: WeakFormula, state: int | None = None) -> bo
             if f.label == TAU:
                 after = closures[s]
             else:
-                after = [u for x in closures[s] for t in lts.trans[x]
-                         if lts.labels[t.label] == f.label for u in closures[t.target]]
+                label = position.get(f.label, -1)
+                closure = closures[s]
+                after = weak_after.get((id(closure), label))
+                if after is None:
+                    after = weak_after[id(closure), label] = {
+                        u for x in closure for t in lts.trans[x]
+                        if t.label == label for u in closures[t.target]}
             for u in after:
                 if ev(u, f.sub):
                     result = True
@@ -276,7 +285,7 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
         moves.append(targets)
         n_moves += len(closure) + sum(map(len, targets.values()))
         if max_transitions is not None and n_moves > max_transitions:
-            raise StateLimitExceeded(max_transitions, n, n_moves)
+            raise StateLimitExceeded(max_transitions, n, n_moves, "saturation budget")
     # made[l][u]: the one Transition on label l to u.  A state's targets
     # on l are the after-targets of its closure, so the after lists hold
     # every target in use; every state has its reflexive tau step.
@@ -299,8 +308,14 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     return Lts(lts.labels, n, lts.initial, tuple(trans), lts.marked)
 
 
-def _quotient(lts: Lts, block: list[int], n_blocks: int) -> Lts:
-    """The image of lts under a state map, intra-block tau steps dropped."""
+def _image_rows(
+    lts: Lts, block: Sequence[int], n_blocks: int
+) -> list[list[tuple[int, int, int, int]]]:
+    """lts's transitions mapped through a state map, by block, with the
+    tau steps inside one block dropped; rows are neither sorted nor
+    free of duplicates.  A map keeps only (label, target) of a move, so
+    a semi-synchronous one would lose its exception target: refused."""
+    _require_resolved(lts, "a quotient")
     rows: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_blocks)]
     for s, ts in enumerate(lts.trans):
         b = block[s]
@@ -309,8 +324,13 @@ def _quotient(lts: Lts, block: list[int], n_blocks: int) -> Lts:
             d = block[d]
             if l or d != b:
                 row.append((l, d, -1, -1))
+    return rows
+
+
+def _quotient(lts: Lts, block: Sequence[int], n_blocks: int) -> Lts:
+    """The image of lts under a state map, intra-block tau steps dropped."""
     marked = frozenset(block[s] for s in lts.marked)
-    return _canonical(lts.labels, rows, block[lts.initial], marked)
+    return _canonical(lts.labels, _image_rows(lts, block, n_blocks), block[lts.initial], marked)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +377,12 @@ def _refine(lts: Lts, keep: int = 0) -> tuple[list[int], list[list[int]]]:
         n_blocks = len(fresh)
 
 
-def _branching_partition(collapsed: Lts) -> list[int]:
+def _branching_partition(rows: Sequence[Sequence[tuple[int, int, int, int]]],
+                         width: int) -> list[int]:
     """The coarsest branching bisimulation of a tau-SCC-collapsed
-    system, by signature refinement (Blom & Orzan 2003).
+    system, given as its rows (_image_rows under the components) over
+    a label table of `width` names, by signature refinement (Blom &
+    Orzan 2003).
 
     A state's signature is its non-inert (label, block) moves plus the
     signatures of its inert tau successors, those in its own block;
@@ -368,13 +391,12 @@ def _branching_partition(collapsed: Lts) -> list[int]:
     (_tau_sccs numbers components in completion order, and _quotient
     drops the steps inside one), so in state order each inert tau
     successor's signature is ready before its predecessors need it.
+    Rows may hold duplicates and need no order.
     After the first round a round recomputes only states that moved to
     a new block, their predecessors, and the inert tau predecessors of
     any state whose signature changed.  Blocks are numbered in order of
     first occurrence over the states."""
-    rows = collapsed.trans
-    n = collapsed.n_states
-    width = len(collapsed.labels)
+    n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
     tau_preds: list[list[int]] = [[] for _ in range(n)]
     for s, ts in enumerate(rows):
@@ -434,24 +456,21 @@ def _branching_partition(collapsed: Lts) -> list[int]:
     return [number.setdefault(b, len(number)) for b in block]
 
 
-def _weak_saturation(
-    lts: Lts, saturation_budget: int | None = None
-) -> tuple[Lts, list[int]]:
-    """What weak bisimilarity refines: collapse tau cycles, quotient by
-    branching bisimilarity, saturate; strong bisimilarity on the result,
-    returned with the state map, is weak bisimilarity on the input.
-    Both quotients are sound for it: states on a tau cycle are weakly
-    bisimilar, and branching bisimilarity implies weak bisimilarity
-    (Groote & Vaandrager 1990).  The tau steps the second quotient
-    drops join states of one block, so they are inert, and the
-    quotient stays free of tau cycles: by the stuttering property every
-    member of a block on such a cycle would reach the next block by tau
-    steps, an infinite tau path in the finite, tau-acyclic collapse."""
+def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
+    """The quotient of a resolved system by branching bisimilarity,
+    with the block of each state: tau cycles are collapsed, the
+    coarsest branching bisimulation of the collapse is computed, and
+    the input is mapped through both maps at once.  Every state is
+    branching, hence weakly, bisimilar to its block (Groote & Vaandrager
+    1990).  The tau steps the quotient drops join states of one block,
+    so they are inert, and the quotient stays free of tau cycles: by
+    the stuttering property every member of a block on such a cycle
+    would reach the next block by tau steps, an infinite tau path in
+    the finite, tau-acyclic collapse."""
     comp, n_comps = _tau_sccs(lts)
-    collapsed = _quotient(lts, comp, n_comps)
-    parts = _branching_partition(collapsed)
-    reduced = _quotient(collapsed, parts, max(parts) + 1)
-    return saturate(reduced, saturation_budget), [parts[c] for c in comp]
+    parts = _branching_partition(_image_rows(lts, comp, n_comps), len(lts.labels))
+    block = [parts[c] for c in comp]
+    return _quotient(lts, block, max(parts) + 1), block
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +532,11 @@ def weak_bisim_check(
     for lts in (l1, l2):
         _require_resolved(lts, "weak_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
-    saturated, mapping = _weak_saturation(union, saturation_budget)
-    return _verdict(saturated, mapping, l1.n_states, mapping[i1], mapping[i2])
+    # Strong bisimilarity on the saturated branching quotient is weak
+    # bisimilarity on the union.
+    reduced, block = branching_quotient(union)
+    saturated = saturate(reduced, saturation_budget)
+    return _verdict(saturated, block, l1.n_states, block[i1], block[i2])
 
 
 def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
@@ -532,10 +554,9 @@ def minimize(lts: Lts) -> Lts:
     block images of the original ones with intra-block tau steps
     dropped, and unreachable blocks are pruned."""
     _require_resolved(lts, "minimize")
-    saturated, mapping = _weak_saturation(lts)
-    final, _ = _refine(saturated)
-    block = [final[mapping[s]] for s in range(lts.n_states)]
-    return renumber_bfs(_quotient(lts, block, max(final) + 1))
+    reduced, block = branching_quotient(lts)
+    final, _ = _refine(saturate(reduced))
+    return renumber_bfs(_quotient(lts, [final[b] for b in block], max(final) + 1))
 
 
 # ---------------------------------------------------------------------------

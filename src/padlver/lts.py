@@ -425,6 +425,37 @@ def resolve(lts: Lts) -> Lts:
     return _canonical(lts.labels, rows, lts.initial, lts.marked)
 
 
+def restrict(
+    lts: Lts,
+    keep: set[str] | frozenset[str],
+    pending: set[str] | frozenset[str] = frozenset(),
+) -> Lts:
+    """Hide every label outside keep and pending, and resolve every
+    semi-synchronous move whose label is not pending, in one pass.
+
+    pending names the labels later compositions still synchronize on:
+    they stay visible, and their semi-synchronous moves keep their
+    exception targets.  No later composition can raise an exception on
+    any other name, so resolving those moves now is what resolve()
+    would do at the end.  With pending empty this is
+    resolve(hide(lts, keep_only=keep))."""
+    visible = set(keep).union(pending)
+    names = [name if name in visible else TAU for name in lts.labels]
+    rows = lts.trans
+    if lts.has_semisync():
+        settled = [name not in pending for name in lts.labels]
+        rows = [
+            [(t.label, t.target, -1, -1) if t.exc_target >= 0 and settled[t.label] else t
+             for t in row]
+            for row in rows
+        ]
+    elif names == list(lts.labels):
+        return lts
+    # Exception names stay: a pending move raises its exception under
+    # its own name even when that name is hidden as a label.
+    return _canonical(names, rows, lts.initial, lts.marked, exc_names=lts.labels)
+
+
 # ---------------------------------------------------------------------------
 # Reachability and deadlocks
 # ---------------------------------------------------------------------------

@@ -41,11 +41,11 @@ from .lts import (
     Lts,
     exception_label,
     find_deadlocks,
-    hide,
     is_exception,
     parallel,  # unused here; perfbench's tracer test still looks it up on this module
     relabel,
     resolve,
+    restrict,
     shortest_trace,
 )
 from .validate import ValidatedArchitecture
@@ -251,18 +251,12 @@ def _compare(
     subject: tuple[str, ...],
     partner: str,
     aei: str,
-    others: set[str],
     lhs: Lts,
     state_limit: int,
     started: float,
 ) -> CheckOutcome:
-    """The tail both checks share: hide the queue names and exceptions
-    that `aei` shares with the others, resolve, and compare against
-    `aei` alone."""
-    hidden = h_set(arch, aei, others) | e_set(arch, aei, others)
-    if hidden:
-        lhs = hide(lhs, hide_set=hidden)
-    lhs = resolve(lhs)
+    """The tail both checks share: compare the resolved lhs, its shared
+    names hidden, against `aei` alone."""
     rhs = _aei_alone(arch, aei, state_limit)
     verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
     return CheckOutcome(
@@ -310,8 +304,9 @@ def check_compatibility(
         (partner, aei_semantics(arch, partner, context=star_context, closure="tc",
                                 buffers_for=(center,), state_limit=state_limit)),
     ), state_limit)
-    return _compare(arch, "compatibility", (center,), partner, center, {partner}, lhs,
-                    state_limit, started)
+    shared = h_set(arch, center, {partner}) | e_set(arch, center, {partner})
+    lhs = restrict(lhs, set(lhs.labels) - shared)
+    return _compare(arch, "compatibility", (center,), partner, center, lhs, state_limit, started)
 
 
 def check_interoperability(
@@ -323,23 +318,27 @@ def check_interoperability(
     """Does the rest of the cycle leave the member's observable
     behavior unchanged?  Compares the whole cycle (totally closed with
     its buffers, the member partially closed) restricted to the
-    member's visibility set against the member alone without
-    buffers."""
+    member's visibility set, less the queue names and exceptions the
+    member shares with the rest of the cycle, against the member alone
+    without buffers.  The cycle is minimized as it is composed (see
+    composite_semantics)."""
     if member not in cycle:
         raise ValueError(f"{member} is not part of the cycle {cycle}")
     if len(cycle) < 3:
         raise ValueError("a cycle traverses at least three AEIs")
     started = time.perf_counter()
     context = arch.real_aeis
+    others = set(cycle) - {member}
+    keep = (build_name_sets(arch, member, context).visible
+            - h_set(arch, member, others) - e_set(arch, member, others))
     parts = (
         (aei, aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
                             buffers_for=cycle, state_limit=state_limit))
         for aei in cycle
     )
-    lhs = composite_semantics(arch, parts, state_limit)
-    lhs = hide(lhs, keep_only=build_name_sets(arch, member, context).visible)
-    return _compare(arch, "interoperability", tuple(cycle), member, member,
-                    set(cycle) - {member}, lhs, state_limit, started)
+    lhs = composite_semantics(arch, parts, state_limit, keep=keep, members=tuple(cycle))
+    return _compare(arch, "interoperability", tuple(cycle), member, member, lhs,
+                    state_limit, started)
 
 
 def aei_deadlock_free(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import importlib
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import fixture_source, load_arch
+from conftest import FIXTURES, fixture_source, load_arch
+from test_random_architectures import _SSYNC_HEAVY, random_architecture
 from padlver import PadlError, StateLimitExceeded, parse, validate
 from padlver import model as m
 from padlver.elaborate import (
@@ -17,6 +19,7 @@ from padlver.elaborate import (
     h_set,
     or_rewrite,
     queue_lts,
+    semisync_names,
     sync_set,
 )
 from padlver.lts import resolve
@@ -543,6 +546,54 @@ def test_composite_takes_each_part_after_composing_the_ones_before(monkeypatch):
         expected |= sync_set(arch, aei, built[-1][0])
     assert calls[-1] == expected
     assert composed.n_states > 0
+
+
+def test_a_minimized_composite_takes_its_parts_in_order_and_lazily(monkeypatch):
+    arch = load_arch("cruise_control")
+    built = parts_of(arch, arch.real_aeis, "tc", buffers_for=arch.real_aeis)
+    calls = []
+    real_parallel = elaborate_module.parallel
+
+    def counting_parallel(*args, **kwargs):
+        calls.append(args[2])
+        return real_parallel(*args, **kwargs)
+
+    monkeypatch.setattr(elaborate_module, "parallel", counting_parallel)
+    seen = []
+
+    def lazily(parts):
+        for part in parts:
+            seen.append(len(calls))
+            yield part
+
+    members = arch.real_aeis
+    composed = composite_semantics(arch, lazily(built), keep=frozenset(), members=members)
+    assert seen == [0] + list(range(len(built) - 1))
+    assert not composed.has_semisync() and composed.labels == ("tau",)
+    with pytest.raises(ValueError, match="order"):
+        composite_semantics(arch, built[::-1], keep=frozenset(), members=members)
+    with pytest.raises(ValueError, match="not all"):
+        composite_semantics(arch, built[:-1], keep=frozenset(), members=members)
+
+
+def test_declared_semisync_names_cover_every_built_part():
+    # The reduction bars a quotient on the names semisync_names declares,
+    # before the part is built; the built parts must not move on others.
+    archs = [load_arch(p.stem, 1) for p in sorted(FIXTURES.glob("*.padl"))]
+    rng = random.Random(5150)
+    for _ in range(40):
+        archs.append(elaborate(validate(random_architecture(rng, _SSYNC_HEAVY)), 1))
+    found = 0
+    for arch in archs:
+        for aei in arch.real_aeis:
+            declared = semisync_names(arch, aei)
+            for closure in ("pc", "tc"):
+                for buffers in ((), arch.real_aeis):
+                    part = aei_semantics(arch, aei, closure=closure, buffers_for=buffers)
+                    moves = {part.labels[t.label] for ts in part.trans for t in ts if t.semisync}
+                    assert moves <= declared, (arch.name, aei, closure, buffers)
+                    found += len(moves)
+    assert found > 0
 
 
 def test_composite_of_no_parts_is_an_error():

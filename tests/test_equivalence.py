@@ -25,6 +25,7 @@ from padlver.equivalence import (
     _quotient,
     _refine,
     _tau_sccs,
+    branching_quotient,
     eval_formula,
 )
 
@@ -65,10 +66,22 @@ def test_saturation_budget_surfaces_as_resource_error():
     from padlver.diagnostics import StateLimitExceeded
 
     chain = from_traces(tuple("a" for _ in range(6)))
-    with pytest.raises(StateLimitExceeded):
+    # the budget counts transitions, and the message says which bound it is
+    budget = r"^saturation budget 3 exceeded \("
+    with pytest.raises(StateLimitExceeded, match=budget):
         saturate(chain, max_transitions=3)
-    with pytest.raises(StateLimitExceeded):
+    with pytest.raises(StateLimitExceeded, match=budget):
         weak_bisim_check(chain, chain, saturation_budget=3)
+
+
+def test_quotients_refuse_semisync_moves():
+    # A state map keeps (label, target) only: the exception target of a
+    # semi-synchronous move would be lost.
+    lts = build_lts(3, 0, [(0, "x", 1, "C.x_exception", 2)])
+    with pytest.raises(ValueError, match="resolved"):
+        _quotient(lts, [0, 1, 2], 3)
+    with pytest.raises(ValueError, match="resolved"):
+        branching_quotient(lts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,9 +115,12 @@ def test_branching_partition_matches_the_naive_fixpoint(rng, max_states):
     lts = random_lts(rng, max_states=max_states, tau_bias=0.7)
     comp, n_comps = _tau_sccs(lts)
     collapsed = _quotient(lts, comp, n_comps)
-    parts = _branching_partition(collapsed)
+    parts = _branching_partition(collapsed.trans, len(collapsed.labels))
     assert parts == naive_branching_blocks(collapsed)
-    reduced = _quotient(collapsed, parts, max(parts) + 1)
+    reduced, block = branching_quotient(lts)
+    # one pass over the composed map is the quotient of the collapse
+    assert block == [parts[c] for c in comp]
+    assert reduced == _quotient(collapsed, parts, max(parts) + 1)
     _, n_components = _tau_sccs(reduced)
     assert n_components == reduced.n_states
     assert not [s for s, ts in enumerate(reduced.trans) for t in ts

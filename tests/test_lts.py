@@ -15,6 +15,7 @@ from padlver.lts import (
     Transition,
     reachable_states,
     renumber_bfs,
+    restrict,
     shortest_trace,
 )
 
@@ -223,6 +224,32 @@ def test_hidden_semisync_degrades_to_success_tau():
     lts = build_lts(3, 0, [(0, "x", 1, "C.x_exception", 2)])
     hidden = hide(lts, hide_set={"x"})
     assert hidden.transition_view() == [(0, "tau", 1, None, None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sets(st.sampled_from(("a", "b", "c", "O.a_exception"))),
+       st.sets(st.sampled_from(("a", "b", "c"))))
+def test_restrict_is_resolve_after_hide_now_or_later(rng, keep, pending):
+    lts = random_semisync_lts(rng)
+    now = restrict(lts, keep)
+    assert now == resolve(hide(lts, keep_only=keep))
+    assert restrict(restrict(lts, keep, pending), keep) == now
+
+
+def test_restrict_leaves_pending_moves_semisync():
+    lts = build_lts(4, 0, [
+        (0, "x", 1, "C.x_exception", 2),
+        (0, "y", 3, "C.y_exception", 2),
+        (2, "C.x_exception", 3),
+    ])
+    out = restrict(lts, keep={"y"}, pending={"x"})
+    assert out.transition_view() == [
+        (0, "x", 1, "C.x_exception", 2),
+        (0, "y", 3, None, None),
+        (2, "tau", 3, None, None),
+    ]
+    nothing_to_do = {"x", "y", "C.x_exception", "C.y_exception"}
+    assert restrict(lts, keep=nothing_to_do, pending={"x", "y"}) == lts
 
 
 def test_relabel_identity_and_inverse():

@@ -370,6 +370,25 @@ def test_ring_checks_its_cycle_once(interop_calls):
     assert by_id["2a"].outcomes[0] is by_id["2c"].outcomes[0]
 
 
+def test_ring_of_12_composes_in_products_linear_in_its_size(monkeypatch):
+    # The plain product of the cycle doubles with every member (2^12
+    # states here); composed while minimized, no product exceeds 10 N.
+    n = 12
+    sizes = []
+    elaborate_module = importlib.import_module("padlver.elaborate")
+    real = elaborate_module.parallel
+
+    def counted(*args, **kwargs):
+        product = real(*args, **kwargs)
+        sizes.append(product.n_states)
+        return product
+
+    monkeypatch.setattr(elaborate_module, "parallel", counted)
+    arch = elaborate(validate(parse(ring_source(n))), 1)
+    assert verify_deadlock_by_reduction(arch).status == "deadlock_free"
+    assert sizes and max(sizes) <= 10 * n
+
+
 def test_a_check_that_hits_the_limit_is_not_retried(interop_calls):
     arch = elaborate(validate(parse(ring_source(4))), 1)
     reduction = verify_deadlock_by_reduction(arch, state_limit=10)
