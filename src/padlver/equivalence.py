@@ -12,6 +12,15 @@ bisimilarity and is computed without saturating.  Both steps keep
 every state weakly bisimilar to its image, so either is sound for
 every weak check.
 
+A check answers one question, about the two initial states, and stops
+once it is settled: a weak check whose initial states share a
+branching block answers "equivalent" without saturating, and
+refinement stops at the end of the first round that separates them.
+A verdict's blocks are the partition that decided it: for "equivalent"
+a weak (strong, for the strong check) bisimulation, the branching
+blocks when decided before saturation; for "distinct" the partition of
+the separating round.
+
 On inequivalence a formula of the weak Hennessy-Milner fragment
 (tt, negation, conjunction, weak diamond) is produced from the
 refinement history, when the initial states separate within
@@ -338,11 +347,15 @@ def _quotient(lts: Lts, block: Sequence[int], n_blocks: int) -> Lts:
 # ---------------------------------------------------------------------------
 
 
-def _refine(lts: Lts, keep: int = 0) -> tuple[list[int], list[list[int]]]:
-    """Signature-based refinement to the coarsest strong bisimulation.
+def _refine(
+    lts: Lts, keep: int = 0, pair: tuple[int, int] | None = None
+) -> tuple[list[int], list[list[int]]]:
+    """Signature-based refinement to the coarsest strong bisimulation,
+    or, given a pair of states, only until a round separates them.
 
-    Returns the stable partition and the partitions of the first `keep`
-    rounds (round 0 is the single-block partition).  A state's
+    Returns the last partition (the stable one, or the first that
+    separates the pair) and the partitions of the first `keep` rounds
+    (round 0 is the single-block partition).  A state's
     signature is its (label, set of target blocks) pairs in label
     order, which rows being sorted makes canonical; blocks are
     numbered in order of first occurrence over the states."""
@@ -372,7 +385,7 @@ def _refine(lts: Lts, keep: int = 0) -> tuple[list[int], list[list[int]]]:
         parts = list(map(number.__getitem__, first))
         if len(history) < keep:
             history.append(parts)
-        if len(fresh) == n_blocks:
+        if len(fresh) == n_blocks or pair is not None and parts[pair[0]] != parts[pair[1]]:
             return parts, history
         n_blocks = len(fresh)
 
@@ -480,6 +493,17 @@ def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
 
 @dataclass
 class EquivalenceVerdict:
+    """A check's answer and the partition that decided it.
+
+    blocks_left and blocks_right give each state of the first and the
+    second system its block, n_blocks the number of blocks.  When
+    equivalent, the partition is a bisimulation relating the initial
+    states: for a weak check decided before saturation, the branching
+    blocks; otherwise the stable partition of the refinement.  When
+    distinct, it is the partition of the refinement round that first
+    separated the initial states, and the formula is None when that
+    round comes after MAX_FORMULA_ROUNDS."""
+
     equivalent: bool
     formula: WeakFormula | None
     blocks_left: tuple[int, ...]
@@ -508,9 +532,10 @@ def _verdict(
     refined: Lts, block_of: Sequence[int], n_left: int, p: int, q: int
 ) -> EquivalenceVerdict:
     """The verdict both checks end in: refine `refined`, whose states p
-    and q stand for the initial states, and map the union's states (n_left
-    on the left) through block_of."""
-    final, rounds = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    and q stand for the initial states, until p and q separate or the
+    partition is stable, and map the union's states (n_left on the
+    left) through block_of."""
+    final, rounds = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1, pair=(p, q))
     blocks = [final[s] for s in block_of]
     verdict = EquivalenceVerdict(final[p] == final[q], None, tuple(blocks[:n_left]),
                                  tuple(blocks[n_left:]), max(final) + 1)
@@ -524,8 +549,8 @@ def weak_bisim_check(
 ) -> EquivalenceVerdict:
     """Decide weak bisimilarity of the initial states.
 
-    On success the stable partition is the witness; on failure the
-    verdict carries a weak Hennessy-Milner formula holding at l1's
+    On success the partition is the witness; on failure the verdict
+    carries a weak Hennessy-Milner formula holding at l1's
     initial state and failing at l2's, or None when the two separate
     only after MAX_FORMULA_ROUNDS refinement rounds.
     """
@@ -533,8 +558,12 @@ def weak_bisim_check(
         _require_resolved(lts, "weak_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
     # Strong bisimilarity on the saturated branching quotient is weak
-    # bisimilarity on the union.
+    # bisimilarity on the union.  Branching bisimilarity implies weak
+    # bisimilarity, so a pair the quotient merges needs no saturation.
     reduced, block = branching_quotient(union)
+    if block[i1] == block[i2]:
+        return EquivalenceVerdict(True, None, tuple(block[:l1.n_states]),
+                                  tuple(block[l1.n_states:]), reduced.n_states)
     saturated = saturate(reduced, saturation_budget)
     return _verdict(saturated, block, l1.n_states, block[i1], block[i2])
 

@@ -15,13 +15,15 @@ from conftest import (
     tau_pad,
 )
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
-from padlver import strong_bisim_check, weak_bisim_check
+from padlver import equivalence, strong_bisim_check, weak_bisim_check
 from padlver.equivalence import (
     MAX_FORMULA_ROUNDS,
     And,
     Dia,
     Tt,
     _branching_partition,
+    _disjoint_union,
+    _distinguish,
     _quotient,
     _refine,
     _tau_sccs,
@@ -66,12 +68,16 @@ def test_saturation_budget_surfaces_as_resource_error():
     from padlver.diagnostics import StateLimitExceeded
 
     chain = from_traces(tuple("a" for _ in range(6)))
+    longer = from_traces(tuple("a" for _ in range(7)))
     # the budget counts transitions, and the message says which bound it is
     budget = r"^saturation budget 3 exceeded \("
     with pytest.raises(StateLimitExceeded, match=budget):
         saturate(chain, max_transitions=3)
+    # not branching bisimilar, so the check saturates
     with pytest.raises(StateLimitExceeded, match=budget):
-        weak_bisim_check(chain, chain, saturation_budget=3)
+        weak_bisim_check(chain, longer, saturation_budget=3)
+    # a pair the branching quotient merges is decided before saturation
+    assert weak_bisim_check(chain, chain, saturation_budget=3).equivalent
 
 
 def test_quotients_refuse_semisync_moves():
@@ -343,3 +349,91 @@ def test_past_the_round_limit_a_verdict_has_no_formula(check):
         verdict = check(l1, l2)
         assert not verdict.equivalent
         assert verdict.formula is None
+
+
+# -- early exits ---------------------------------------------------------------
+
+
+def full_refinement(check, l1, l2):
+    """A check without its early exits: the system it refines, the map
+    from the union's states to that system's, the initial states'
+    images, and the history of refinement to the fixpoint."""
+    union, i1, i2 = _disjoint_union(l1, l2)
+    if check is weak_bisim_check:
+        reduced, block = branching_quotient(union)
+        refined, p, q = saturate(reduced), block[i1], block[i2]
+    else:
+        refined, block, p, q = union, range(union.n_states), i1, i2
+    _, rounds = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    return refined, block, p, q, rounds
+
+
+def assert_agrees_with_full_refinement(check, l1, l2):
+    verdict = check(l1, l2)
+    refined, block, p, q, rounds = full_refinement(check, l1, l2)
+    final = rounds[-1]
+    assert verdict.equivalent == (final[p] == final[q])
+    blocks = verdict.blocks_left + verdict.blocks_right
+    assert len(set(blocks)) == verdict.n_blocks
+    if verdict.equivalent:
+        assert verdict.formula is None
+        # as fine as the stable partition or finer: a bisimulation
+        assert len({(b, final[c]) for b, c in zip(blocks, block)}) == verdict.n_blocks
+        return
+    k = next(k for k, parts in enumerate(rounds) if parts[p] != parts[q])
+    assert blocks == tuple(rounds[k][c] for c in block)
+    assert verdict.formula.render() == _distinguish(refined, rounds, p, q).render()
+
+
+@st.composite
+def lts_pairs(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "padded", "alternating"]))
+    if kind == "alternating":
+        pair = alternating_pair(draw(st.integers(0, 8)))
+        return pair[::-1] if rng.random() < 0.5 else pair
+    l1 = random_lts(rng, max_states=8, tau_bias=0.4)
+    return l1, tau_pad(l1, rng) if kind == "padded" else random_lts(rng, max_states=8)
+
+
+@pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
+@settings(max_examples=300, deadline=None)
+@given(lts_pairs())
+def test_early_exits_keep_the_verdicts_and_formulas_of_the_full_refinement(check, pair):
+    assert_agrees_with_full_refinement(check, *pair)
+
+
+@pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
+@pytest.mark.parametrize("pair", [alternating_pair(20), alternating_pair(60),
+                                  (from_traces(("a",) * 30), from_traces(("a",) * 31))])
+def test_late_separations_keep_the_formulas_of_the_full_refinement(check, pair):
+    assert_agrees_with_full_refinement(check, *pair)
+
+
+def test_a_pair_the_branching_quotient_merges_is_never_saturated(monkeypatch):
+    def refuse(lts, max_transitions=None):
+        raise AssertionError("saturated")
+
+    monkeypatch.setattr(equivalence, "saturate", refuse)
+    assert weak_bisim_check(from_traces(("a", "tau")), from_traces(("a",))).equivalent
+    with pytest.raises(AssertionError, match="saturated"):
+        weak_bisim_check(from_traces(("a",)), from_traces(("b",)))
+
+
+@pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_refinement_stops_at_the_round_that_separates_the_pair(monkeypatch, check, k):
+    histories = []
+
+    def recording(lts, keep=0, pair=None):
+        parts, rounds = _refine(lts, keep, pair)
+        histories.append((lts, rounds))
+        return parts, rounds
+
+    monkeypatch.setattr(equivalence, "_refine", recording)
+    assert not check(*alternating_pair(k)).equivalent
+    [(refined, rounds)] = histories
+    # round 0, then one round each up to the separating round k + 1
+    assert len(rounds) == k + 2
+    _, full = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    assert len(full) > len(rounds) and full[:len(rounds)] == rounds
