@@ -12,8 +12,10 @@ Exit codes for check: 0 deadlock-free, 1 deadlock or failed check,
 2 usage/parse error, 3 inconclusive (resource limits).  lts: 0, 2 on
 a usage/parse error or an unknown AEI, variant or AEI list, 3 when
 --state-limit is hit.  graph: 0, 2 on a usage/parse error.  equiv: 0
-equivalent, 1 distinct, 2 error.  Any subcommand exits 4 on an
-internal error, after a one-line message on stderr.
+equivalent, 1 distinct, 2 error, 3 when an AUT header announces more
+than 1,000,000 states.  An input or output path that cannot be read or
+written exits 2.  Any subcommand exits 4 on an internal error, after a
+one-line message on stderr.
 
 In a check report each distinct compatibility or interoperability
 check runs once and is listed under every condition that uses it
@@ -30,7 +32,7 @@ from pathlib import Path
 from .diagnostics import PadlError, SemanticsError, StateLimitExceeded
 from .elaborate import ElabArchitecture, aei_semantics, elaborate
 from .equivalence import MAX_FORMULA_ROUNDS, strong_bisim_check, weak_bisim_check
-from .lts import DEFAULT_STATE_LIMIT, read_aut, resolve, write_aut
+from .lts import DEFAULT_STATE_LIMIT, read_aut, write_aut
 from .parser import parse
 from .report import VerificationReport
 from .topology import (
@@ -156,8 +158,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_equiv(args: argparse.Namespace) -> int:
     try:
-        l1 = resolve(read_aut(Path(args.left).read_text(encoding="utf-8")))
-        l2 = resolve(read_aut(Path(args.right).read_text(encoding="utf-8")))
+        l1 = read_aut(Path(args.left).read_text(encoding="utf-8"))
+        l2 = read_aut(Path(args.right).read_text(encoding="utf-8"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -241,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except PadlError as exc:

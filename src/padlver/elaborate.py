@@ -34,7 +34,16 @@ from typing import Iterable
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
 from .equivalence import branching_quotient
-from .lts import DEFAULT_STATE_LIMIT, Lts, exception_label, hide, parallel, relabel, restrict
+from .lts import (
+    DEFAULT_STATE_LIMIT,
+    Lts,
+    exception_label,
+    hide,
+    parallel,
+    relabel,
+    resolve,
+    restrict,
+)
 from .semantics import Value, generate_lts
 from .validate import ValidatedArchitecture
 
@@ -330,8 +339,8 @@ class ElabArchitecture:
     real_aeis: tuple[str, ...]
     families: tuple[Family, ...]
     source: ValidatedArchitecture
-    # aei_semantics results by normalized request (see there), and the
-    # resolved AEI-alone systems of topology._aei_alone.
+    # Read and written only by aei_semantics, keyed by normalized request
+    # (see there), and by aei_alone, keyed ("resolved", AEI, state limit).
     _semantics: dict[tuple, Lts] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -723,6 +732,22 @@ def aei_semantics(
         acc = hide(acc, keep_only=sets.visible - sets.oali)
     arch._semantics[key] = acc
     return acc
+
+
+def aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
+    """The AEI alone, partially closed and without buffers, resolved:
+    what both architectural checks compare against and what the
+    isolation check searches.  Resolved once per architecture and kept
+    in its semantics memo, beside the unresolved request that
+    compositions use."""
+    key = ("resolved", aei, state_limit)
+    lts = arch._semantics.get(key)
+    if lts is None:
+        lts = arch._semantics[key] = resolve(
+            aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
+                          state_limit=state_limit)
+        )
+    return lts
 
 
 def _reduction_plan(

@@ -7,7 +7,8 @@ Lts keeps them in a sorted label table and its transitions refer to
 them by index; the operators below map those indices (hiding maps a
 label to tau, relabeling renames a table entry) and all end in one
 canonicalizing step, so only build_lts and LtsBuilder.add read label
-strings from outside.
+strings from outside.  One pass, restrict(), hides labels and resolves
+semi-synchronous moves; hide() and resolve() are its two special cases.
 
 A transition is either normal or semi-synchronous.  A semi-synchronous
 transition carries two continuations: the success target (the implicit
@@ -16,9 +17,9 @@ false).  Inside parallel composition the exception target is taken,
 under the transition's exception label, exactly when the other side
 offers no transition on the shared name; this encodes the
 negative-premise exception rules for semi-synchronous interactions.
-At top level, where no further composition can consume them, remaining
-semi-synchronous transitions are resolved to their success target by
-resolve().
+Where no further composition can consume them (at top level, or once
+their label is hidden), semi-synchronous transitions are resolved to
+their success target.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .diagnostics import StateLimitExceeded
 
@@ -343,39 +344,6 @@ def parallel(
     return builder.finish(init)
 
 
-def hide(
-    lts: Lts,
-    hide_set: set[str] | frozenset[str] | None = None,
-    keep_only: set[str] | frozenset[str] | None = None,
-) -> Lts:
-    """Hiding: matched labels become tau.
-
-    Exactly one of hide_set / keep_only must be given; keep_only hides
-    the complement of the given visible set.  A semi-synchronous
-    transition whose label is hidden can no longer raise an exception in
-    any context, so it degrades to a normal tau transition to its
-    success target.
-    """
-    if (hide_set is None) == (keep_only is None):
-        raise ValueError("exactly one of hide_set / keep_only must be given")
-    if hide_set is not None:
-        hidden = [name != TAU and name in hide_set for name in lts.labels]
-    else:
-        hidden = [name != TAU and name not in keep_only for name in lts.labels]
-    if not any(hidden):
-        return lts
-    rows = lts.trans
-    if lts.has_semisync():
-        rows = [
-            [(0, t.target, -1, -1) if t.exc_target >= 0 and hidden[t.label] else t for t in row]
-            for row in rows
-        ]
-    names = [TAU if h else name for name, h in zip(lts.labels, hidden)]
-    # Exception names stay: a semisync move that is not hidden keeps its
-    # exception label even when that name is hidden as a label.
-    return _canonical(names, rows, lts.initial, lts.marked, exc_names=lts.labels)
-
-
 def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
     """Injective relabeling.  tau may not be mapped.
 
@@ -412,48 +380,52 @@ def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
     return _canonical(mapped, lts.trans, lts.initial, lts.marked, exc_names=lts.labels)
 
 
-def resolve(lts: Lts) -> Lts:
-    """Resolve remaining semi-synchronous transitions to their success
-    continuation.  In isolation a semi-synchronous interaction succeeds;
-    the exception continuation is only reachable through composition."""
-    if not lts.has_semisync():
-        return lts
-    rows = [
-        [t if t.exc_target < 0 else (t.label, t.target, -1, -1) for t in row]
-        for row in lts.trans
-    ]
-    return _canonical(lts.labels, rows, lts.initial, lts.marked)
-
-
 def restrict(
     lts: Lts,
-    keep: set[str] | frozenset[str],
+    keep: Iterable[str],
     pending: set[str] | frozenset[str] = frozenset(),
 ) -> Lts:
-    """Hide every label outside keep and pending, and resolve every
-    semi-synchronous move whose label is not pending, in one pass.
+    """The one hiding and resolving pass: labels outside keep and
+    pending become tau, and every semi-synchronous move whose label is
+    not pending is resolved to its success target.
 
     pending names the labels later compositions still synchronize on:
     they stay visible, and their semi-synchronous moves keep their
     exception targets.  No later composition can raise an exception on
-    any other name, so resolving those moves now is what resolve()
-    would do at the end.  With pending empty this is
-    resolve(hide(lts, keep_only=keep))."""
+    any other name, so resolving those moves now is what resolving at
+    the end would do.  Returns lts itself when no label is hidden and
+    no move is resolved."""
     visible = set(keep).union(pending)
     names = [name if name in visible else TAU for name in lts.labels]
     rows = lts.trans
     if lts.has_semisync():
         settled = [name not in pending for name in lts.labels]
-        rows = [
-            [(t.label, t.target, -1, -1) if t.exc_target >= 0 and settled[t.label] else t
-             for t in row]
+        # Tuples, so that an unchanged system compares equal to lts.trans.
+        rows = tuple([
+            tuple([(t.label, t.target, -1, -1) if t.exc_target >= 0 and settled[t.label] else t
+                   for t in row])
             for row in rows
-        ]
-    elif names == list(lts.labels):
+        ])
+    if names == list(lts.labels) and rows == lts.trans:
         return lts
     # Exception names stay: a pending move raises its exception under
     # its own name even when that name is hidden as a label.
     return _canonical(names, rows, lts.initial, lts.marked, exc_names=lts.labels)
+
+
+def hide(lts: Lts, keep_only: set[str] | frozenset[str]) -> Lts:
+    """Hiding: every label outside keep_only becomes tau.  A
+    semi-synchronous move whose label is hidden can no longer raise an
+    exception in any context, so it degrades to a tau move to its
+    success target."""
+    return restrict(lts, keep_only, keep_only)
+
+
+def resolve(lts: Lts) -> Lts:
+    """Resolve remaining semi-synchronous transitions to their success
+    continuation.  In isolation a semi-synchronous interaction succeeds;
+    the exception continuation is only reachable through composition."""
+    return restrict(lts, lts.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +544,9 @@ def write_aut(lts: Lts) -> str:
 
 
 def read_aut(text: str) -> Lts:
-    """Parse Aldebaran format as written by write_aut."""
+    """Parse Aldebaran format as written by write_aut.  A header that
+    announces more than DEFAULT_STATE_LIMIT states raises
+    StateLimitExceeded before any state is allocated."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("des"):
         raise ValueError("not an AUT file: missing 'des' header")
@@ -583,6 +557,8 @@ def read_aut(text: str) -> Lts:
     if len(parts) != 3:
         raise ValueError("malformed AUT header")
     initial, n_trans, n_states = (int(p) for p in parts)
+    if n_states > DEFAULT_STATE_LIMIT:
+        raise StateLimitExceeded(DEFAULT_STATE_LIMIT, n_states, 0)
     triples: list[tuple[int, str, int]] = []
     for line in lines[1:]:
         if not (line.startswith("(") and line.endswith(")")):

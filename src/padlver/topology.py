@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .diagnostics import StateLimitExceeded
 from .elaborate import (
     ElabArchitecture,
+    aei_alone,
     aei_semantics,
     build_name_sets,
     composite_semantics,
@@ -230,21 +231,6 @@ class CheckOutcome:
     rhs: Lts | None = field(default=None, repr=False)
 
 
-def _aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
-    """The AEI alone, partially closed and without buffers, resolved:
-    what both checks compare against and what the isolation check
-    searches.  Resolved once per architecture and kept in its semantics
-    memo, beside the unresolved request that compositions use."""
-    key = ("resolved", aei, state_limit)
-    lts = arch._semantics.get(key)
-    if lts is None:
-        lts = arch._semantics[key] = resolve(
-            aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
-                          state_limit=state_limit)
-        )
-    return lts
-
-
 def _compare(
     arch: ElabArchitecture,
     kind: str,
@@ -257,7 +243,7 @@ def _compare(
 ) -> CheckOutcome:
     """The tail both checks share: compare the resolved lhs, its shared
     names hidden, against `aei` alone."""
-    rhs = _aei_alone(arch, aei, state_limit)
+    rhs = aei_alone(arch, aei, state_limit)
     verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
     return CheckOutcome(
         kind=kind,
@@ -347,7 +333,7 @@ def aei_deadlock_free(
 ) -> tuple[bool, int]:
     """Deadlock freedom of the AEI alone (partially closed, without
     buffers); returns (verdict, state count)."""
-    lts = _aei_alone(arch, aei, state_limit)
+    lts = aei_alone(arch, aei, state_limit)
     return (not find_deadlocks(lts, notion), lts.n_states)
 
 

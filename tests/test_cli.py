@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, fixture_source, from_traces, load_arch
 from padlver.cli import main
-from padlver.lts import read_aut, write_aut
+from padlver.lts import DEFAULT_STATE_LIMIT, read_aut, write_aut
 from padlver.diagnostics import PadlError
 from padlver.parser import parse
 
@@ -413,3 +414,38 @@ def test_equiv_malformed_aut(tmp_path, capsys):
     code, _, err = run(capsys, "equiv", str(bad), str(good))
     assert code == 2
     assert "error" in err
+
+
+def test_equiv_refuses_a_header_past_the_state_limit(tmp_path, capsys):
+    # The header's state count is checked before any state is allocated.
+    huge = tmp_path / "huge.aut"
+    huge.write_text(f"des (0, 1, {DEFAULT_STATE_LIMIT + 1})\n(0, \"a\", 1)\n")
+    good = tmp_path / "good.aut"
+    good.write_text(write_aut(from_traces(("a",))))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "equiv", str(huge), str(good))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert f"state limit {DEFAULT_STATE_LIMIT} exceeded" in err
+
+
+# -- unreadable paths ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}"],
+    ["lts", "{dir}", "--aei", "C"],
+    ["graph", "{dir}"],
+    ["equiv", "{dir}", "{aut}"],
+    ["equiv", "{aut}", "{dir}"],
+    ["check", "{padl}", "--out", "{dir}"],
+    ["lts", "{padl}", "--aei", "C", "--out", "{dir}"],
+    ["graph", "{padl}", "--out", "{dir}"],
+])
+def test_a_directory_path_is_a_usage_error(argv, tmp_path, capsys):
+    aut = tmp_path / "a.aut"
+    aut.write_text(write_aut(from_traces(("a",))))
+    paths = {"dir": str(tmp_path), "aut": str(aut), "padl": fixture("cruise_control")}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and "internal error" not in err

@@ -48,7 +48,7 @@ def plain_lhs(arch, cycle, member, state_limit):
     others = set(cycle) - {member}
     hidden = h_set(arch, member, others) | e_set(arch, member, others)
     if hidden:
-        lhs = hide(lhs, hide_set=hidden)
+        lhs = hide(lhs, keep_only=set(lhs.labels) - hidden)
     return resolve(lhs)
 
 

@@ -200,9 +200,14 @@ def test_state_limit():
 # -- hide / relabel ------------------------------------------------------------
 
 
-def test_hide_empty_set_is_identity():
+def test_hide_keeping_every_label_is_identity():
+    # Both passes return their input itself when nothing changes.
     lts = random_lts(random.Random(3))
-    assert hide(lts, hide_set=set()) == lts
+    assert not lts.has_semisync()
+    assert hide(lts, lts.labels) is lts
+    assert resolve(lts) is lts
+    semisync = build_lts(3, 0, [(0, "x", 1, "C.x_exception", 2), (1, "y", 0)])
+    assert hide(semisync, semisync.labels) is semisync
 
 
 def test_keep_only_idempotent():
@@ -211,18 +216,25 @@ def test_keep_only_idempotent():
     assert hide(kept, keep_only={"a"}) == kept
 
 
-def test_hide_composes_as_union():
+def test_hide_composes_as_intersection():
     rng = random.Random(5)
     for _ in range(50):
-        lts = random_lts(rng, max_states=6)
-        h12 = hide(hide(lts, hide_set={"a"}), hide_set={"b"})
-        union = hide(lts, hide_set={"a", "b"})
-        assert h12 == union
+        for lts in (random_lts(rng, max_states=6), random_semisync_lts(rng)):
+            k1, k2 = {"b", "c", "O.a_exception"}, {"a", "c", "O.a_exception"}
+            assert hide(hide(lts, k1), k2) == hide(lts, k1 & k2)
 
 
 def test_hidden_semisync_degrades_to_success_tau():
     lts = build_lts(3, 0, [(0, "x", 1, "C.x_exception", 2)])
-    hidden = hide(lts, hide_set={"x"})
+    hidden = hide(lts, keep_only={"C.x_exception"})
+    assert hidden.transition_view() == [(0, "tau", 1, None, None)]
+
+
+def test_hide_resolves_a_semisync_tau_move():
+    # Only a hand-built system has one; tau is never in a sync set, so
+    # its exception could never fire.
+    lts = build_lts(3, 0, [(0, "tau", 1, "C.x_exception", 2)])
+    hidden = hide(lts, keep_only={"C.x_exception"})
     assert hidden.transition_view() == [(0, "tau", 1, None, None)]
 
 
@@ -249,7 +261,7 @@ def test_restrict_leaves_pending_moves_semisync():
         (2, "tau", 3, None, None),
     ]
     nothing_to_do = {"x", "y", "C.x_exception", "C.y_exception"}
-    assert restrict(lts, keep=nothing_to_do, pending={"x", "y"}) == lts
+    assert restrict(lts, keep=nothing_to_do, pending={"x", "y"}) is lts
 
 
 def test_relabel_identity_and_inverse():
@@ -294,7 +306,7 @@ def test_weak_deadlocks_grow_under_hiding():
     for _ in range(80):
         lts = random_lts(rng)
         before = find_deadlocks(lts, "weak")
-        hidden = hide(lts, hide_set={"a"})
+        hidden = hide(lts, keep_only={"b", "c"})
         after = find_deadlocks(hidden, "weak")
         assert before <= after
         if "a" not in lts.visible_labels():
@@ -412,6 +424,17 @@ def ref_hide(lts, hidden):
     return ref_build(lts.n_states, lts.initial, items, lts.marked)
 
 
+def ref_restrict(lts, keep, pending):
+    items = []
+    for item in string_items(lts):
+        label = item[1] if item[1] in keep or item[1] in pending else TAU
+        if len(item) == 5 and item[1] in pending:
+            items.append((item[0], label) + item[2:])  # still semisync
+        else:
+            items.append((item[0], label, item[2]))
+    return ref_build(lts.n_states, lts.initial, items, lts.marked)
+
+
 def ref_relabel(lts, mapping):
     def apply(name):
         if name in mapping:
@@ -492,7 +515,7 @@ def small_lts(draw):
     n = draw(st.integers(1, 6))
     state = st.integers(0, n - 1)
     normal = st.tuples(state, st.sampled_from((TAU,) + VISIBLE), state)
-    semisync = st.tuples(state, st.sampled_from(VISIBLE[:3]), state,
+    semisync = st.tuples(state, st.sampled_from((TAU,) + VISIBLE[:3]), state,
                          st.sampled_from(EXCEPTIONS), state)
     items = draw(st.lists(st.one_of(normal, semisync), max_size=14))
     marked = draw(st.frozensets(state, max_size=2))
@@ -501,16 +524,17 @@ def small_lts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_lts(), st.frozensets(st.sampled_from(VISIBLE + EXCEPTIONS)),
+       st.frozensets(st.sampled_from((TAU,) + VISIBLE + EXCEPTIONS)),
        st.dictionaries(st.sampled_from(("a", "b", "c")), st.sampled_from(("p", "q", "r"))),
        st.integers(0, 60))
-def test_integer_core_matches_string_reference(spec, names, mapping, budget):
+def test_integer_core_matches_string_reference(spec, names, pending, mapping, budget):
     n, initial, items, marked = spec
     lts = build_lts(n, initial, items, marked)
     assert_matches(lts, ref_build(n, initial, items, marked))
 
-    assert_matches(hide(lts, hide_set=names), ref_hide(lts, lambda x: x in names))
-    assert_matches(hide(lts, keep_only=names),
-                   ref_hide(lts, lambda x: x != TAU and x not in names))
+    assert_matches(restrict(lts, names, pending), ref_restrict(lts, names, pending))
+    # names never holds tau, so hiding also resolves a semisync tau move.
+    assert_matches(hide(lts, keep_only=names), ref_hide(lts, lambda x: x not in names))
     if len(set(mapping.values())) == len(mapping):  # injective maps only
         assert_matches(relabel(lts, mapping), ref_relabel(lts, mapping))
     assert_matches(resolve(lts), ref_resolve(lts))
