@@ -27,6 +27,7 @@ marked so capacity saturation can be reported.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Iterable
@@ -383,14 +384,33 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
     d = arch.description
 
     aeis: dict[str, ElabAei] = {}
-    # Attachments, rewritten in place as interactions are renamed/rewired.
+    # Attachments, rewritten in place as interactions are renamed/rewired,
+    # and each endpoint's attachment positions in ascending order.  Every
+    # rewrite moves all of an endpoint's attachments to fresh endpoints
+    # (OR copies, queue ends) one each, so `rewire` keeps both current in
+    # constant time per attachment.
     attachments: list[tuple[tuple[str, str], tuple[str, str]]] = [
         (att.source, att.target) for att in d.attachments
     ]
+    positions: dict[tuple[str, str], list[int]] = {}
+    for k, (src, dst) in enumerate(attachments):
+        positions.setdefault(src, []).append(k)
+        positions.setdefault(dst, []).append(k)
 
+    def rewire(k: int, old: tuple[str, str], new: tuple[str, str]) -> None:
+        src, dst = attachments[k]
+        attachments[k] = (new, dst) if src == old else (src, new)
+        insort(positions.setdefault(new, []), k)
+
+    # Instances of one AET with equal actuals share their substituted equations.
+    substituted: dict[tuple, tuple[m.BehaviorEquation, ...]] = {}
     for inst in d.instances:
         aet = arch.aets[inst.aet]
-        equations = _substitute_aet_params(aet, arch.actuals[inst.name])
+        actuals = arch.actuals[inst.name]
+        key = (inst.aet, tuple(sorted(actuals.items())))
+        if key not in substituted:
+            substituted[key] = _substitute_aet_params(aet, actuals)
+        equations = substituted[key]
 
         counts: dict[str, int] = {}
         for decl in aet.interactions:
@@ -429,22 +449,14 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
         for name, copies in fresh.items():
             decl = aet.interaction(name)
             endpoint = (inst.name, name)
-            involved = [
-                (k, a) for k, a in enumerate(attachments) if endpoint in a
-            ]
-            if decl.dep_on is not None:
-                input_atts = arch.attachments_of[(inst.name, decl.dep_on)]
-                partner_order = [a.from_aei for a in input_atts]
-                involved.sort(
-                    key=lambda ka: partner_order.index(
-                        ka[1][1][0] if ka[1][0] == endpoint else ka[1][0][0]
-                    )
-                )
-            for copy_name, (k, (src, dst)) in zip(copies, involved):
-                if src == endpoint:
-                    attachments[k] = ((inst.name, copy_name), dst)
-                else:
-                    attachments[k] = (src, (inst.name, copy_name))
+            involved = positions.pop(endpoint)
+            if decl.dep_on is not None:  # an output: the partner is each attachment's target
+                partner_rank: dict[str, int] = {}
+                for i, a in enumerate(arch.attachments_of[(inst.name, decl.dep_on)]):
+                    partner_rank.setdefault(a.from_aei, i)
+                involved.sort(key=lambda k: partner_rank[attachments[k][1][0]])
+            for copy_name, k in zip(copies, involved):
+                rewire(k, endpoint, (inst.name, copy_name))
 
     families: list[Family] = []
     queue_equations = _queue_aet_equations(capacity)
@@ -482,14 +494,13 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
                     continue
                 endpoint = (aei_name, name)
                 inner: list[tuple[str, str]] = []
-                for k, (src, dst) in enumerate(attachments):
-                    if (dst if incoming else src) != endpoint:
-                        continue
+                for k in positions.pop(endpoint, ()):
+                    src, dst = attachments[k]
                     queue = f"{kind}_{next(numbers)}"
                     partner = owner(src[0] if incoming else dst[0])
                     aeis[queue] = ElabAei(queue, queue_equations, dict(queue_interactions),
                                           queue=QueueInfo(aei_name, kind, name, partner))
-                    attachments[k] = (src, (queue, outer)) if incoming else ((queue, outer), dst)
+                    rewire(k, endpoint, (queue, outer))
                     inner.append((queue, inner_end))
                 if inner:
                     add_family((*inner, endpoint) if incoming else (endpoint, *inner),
@@ -516,14 +527,12 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
             consumed[k] = True
             add_family((src, dst))
             continue
-        group = [
-            (i, a) for i, a in enumerate(attachments)
-            if not consumed[i] and (a[0] == hub or a[1] == hub)
-        ]
         ends: list[tuple[str, str]] = []
-        for i, (s, t) in group:
-            consumed[i] = True
-            ends.append(t if hub_is_output else s)
+        for i in positions[hub]:
+            if not consumed[i]:
+                consumed[i] = True
+                s, t = attachments[i]
+                ends.append(t if hub_is_output else s)
         if hub_is_output:
             add_family((hub, *ends))
         else:

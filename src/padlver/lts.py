@@ -546,7 +546,12 @@ def write_aut(lts: Lts) -> str:
 def read_aut(text: str) -> Lts:
     """Parse Aldebaran format as written by write_aut.  A header that
     announces more than DEFAULT_STATE_LIMIT states raises
-    StateLimitExceeded before any state is allocated."""
+    StateLimitExceeded before any state is allocated.
+
+    Only the states reachable from the initial state are kept, in their
+    relative order, so the cost is bounded by the file's size and not
+    by the header's state count; a file whose states are all reachable
+    reads back unchanged."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("des"):
         raise ValueError("not an AUT file: missing 'des' header")
@@ -580,7 +585,20 @@ def read_aut(text: str) -> Lts:
         )
     if not 0 <= initial < n_states:
         raise ValueError("AUT initial state out of range")
-    return build_lts(n_states, initial, triples)
+    successors: dict[int, list[int]] = {}
+    for src, _, dst in triples:
+        successors.setdefault(src, []).append(dst)
+    reached = {initial}
+    work = [initial]
+    while work:
+        for dst in successors.get(work.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                work.append(dst)
+    number = {s: k for k, s in enumerate(sorted(reached))}
+    return build_lts(len(number), number[initial], [
+        (number[src], label, number[dst]) for src, label, dst in triples if src in number
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,20 @@ conditions on every cyclic union, and only then transfers the verdict
 from a single AEI to the whole architecture; the direct one explores
 the full composite state space and is used as the cross-validation
 oracle.  When the compositional conditions fail, no verdict is claimed.
+The compositional driver checks once per twin class: AEIs whose swap
+maps the architecture onto itself share their isolation check and
+their equivalent compatibility outcomes.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import model as m
 from .diagnostics import StateLimitExceeded
 from .elaborate import (
     ElabArchitecture,
@@ -206,6 +211,65 @@ def decompose(graph: AbstractFlowGraph) -> Decomposition:
     )
     acyclic = [v for v in graph.vertices if v not in on_cycle or v in on_bridge]
     return Decomposition(tuple(unions), tuple(frontiers), stars, tuple(acyclic))
+
+
+# ---------------------------------------------------------------------------
+# Twins
+# ---------------------------------------------------------------------------
+
+
+def twin_classes(arch: ValidatedArchitecture) -> dict[str, str]:
+    """Each AEI's twin class, named by its first member in declaration
+    order.  Two AEIs are twins when they have the same AET and actual
+    parameters, and swapping their names maps the multiset of
+    attachments and the architectural interactions onto themselves.
+    Such a swap renames the architecture onto itself, and swaps
+    compose, so twin-ness is an equivalence relation and every
+    permutation within the classes is a renaming of that kind.
+
+    Candidates are grouped by a signature twins share: the AET, the
+    actuals, the AEI's architectural interactions and its attachments
+    with its own name blanked.  Each candidate is then confirmed
+    against the first member of a class by the exact swap test over
+    the two AEIs' own attachments, so the cost stays linear in the
+    instances and attachments.  Twins attached to each other have
+    different signatures and are missed, which only forgoes sharing."""
+    d = arch.description
+    archi: dict[str, list[str]] = {}
+    for aei, inter in d.archi_interactions:
+        archi.setdefault(aei, []).append(inter)
+
+    def attached(aei: str) -> list[m.Attachment]:
+        return [att for decl in arch.aet_of(aei).interactions
+                for att in arch.attachments_of.get((aei, decl.name), ())]
+
+    def swaps_onto_itself(a: str, b: str) -> bool:
+        swap = {a: b, b: a}
+        touched = Counter(attached(a))
+        touched.update(att for att in attached(b) if a not in (att.from_aei, att.to_aei))
+        image = Counter(
+            replace(att, from_aei=swap.get(att.from_aei, att.from_aei),
+                    to_aei=swap.get(att.to_aei, att.to_aei))
+            for att in touched.elements()
+        )
+        return image == touched
+
+    twin: dict[str, str] = {}
+    classes: dict[tuple, list[str]] = {}  # signature -> first members of its classes
+    for inst in d.instances:
+        aei = inst.name
+        ends = sorted(
+            ("" if att.from_aei == aei else att.from_aei, att.from_interaction,
+             "" if att.to_aei == aei else att.to_aei, att.to_interaction)
+            for att in attached(aei)
+        )
+        signature = (inst.aet, tuple(sorted(arch.actuals[aei].items())),
+                     tuple(sorted(archi.get(aei, ()))), tuple(ends))
+        firsts = classes.setdefault(signature, [])
+        twin[aei] = next((f for f in firsts if swaps_onto_itself(f, aei)), aei)
+        if twin[aei] == aei:
+            firsts.append(aei)
+    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +519,45 @@ def _condition_plan(
     return plan
 
 
+def _evaluate(
+    arch: ElabArchitecture,
+    key: Check,
+    state_limit: int,
+    twin: dict[str, str],
+    orbits: dict[tuple[str, str], CheckOutcome],
+) -> CheckOutcome | str:
+    """One check's outcome, or the message of the limit it hit; a
+    compatibility check may take a twin's outcome instead of running.
+
+    A compatibility check's orbit is its AEIs' twin classes.  Checks
+    in one orbit are equal up to renaming twins, so the first
+    equivalent outcome of an orbit (kept in orbits) stands for the
+    rest: equivalence and the state counts carry over, the evidence
+    (formula, verdict, systems) is not copied.  A non-equivalent or
+    limited outcome is never shared, since its formula names the OR
+    copies of its own partner.  Interoperability checks are never
+    shared: swapping two members of a union reorders the composition,
+    and the reduced lhs_states depends on that order."""
+    kind, target, partner = key
+    started = time.perf_counter()
+    orbit = None
+    if kind == "compatibility":
+        orbit = (twin[target], twin[partner])
+        first = orbits.get(orbit)
+        if first is not None:
+            return replace(first, subject=(target,), partner=partner, formula_text=None,
+                           verdict=None, lhs=None, rhs=None,
+                           time_ms=(time.perf_counter() - started) * 1000.0)
+    check = check_compatibility if kind == "compatibility" else check_interoperability
+    try:
+        result = check(arch, target, partner, state_limit)
+    except StateLimitExceeded as exc:
+        return str(exc)
+    if orbit is not None and result.equivalent:
+        orbits[orbit] = result
+    return result
+
+
 def verify_deadlock_by_reduction(
     arch: ElabArchitecture,
     notion: str = "weak",
@@ -477,15 +580,23 @@ def verify_deadlock_by_reduction(
 
     Each distinct check runs at most once per call, and a check that
     several conditions share (2a and 2c can) is listed under each.
+    Twins (twin_classes) share their checks: the isolation check runs
+    once per twin class, and a compatibility check whose AEIs are twins
+    of an equivalent one's takes its outcome (see _evaluate).
     """
     started = time.perf_counter()
     graph = build_flow_graph(arch.source)
     deco = decompose(graph)
+    twin = twin_classes(arch.source)
     conditions: list[ConditionRecord] = []
     free: dict[str, bool] = {}
     limited = False
 
     for aei in arch.real_aeis:
+        if twin[aei] != aei:
+            if twin[aei] in free:
+                free[aei] = free[twin[aei]]
+            continue
         try:
             free[aei], _ = aei_deadlock_free(arch, aei, notion, state_limit)
         except StateLimitExceeded:
@@ -495,17 +606,12 @@ def verify_deadlock_by_reduction(
     # only, since the exception's traceback would pin the frames of the
     # construction that hit it.
     memo: dict[Check, CheckOutcome | str] = {}
+    orbits: dict[tuple[str, str], CheckOutcome] = {}
     for condition, subject, checks in _condition_plan(deco, free):
         record = ConditionRecord(condition, subject, None)
         for key in checks:
             if key not in memo:
-                kind, target, partner = key
-                check = (check_compatibility if kind == "compatibility"
-                         else check_interoperability)
-                try:
-                    memo[key] = check(arch, target, partner, state_limit)
-                except StateLimitExceeded as exc:
-                    memo[key] = str(exc)
+                memo[key] = _evaluate(arch, key, state_limit, twin, orbits)
             result = memo[key]
             if isinstance(result, str):
                 record.detail = result

@@ -25,6 +25,20 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
+def star_source(n: int, synchronous: bool) -> str:
+    """The client-server fixture's server with clients C_1..C_n."""
+    name = "client_server_sync" if synchronous else "client_server_async"
+    types = fixture_source(name).split("  ARCHI_TOPOLOGY")[0]
+    clients = [f"C_{i}" for i in range(1, n + 1)]
+    instances = ";\n".join(["      S : Server_Type()"] + [f"      {c} : Client_Type()" for c in clients])
+    attachments = ";\n".join(
+        [f"      FROM {c}.send_request TO S.receive_request" for c in clients]
+        + [f"      FROM S.send_response TO {c}.receive_response" for c in clients]
+    )
+    return (f"{types}  ARCHI_TOPOLOGY\n    ARCHI_ELEM_INSTANCES\n{instances}\n"
+            f"    ARCHI_INTERACTIONS void\n    ARCHI_ATTACHMENTS\n{attachments}\nEND\n")
+
+
 # ---------------------------------------------------------------------------
 # Random LTS generation (seeded, reproducible)
 # ---------------------------------------------------------------------------
@@ -54,6 +68,22 @@ def random_lts(rng: random.Random, max_states: int = 8,
             label = "tau" if rng.random() < tau_bias else rng.choice(labels)
             triples.append((s, label, rng.randrange(n)))
     return build_lts(n, 0, triples)
+
+
+def reachable_part(lts: Lts) -> Lts:
+    """The states of a plain (not semi-synchronous) LTS reachable from
+    its initial state, in their relative order: what read_aut keeps of
+    the file write_aut makes of it."""
+    seen, work = {lts.initial}, [lts.initial]
+    while work:
+        for t in lts.trans[work.pop()]:
+            if t.target not in seen:
+                seen.add(t.target)
+                work.append(t.target)
+    number = {s: k for k, s in enumerate(sorted(seen))}
+    triples = [(number[s], lts.labels[t.label], number[t.target])
+               for s in sorted(seen) for t in lts.trans[s]]
+    return build_lts(len(number), number[lts.initial], triples)
 
 
 def random_semisync_lts(rng: random.Random, max_states: int = 6,

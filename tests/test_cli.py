@@ -429,6 +429,43 @@ def test_equiv_refuses_a_header_past_the_state_limit(tmp_path, capsys):
     assert f"state limit {DEFAULT_STATE_LIMIT} exceeded" in err
 
 
+_EQUIV_COST = """
+import resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from padlver.cli import main
+started = time.perf_counter()
+code = main(["equiv", sys.argv[2], sys.argv[3]])
+elapsed = time.perf_counter() - started
+print(code, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def equiv_cost(left: Path, right: Path) -> tuple[int, float, float]:
+    """`padlver equiv left right` in a fresh interpreter: exit code,
+    seconds in `main`, and the process's peak RSS in MB."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _EQUIV_COST, str(src), str(left), str(right)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, seconds, rss_kb = done.stdout.split()[-3:]
+    return int(code), float(seconds), int(rss_kb) / 1024
+
+
+def test_equiv_cost_is_bounded_by_the_file_not_the_header(tmp_path):
+    # Only the states reachable from the initial one are built, so a
+    # header announcing 100,000 states over one transition costs what a
+    # two-state file does.
+    small = tmp_path / "small.aut"
+    small.write_text('des (0, 1, 2)\n(0, "a", 1)\n')
+    announced = tmp_path / "announced.aut"
+    announced.write_text('des (0, 1, 100000)\n(0, "a", 1)\n')
+    code, _, small_mb = equiv_cost(small, small)
+    assert code == 0
+    code, seconds, announced_mb = equiv_cost(announced, small)
+    assert code == 0
+    assert seconds < 0.2
+    assert announced_mb < small_mb + 8
+
+
 # -- unreadable paths ----------------------------------------------------------------
 
 

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import importlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
-from conftest import FIXTURES, fixture_source, load_arch
+from conftest import FIXTURES, fixture_source, load_arch, star_source
 from test_random_architectures import _SSYNC_HEAVY, random_architecture
 from padlver import PadlError, StateLimitExceeded, parse, validate
 from padlver import model as m
@@ -292,6 +293,18 @@ def test_queue_count_formula():
     arch = load_arch("client_server_async")
     n_queues = sum(1 for e in arch.aeis.values() if e.is_queue)
     assert n_queues == 2  # two rewritten async uni outputs
+
+
+def test_elaboration_is_linear_in_the_attachments():
+    # Or-rewiring, queue insertion and family grouping look up each
+    # endpoint's attachments instead of scanning them all; the star of
+    # 2000 asynchronous clients took over a second when they scanned.
+    varch = validate(parse(star_source(2000, False)))
+    started = time.perf_counter()
+    arch = elaborate(varch, 1)
+    assert time.perf_counter() - started < 0.6
+    assert sum(e.is_queue for e in arch.aeis.values()) == 2000
+    assert len(arch.families) == 3 * 2000
 
 
 def test_capacity_must_be_positive():

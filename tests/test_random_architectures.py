@@ -66,36 +66,43 @@ def random_architecture(
         )
         attachments.append(m.Attachment(src, out, dst, inp))
 
-    aets, instances = [], []
-    for nm in names:
-        inters = decls[nm]
-        pool = [d.name for d in inters] + [f"w{rng.randint(0, 1)}"]
-        eq_names = [f"B{e}" for e in range(rng.randint(1, 2))]
-        equations = []
-        used: set[str] = set()
-        for eqn in eq_names:
-            branches = []
-            for _ in range(rng.randint(1, 3)):
-                chain = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-                used.update(chain)
-                body: m.ProcessBody = (
-                    m.Stop() if rng.random() < 0.06 else m.Invoke(rng.choice(eq_names), ())
-                )
-                for action in reversed(chain):
-                    body = m.Prefix(action, body)
-                branches.append(m.Branch(None, body))
-            equations.append(m.BehaviorEquation(eqn, (), m.Choice(tuple(branches))))
-        missing = [d.name for d in inters if d.name not in used]
-        if missing:
-            extra = list(equations[0].body.branches)
-            for action in missing:
-                extra.append(m.Branch(None, m.Prefix(action, m.Invoke(eq_names[0], ()))))
-            equations[0] = m.BehaviorEquation(eq_names[0], (), m.Choice(tuple(extra)))
-        aets.append(m.AetDef(f"{nm}_Type", (), tuple(equations), tuple(inters)))
-        instances.append(m.Instance(nm, f"{nm}_Type", ()))
+    aets = [random_aet(rng, f"{nm}_Type", decls[nm]) for nm in names]
+    instances = [m.Instance(nm, f"{nm}_Type", ()) for nm in names]
     return m.ArchiDescription(
         "Random_AT", (), tuple(aets), tuple(instances), (), tuple(attachments)
     )
+
+
+def random_aet(
+    rng: random.Random, name: str, inters: list[m.InteractionDecl]
+) -> m.AetDef:
+    """An AET with the given interactions and a random behavior: 1-2
+    equations, each a choice of 1-3 chains of 1-3 actions drawn from the
+    interactions and one internal action, ending in an invocation or,
+    rarely, stop; an interaction no chain uses gets a branch of its own."""
+    pool = [d.name for d in inters] + [f"w{rng.randint(0, 1)}"]
+    eq_names = [f"B{e}" for e in range(rng.randint(1, 2))]
+    equations = []
+    used: set[str] = set()
+    for eqn in eq_names:
+        branches = []
+        for _ in range(rng.randint(1, 3)):
+            chain = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            used.update(chain)
+            body: m.ProcessBody = (
+                m.Stop() if rng.random() < 0.06 else m.Invoke(rng.choice(eq_names), ())
+            )
+            for action in reversed(chain):
+                body = m.Prefix(action, body)
+            branches.append(m.Branch(None, body))
+        equations.append(m.BehaviorEquation(eqn, (), m.Choice(tuple(branches))))
+    missing = [d.name for d in inters if d.name not in used]
+    if missing:
+        extra = list(equations[0].body.branches)
+        for action in missing:
+            extra.append(m.Branch(None, m.Prefix(action, m.Invoke(eq_names[0], ()))))
+        equations[0] = m.BehaviorEquation(eq_names[0], (), m.Choice(tuple(extra)))
+    return m.AetDef(name, (), tuple(equations), tuple(inters))
 
 
 def test_reduction_agrees_with_direct_on_random_architectures():
