@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import fixture_source
@@ -139,6 +143,17 @@ END
 """
     with pytest.raises(PadlError):
         parse(src)
+
+
+def test_parses_match_golden_digest():
+    # tests/golden/parse_digest.txt holds the output of
+    # `python3 tools/parse_digest.py .`: one sha256 per benchmark input and
+    # fixture over repr of its AST, locations included, and per fixture one
+    # over the diagnostics of 400 truncations, then a total.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "tools" / "parse_digest.py"), str(root)],
+                          capture_output=True, check=True)
+    assert done.stdout == (root / "tests" / "golden" / "parse_digest.txt").read_bytes()
 
 
 @pytest.mark.parametrize("cut", [10, 40, 80, 200, 400, 600])
