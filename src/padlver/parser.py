@@ -21,7 +21,8 @@ or in a later stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
@@ -92,58 +93,51 @@ _PUNCT = sorted({
 } | {op for op in m.BINARY_OPS if not op.isalpha()}, key=lambda p: (-len(p), p))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword text, punctuation text, "IDENT", "INT", "EOF"
     text: str
-    loc: Loc
+    line: int  # of the token's first character, as in Loc
+    column: int
+
+    @property
+    def loc(self) -> Loc:
+        return Loc(self.line, self.column)
+
+
+# One alternative per token class, tried in this order at each offset.
+# A word may start with any word character that is not a decimal digit,
+# so that tokenize can reject a numeric one ('²', 'Ⅻ') as a whole.
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r]+)",
+    r"(?P<INT>\d+)",
+    r"(?P<word>[^\W\d]\w*)",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    r"(?P<other>.)",
+]))
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # the current line and the offset of its first character
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, start = line + 1, match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "blank":
             continue
-        loc = Loc(line, col)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = word if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, loc))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token(punct, punct, loc))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise PadlError(
-                [Diagnostic(Severity.ERROR, "E_LEX", f"unexpected character {ch!r}", loc)]
-            )
-    tokens.append(Token("EOF", "", Loc(line, col)))
+        text = match.group()
+        column = match.start() - start + 1
+        if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            kind = text if text in _KEYWORDS else "IDENT"
+        elif kind == "punct":
+            kind = text
+        elif kind != "INT":
+            message = f"unexpected character {text[0]!r}"
+            raise PadlError([Diagnostic(Severity.ERROR, "E_LEX", message, Loc(line, column))])
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("EOF", "", line, len(source) - start + 1))
     return tokens
 
 
