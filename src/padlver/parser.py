@@ -7,7 +7,9 @@ OUTPUT_INTERACTIONS with SYNC/SSYNC/ASYNC, UNI/AND/OR and DEP
 qualifiers), an ARCHI_TOPOLOGY section (instances, architectural
 interactions, attachments), and a closing END.
 
-Keywords are case-sensitive.  Guards use a small expression language:
+One compiled regular expression lexes the source, and one rule,
+``listed``, parses the separated lists but for choice branches and
+attachments.  Keywords are case-sensitive.  Guards use a small expression language:
 boolean and integer literals, parameters, ``x.success`` references,
 comparisons, + and -, and the boolean connectives.  One
 precedence-climbing routine, ``parse_expr``, parses it from the
@@ -22,7 +24,8 @@ or in a later stage.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections.abc import Callable, Collection
+from typing import NamedTuple, TypeVar
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, Severity
@@ -38,6 +41,8 @@ from .diagnostics import Diagnostic, Loc, PadlError, Severity
 MAX_NESTING = 900
 BRANCH_LEVELS = 3  # parse_body -> parse_choice -> parse_branch
 PAREN_LEVELS = 2  # parse_atom -> parse_expr
+
+T = TypeVar("T")
 
 _SECTION_KEYWORDS = {
     "ARCHI_TYPE",
@@ -154,9 +159,6 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def peek(self, ahead: int = 1) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
         tok = self.cur
         if tok.kind != "EOF":
@@ -177,6 +179,14 @@ class _Parser:
         want = what or f"'{kind}'"
         found = self.cur.text or "end of file"
         self.fail(f"expected {want}, found {found!r}", self.cur.loc)
+
+    def listed(self, item: Callable[[], T], sep: str = ",", ends: Collection[str] = ()) -> list[T]:
+        """item (sep item)*, where a separator followed by one of `ends`
+        ends the list: a trailing separator is tolerated there."""
+        items = [item()]
+        while self.accept(sep) and self.cur.kind not in ends:
+            items.append(item())
+        return items
 
     def fail(self, message: str, loc: Loc) -> None:
         raise PadlError([Diagnostic(Severity.ERROR, "E_SYNTAX", message, loc)])
@@ -210,9 +220,9 @@ class _Parser:
             aets.append(self.parse_aet())
         self.expect("ARCHI_TOPOLOGY")
         self.expect("ARCHI_ELEM_INSTANCES")
-        instances = self.parse_instances()
+        instances = self.listed(self.parse_instance, ";", _SECTION_KEYWORDS)
         self.expect("ARCHI_INTERACTIONS")
-        archi = self.parse_archi_interactions()
+        archi = [] if self.accept("void") else self.listed(self.parse_endpoint, ";", _SECTION_KEYWORDS)
         self.expect("ARCHI_ATTACHMENTS")
         attachments = self.parse_attachments()
         self.expect("END")
@@ -229,14 +239,7 @@ class _Parser:
 
     def parse_param_list(self, defaults_required: bool) -> list[m.Param]:
         self.expect("(")
-        params: list[m.Param] = []
-        if self.accept("void"):
-            self.expect(")")
-            return params
-        while True:
-            params.append(self.parse_param(defaults_required))
-            if not self.accept(","):
-                break
+        params = [] if self.accept("void") else self.listed(lambda: self.parse_param(defaults_required))
         self.expect(")")
         return params
 
@@ -266,7 +269,14 @@ class _Parser:
 
     def parse_signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
-        return sign * int(self.expect("INT").text)
+        return sign * self.parse_int()
+
+    def parse_int(self) -> int:
+        tok = self.expect("INT")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            self.fail(f"integer literal too long ({len(tok.text)} digits)", tok.loc)
 
     # -- AET ---------------------------------------------------------------
 
@@ -275,9 +285,7 @@ class _Parser:
         name = self.expect("IDENT", "AET name").text
         params = self.parse_param_list(defaults_required=False)
         self.expect("BEHAVIOR")
-        equations = [self.parse_equation()]
-        while self.accept(";"):
-            equations.append(self.parse_equation())
+        equations = self.listed(self.parse_equation, ";")
         interactions: list[m.InteractionDecl] = []
         self.expect("INPUT_INTERACTIONS")
         interactions += self.parse_interaction_decls(m.Direction.INPUT)
@@ -294,12 +302,7 @@ class _Parser:
     def parse_equation(self) -> m.BehaviorEquation:
         name_tok = self.expect("IDENT", "equation name")
         self.expect("(")
-        params: list[m.Param] = []
-        if not self.accept("void"):
-            while True:
-                params.append(self.parse_param(default_required=False))
-                if not self.accept(","):
-                    break
+        params = [] if self.accept("void") else self.listed(lambda: self.parse_param(False))
         self.expect(";", "';' separating parameters from the (void) local part")
         self.expect("void", "'void' (local variables are not supported)")
         self.expect(")")
@@ -326,17 +329,14 @@ class _Parser:
 
     def parse_invoke(self, name: str, loc: Loc) -> m.Invoke:
         self.expect("(")
-        args: list[m.Expr] = []
-        if not self.at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if not self.accept(","):
-                    break
+        args = [] if self.at(")") else self.listed(self.parse_expr)
         self.expect(")")
         return m.Invoke(equation=name, args=tuple(args), loc=loc)
 
     def parse_choice(self, loc: Loc) -> m.Choice:
         self.expect("{")
+        # Not a listed(): its frame would cost a nesting level more than
+        # BRANCH_LEVELS charges.
         branches = [self.parse_branch()]
         while self.accept(","):
             if self.at("}"):  # tolerate a trailing comma
@@ -399,60 +399,30 @@ class _Parser:
 
     # -- topology ------------------------------------------------------------
 
-    def parse_instances(self) -> list[m.Instance]:
-        instances: list[m.Instance] = []
-        while True:
-            name_tok = self.expect("IDENT", "instance name")
-            self.expect(":")
-            aet = self.expect("IDENT", "AET name").text
-            self.expect("(")
-            args: list[m.Expr] = []
-            if not self.at(")") and not self.accept("void"):
-                while True:
-                    args.append(self.parse_expr())
-                    if not self.accept(","):
-                        break
-            self.expect(")")
-            instances.append(
-                m.Instance(name=name_tok.text, aet=aet, args=tuple(args), loc=name_tok.loc)
-            )
-            if not self.accept(";"):
-                break
-            if self.cur.kind in _SECTION_KEYWORDS:
-                break
-        return instances
+    def parse_instance(self) -> m.Instance:
+        name_tok = self.expect("IDENT", "instance name")
+        self.expect(":")
+        aet = self.expect("IDENT", "AET name").text
+        self.expect("(")
+        args = [] if self.at(")") or self.accept("void") else self.listed(self.parse_expr)
+        self.expect(")")
+        return m.Instance(name=name_tok.text, aet=aet, args=tuple(args), loc=name_tok.loc)
 
-    def parse_archi_interactions(self) -> list[tuple[str, str]]:
-        if self.accept("void"):
-            return []
-        result = []
-        while True:
-            aei = self.expect("IDENT", "AEI name").text
-            self.expect(".")
-            inter = self.expect("IDENT", "interaction name").text
-            result.append((aei, inter))
-            if not self.accept(";"):
-                break
-            if self.cur.kind in _SECTION_KEYWORDS:
-                break
-        return result
+    def parse_endpoint(self) -> tuple[str, str]:
+        aei = self.expect("IDENT", "AEI name").text
+        self.expect(".")
+        return aei, self.expect("IDENT", "interaction name").text
 
     def parse_attachments(self) -> list[m.Attachment]:
         if self.accept("void"):
             return []
         attachments: list[m.Attachment] = []
+        # Not a listed(): a stray token after an attachment reads "expected 'END'".
         while self.at("FROM"):
             loc = self.advance().loc
-            from_aei = self.expect("IDENT", "AEI name").text
-            self.expect(".")
-            from_inter = self.expect("IDENT", "interaction name").text
+            source = self.parse_endpoint()
             self.expect("TO")
-            to_aei = self.expect("IDENT", "AEI name").text
-            self.expect(".")
-            to_inter = self.expect("IDENT", "interaction name").text
-            attachments.append(
-                m.Attachment(from_aei, from_inter, to_aei, to_inter, loc=loc)
-            )
+            attachments.append(m.Attachment(*source, *self.parse_endpoint(), loc=loc))
             if not self.accept(";"):
                 break
         return attachments
@@ -502,8 +472,7 @@ class _Parser:
         if self.accept("false"):
             return m.BoolLit(False, loc=tok.loc)
         if self.at("INT"):
-            self.advance()
-            return m.IntLit(int(tok.text), loc=tok.loc)
+            return m.IntLit(self.parse_int(), loc=tok.loc)
         if self.accept("-"):
             self.descend(tok.loc)
             sub = self.parse_atom()
@@ -517,7 +486,8 @@ class _Parser:
             return inner
         if self.at("IDENT"):
             self.advance()
-            if self.at(".") and self.peek().text == "success":
+            # "." is not the last token: EOF follows everything
+            if self.at(".") and self.tokens[self.pos + 1].text == "success":
                 self.advance()
                 self.advance()
                 return m.SuccessVar(tok.text, loc=tok.loc)

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixture_source
+from conftest import FIXTURES, fixture_source
 from padlver import PadlError, parse
 from padlver import model as m
+from padlver.diagnostics import Loc
+from padlver.parser import tokenize
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.padl"))
 
 
 def test_client_server_shape():
@@ -190,6 +197,54 @@ def test_mutated_sources_never_escape_the_diagnostic_channel():
             parse(mutated)
         except PadlError:
             pass  # the only acceptable failure mode
+    # Characters that str takes for digits, numbers, blanks or letters,
+    # and digit runs past int()'s default limit of 4300 digits, in place
+    # of a word of any fixture: where an integer literal may stand, too.
+    for _ in range(300):
+        source = fixture_source(rng.choice(FIXTURE_NAMES))
+        start, end = rng.choice([word.span() for word in re.finditer(r"\w+", source)])
+        inserted = rng.choice(["²", "①", "٣", "Ⅻ", "\xa0", "\f", "\u3000", "é",
+                               "9" * rng.randint(4000, 6000), "٣" * 5000])
+        try:
+            parse(source[:start] + inserted + source[end:])
+        except PadlError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(0, 10**6), st.text(st.characters(), min_size=1, max_size=3))
+def test_inserted_characters_never_escape_the_diagnostic_channel(name, pos, inserted):
+    base = fixture_source(name)
+    pos %= len(base) + 1
+    try:
+        parse(base[:pos] + inserted + base[pos:])
+    except PadlError:
+        pass
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_each_token_is_found_at_its_line_and_column(name):
+    lines = fixture_source(name).split("\n")
+    tokens = tokenize("\n".join(lines))
+    assert tokens[-1].kind == "EOF"
+    for tok in tokens[:-1]:
+        assert lines[tok.line - 1][tok.column - 1:].startswith(tok.text), tok
+    assert (tokens[-1].line, tokens[-1].column) == (len(lines), len(lines[-1]) + 1)
+
+
+@pytest.mark.parametrize("char", ["²", "①", "Ⅻ", "\xa0", "\f"])
+def test_characters_outside_the_notation_are_lexical_errors(char):
+    # '²' and '①' are digits to str.isdigit but not to int(); 'Ⅻ' is
+    # numeric and '\xa0' a space, but not to the notation
+    source = fixture_source("deadlock_pair").replace("take . give", f"take . {char}give")
+    with pytest.raises(PadlError) as err:
+        parse(source)
+    (diag,) = err.value.diagnostics
+    assert (diag.code, diag.message, diag.loc) == ("E_LEX", f"unexpected character {char!r}", Loc(8, 18))
+
+
+def test_unicode_decimal_digits_are_integer_literals():
+    assert parse_guard("x = ٣٣") == m.Binary("=", m.Var("x"), m.IntLit(33))
 
 
 @pytest.mark.parametrize("guard", [
@@ -208,6 +263,18 @@ def test_deep_expression_is_a_depth_diagnostic(guard):
         parse(source)
     assert err.value.codes() == ["E_DEPTH"]
     assert err.value.diagnostics[0].loc.line == 8
+
+
+@pytest.mark.parametrize("literal, column", [("9" * 5000, 29), ("-" + "٣" * 5000, 30)])
+def test_overlong_integer_literal_is_a_positioned_diagnostic(literal, column):
+    # int() refuses more than 4300 digits by default
+    source = fixture_source("deadlock_pair").replace(
+        "take . give . Node()", f"choice {{ cond(1 = {literal}) -> take . give . Node() }}")
+    with pytest.raises(PadlError) as err:
+        parse(source)
+    (diag,) = err.value.diagnostics
+    assert (diag.code, diag.message) == ("E_SYNTAX", "integer literal too long (5000 digits)")
+    assert diag.loc == Loc(8, column)
 
 
 def parse_guard(guard: str) -> m.Expr:
