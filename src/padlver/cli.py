@@ -42,16 +42,22 @@ from .topology import (
     verify_deadlock_by_reduction,
     verify_deadlock_direct,
 )
-from .validate import validate
+from .validate import ValidatedArchitecture, validate
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 4
 
 
-def _load(path: str, capacity: int) -> ElabArchitecture:
-    source = Path(path).read_text(encoding="utf-8")
-    description = parse(source, filename=path)
-    return elaborate(validate(description), capacity)
+def _load(path: str, capacity: int | None) -> ValidatedArchitecture | ElabArchitecture:
+    """The architecture in the file at path, validated, and elaborated
+    unless capacity is None; its diagnostics, from any stage, name the
+    file."""
+    try:
+        arch = validate(parse(Path(path).read_text(encoding="utf-8")))
+        return arch if capacity is None else elaborate(arch, capacity)
+    except PadlError as err:
+        err.filename = path
+        raise
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -149,9 +155,7 @@ def cmd_lts(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    source = Path(args.input).read_text(encoding="utf-8")
-    arch = validate(parse(source, filename=args.input))
-    graph = build_flow_graph(arch)
+    graph = build_flow_graph(_load(args.input, None))
     _write_out(to_dot(graph, decompose(graph)), args.out)
     return 0
 

@@ -66,6 +66,25 @@ def test_check_parse_error_reports_position(tmp_path, capsys):
     assert "bad.padl:1:" in err and "error[E_LEX]" in err
 
 
+@pytest.mark.parametrize("command", [["check"], ["graph"], ["lts", "--aei", "W"]])
+def test_validation_error_reports_file_and_position(command, tmp_path, capsys):
+    bad = tmp_path / "bad.padl"
+    bad.write_text(fixture_source("sulky_receiver").replace("TO R.take", "TO R.nothere"))
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{bad}:32:7: error[E_ATTACH_UNDEF]") and "<input>" not in err
+
+
+@pytest.mark.parametrize("command", [["check"], ["lts", "--aei", "S"]])
+def test_elaboration_error_reports_file_and_position(command, tmp_path, capsys):
+    bad = tmp_path / "bad.padl"
+    bad.write_text(fixture_source("client_server_sync").replace(
+        "receive_request . compute_response . send_response", "send_response . receive_request"))
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{bad}:8:11: error[E_DEP_UNSET]") and err.count("\n") == 1
+
+
 def test_check_json_deterministic_without_timings(capsys):
     argv = ("check", fixture("client_server_async"), "--mode", "both",
             "--format", "json", "--no-timings")
