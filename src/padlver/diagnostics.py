@@ -43,9 +43,12 @@ class PadlError(Exception):
     of diagnostics collected before giving up."""
 
     def __init__(self, diagnostics: list[Diagnostic], filename: str = "<input>"):
+        super().__init__(diagnostics)
         self.diagnostics = list(diagnostics)
-        self.filename = filename
-        super().__init__("\n".join(d.render(filename) for d in self.diagnostics))
+        self.filename = filename  # may be set later, by whoever knows the file
+
+    def __str__(self) -> str:
+        return "\n".join(d.render(self.filename) for d in self.diagnostics)
 
     def codes(self) -> list[str]:
         return [d.code for d in self.diagnostics]

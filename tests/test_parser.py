@@ -177,6 +177,9 @@ def test_diagnostics_have_positions():
     d = err.value.diagnostics[0]
     assert d.loc.line == 1 and d.loc.column >= 12
     assert "error[" in d.render("f.padl")
+    with pytest.raises(PadlError) as err:
+        parse("ARCHI_TYPE ???", filename="f.padl")
+    assert str(err.value) == "f.padl:1:12: error[E_LEX]: unexpected character '?'"
 
 
 def test_mutated_sources_never_escape_the_diagnostic_channel():
