@@ -9,12 +9,12 @@ interactions, attachments), and a closing END.
 
 One compiled regular expression lexes the source, and one rule,
 ``listed``, parses the separated lists but for choice branches and
-attachments.  Keywords are case-sensitive.  Guards use a small expression language:
-boolean and integer literals, parameters, ``x.success`` references,
-comparisons, + and -, and the boolean connectives.  One
-precedence-climbing routine, ``parse_expr``, parses it from the
-operator table in ``model`` (loosest first: or, and, not, the
-non-chaining comparisons, + and -, unary minus).
+attachments.  Keywords are case-sensitive.  Guards use a small
+expression language: boolean and integer literals, parameters,
+``x.success`` references, comparisons, + and -, and the boolean
+connectives.  One precedence-climbing routine, ``parse_expr``, parses
+it from the operator table in ``model`` (loosest first: or, and, not,
+the non-chaining comparisons, + and -, unary minus).
 
 Nesting is bounded by MAX_NESTING: deeper input is rejected with a
 positioned ``E_DEPTH`` diagnostic instead of exhausting the stack here
@@ -222,7 +222,8 @@ class _Parser:
         self.expect("ARCHI_ELEM_INSTANCES")
         instances = self.listed(self.parse_instance, ";", _SECTION_KEYWORDS)
         self.expect("ARCHI_INTERACTIONS")
-        archi = [] if self.accept("void") else self.listed(self.parse_endpoint, ";", _SECTION_KEYWORDS)
+        archi = ([] if self.accept("void")
+                 else self.listed(self.parse_endpoint, ";", _SECTION_KEYWORDS))
         self.expect("ARCHI_ATTACHMENTS")
         attachments = self.parse_attachments()
         self.expect("END")
@@ -239,7 +240,8 @@ class _Parser:
 
     def parse_param_list(self, defaults_required: bool) -> list[m.Param]:
         self.expect("(")
-        params = [] if self.accept("void") else self.listed(lambda: self.parse_param(defaults_required))
+        params = ([] if self.accept("void")
+                  else self.listed(lambda: self.parse_param(defaults_required)))
         self.expect(")")
         return params
 

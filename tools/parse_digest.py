@@ -63,7 +63,8 @@ def main(argv: list[str] | None = None) -> int:
     for path in sorted((root / "tests" / "fixtures").glob("*.padl")):
         text = path.read_text(encoding="utf-8")
         lines.append((outcome(text, path.name), f"fixture/{path.name}"))
-        cuts = sorted(set(range(TRUNCATIONS)) | {len(text) * k // TRUNCATIONS for k in range(TRUNCATIONS)})
+        cuts = sorted(set(range(TRUNCATIONS))
+                      | {len(text) * k // TRUNCATIONS for k in range(TRUNCATIONS)})
         lines.append(("\n".join(f"{cut}: {outcome(text[:cut], path.name)}" for cut in cuts),
                       f"fixture/{path.name} truncated"))
     total = hashlib.sha256()
