@@ -304,7 +304,8 @@ class _Parser:
     def parse_equation(self) -> m.BehaviorEquation:
         name_tok = self.expect("IDENT", "equation name")
         self.expect("(")
-        params = [] if self.accept("void") else self.listed(lambda: self.parse_param(False))
+        params = ([] if self.accept("void")
+                  else self.listed(lambda: self.parse_param(default_required=False)))
         self.expect(";", "';' separating parameters from the (void) local part")
         self.expect("void", "'void' (local variables are not supported)")
         self.expect(")")
