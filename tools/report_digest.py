@@ -9,7 +9,10 @@ both routes, ``reduce`` and ``direct``, as ``padlver check --mode ROUTE
 --no-timings`` would, and rendered as a JSON and a text report.  One
 line is printed per input and route: the sha256 of its JSON report,
 a newline and its text report, then the workload and input names.  The
-last line is the sha256 of all lines before it.
+``fixtures`` inputs then run again at each of the tight state limits in
+``LIMITS``, so that the limit messages in the reports are pinned too;
+their lines end in ``limit=N`` and the route.  The last line is the
+sha256 of all lines before it.
 
 Run it on two checkouts and ``diff`` the outputs: equal totals mean
 byte-identical reports, and the differing lines name the reports that
@@ -22,11 +25,13 @@ import argparse
 import hashlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 WORKLOADS = ("random-suite", "star", "ring", "fixtures")
 ROUTES = ("reduce", "direct")
 SEED = 0  # salts generated instance names, so it is part of every report
+LIMITS = (8, 20, 60, 200, 1000)  # state limits the fixtures rerun at
 
 
 def load(root: Path):
@@ -64,13 +69,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     workloads, reports = load(args.root.resolve())
     total = hashlib.sha256()
+
+    def emit(inp, label: str) -> None:
+        for route in ROUTES:
+            digest = hashlib.sha256(reports(inp, route).encode("utf-8")).hexdigest()
+            line = f"{digest}  {label} {route}\n"
+            total.update(line.encode("utf-8"))
+            sys.stdout.write(line)
+
     for workload in WORKLOADS:
         for inp in sorted(workloads.build_inputs(workload, SEED), key=lambda i: i.name):
-            for route in ROUTES:
-                digest = hashlib.sha256(reports(inp, route).encode("utf-8")).hexdigest()
-                line = f"{digest}  {workload}/{inp.name} {route}\n"
-                total.update(line.encode("utf-8"))
-                sys.stdout.write(line)
+            emit(inp, f"{workload}/{inp.name}")
+    for inp in sorted(workloads.build_inputs("fixtures", SEED), key=lambda i: i.name):
+        for limit in LIMITS:
+            emit(replace(inp, state_limit=limit), f"fixtures/{inp.name} limit={limit}")
     sys.stdout.write(f"{total.hexdigest()}  total\n")
     return 0
 
