@@ -14,8 +14,8 @@ a usage/parse error or an unknown AEI, variant or AEI list, 3 when
 --state-limit is hit.  graph: 0, 2 on a usage/parse error.  equiv: 0
 equivalent, 1 distinct, 2 error, 3 when an AUT header announces more
 than 1,000,000 states.  An input or output path that cannot be read or
-written exits 2.  Any subcommand exits 4 on an internal error, after a
-one-line message on stderr.
+written, or an input that is not UTF-8, exits 2.  Any subcommand exits
+4 on an internal error, after a one-line message on stderr.
 
 In a check report each distinct compatibility or interoperability
 check runs once and is listed under every condition that uses it
@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         for diagnostic in exc.diagnostics:
             print(diagnostic.render(exc.filename), file=sys.stderr)
         return USAGE_ERROR
-    except (SemanticsError, ValueError) as exc:
+    except (SemanticsError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except StateLimitExceeded as exc:

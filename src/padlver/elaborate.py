@@ -61,9 +61,9 @@ QUEUE_DEPART = "depart"
 class OrPlan:
     """How one or-interaction of one AEI is rewritten."""
 
-    kind: str  # "plain" | "dep_in" | "dep_out"
+    kind: str  # "choose": pick and record an index | "dep_out": follow one
     count: int
-    family: str  # the governing input interaction (== name for dep_in)
+    family: str  # the interaction whose recorded index is used (== name for choose)
 
 
 def or_rewrite(
@@ -75,28 +75,25 @@ def or_rewrite(
     """Rewrite every occurrence of an or-interaction with two or more
     attachments into a choice over indexed fresh uni-interactions.
 
-    dep_pairs maps each dependent output to the input it depends on;
-    the chosen input index is recorded and forces the index of the
-    dependent output.  Equations are specialized on the recorded
-    indices they actually read, so behaviors that re-read the input
-    before every dependent output keep a single copy.
+    dep_pairs maps each dependent output to the input it depends on.
+    Every other occurrence chooses an index and records it; a dependent
+    output takes the index its input recorded.  Equations are
+    specialized on the recorded indices they actually read, so an index
+    no dependent output reads is never kept, and behaviors that re-read
+    the input before every dependent output keep a single copy.
 
     Returns the rewritten equations (reachable from the first one) and
     the fresh-name table for every rewritten interaction.
     """
     plans: dict[str, OrPlan] = {}
-    dependents: dict[str, str] = dict(dep_pairs)
-    depended_on = set(dependents.values())
     for name in or_interactions:
         count = attach_counts.get(name, 0)
         if count < 2:
             continue
-        if name in dependents:
-            plans[name] = OrPlan("dep_out", count, dependents[name])
-        elif name in depended_on:
-            plans[name] = OrPlan("dep_in", count, name)
+        if name in dep_pairs:
+            plans[name] = OrPlan("dep_out", count, dep_pairs[name])
         else:
-            plans[name] = OrPlan("plain", count, name)
+            plans[name] = OrPlan("choose", count, name)
 
     fresh = {
         name: [f"{name}_{j}" for j in range(1, plan.count + 1)]
@@ -117,7 +114,7 @@ def or_rewrite(
             return reads.get(body.equation, frozenset()) - written
         if isinstance(body, m.Prefix):
             plan = plans.get(body.action)
-            if plan is not None and plan.kind == "dep_in":
+            if plan is not None and plan.kind == "choose":
                 return walk_reads(body.cont, written | {plan.family})
             acc = walk_reads(body.cont, written)
             if plan is not None and plan.kind == "dep_out" and plan.family not in written:
@@ -185,15 +182,7 @@ def or_rewrite(
             plan = plans.get(body.action)
             if plan is None:
                 return replace(body, cont=rewrite(body.cont, fi))
-            if plan.kind == "plain":
-                return m.Choice(
-                    tuple(
-                        m.Branch(None, m.Prefix(f"{body.action}_{j}", rewrite(body.cont, fi)))
-                        for j in range(1, plan.count + 1)
-                    ),
-                    loc=body.loc,
-                )
-            if plan.kind == "dep_in":
+            if plan.kind == "choose":
                 branches = []
                 for j in range(1, plan.count + 1):
                     nxt = dict(fi)
@@ -745,7 +734,7 @@ def aei_semantics(
 
 def aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
     """The AEI alone, partially closed and without buffers, resolved:
-    what both architectural checks compare against and what the
+    what the architectural check compares against and what the
     isolation check searches.  Resolved once per architecture and kept
     in its semantics memo, beside the unresolved request that
     compositions use."""
@@ -813,7 +802,9 @@ def composite_semantics(
     accumulator is restricted to keep and the names later steps
     synchronize on (restrict), then quotiented by branching
     bisimilarity where _reduction_plan allows and no semi-synchronous
-    move is left."""
+    move is left.  The architectural check always passes keep; only the
+    direct oracle (topology._whole_system, which behavioral conformity
+    also uses) composes the plain product."""
     plan = None if keep is None else _reduction_plan(arch, members)
     expected = iter(members)
     names: list[str] = []

@@ -9,6 +9,19 @@ is total); after contracting them, the bridges are grouped greedily
 into stars, hub first, which yields the ordered center-to-border pairs
 the compatibility condition ranges over.
 
+One architectural check serves every condition: a set of members,
+one of them partially closed and the others totally closed, with the
+buffers among them, must leave that member's observable behavior
+unchanged.  Interoperability runs it over a cyclic union and
+compatibility is its two-member case, a star center and one border
+AEI.  Every member is closed relative to all AEIs.  For a compatibility
+partner, that differs from closing it relative to the star only in the
+names of families the center does not own.  Those are never
+synchronized on, so hiding them after the interleaving composition
+gives the same system as hiding them before; their semi-synchronous
+moves resolve to success either way; and the kept set hides them at
+the end.
+
 Two drivers are provided: the compositional one evaluates the
 compatibility condition on every star pair and the interoperability
 conditions on every cyclic union, and only then transfers the verdict
@@ -51,7 +64,6 @@ from .lts import (
     parallel,  # unused here; perfbench's tracer test still looks it up on this module
     relabel,
     resolve,
-    restrict,
     shortest_trace,
 )
 from .validate import ValidatedArchitecture
@@ -295,20 +307,37 @@ class CheckOutcome:
     rhs: Lts | None = field(default=None, repr=False)
 
 
-def _compare(
+def _check(
     arch: ElabArchitecture,
-    kind: str,
-    subject: tuple[str, ...],
-    partner: str,
-    aei: str,
-    lhs: Lts,
+    members: tuple[str, ...],
+    member: str,
     state_limit: int,
-    started: float,
 ) -> CheckOutcome:
-    """The tail both checks share: compare the resolved lhs, its shared
-    names hidden, against `aei` alone."""
-    rhs = aei_alone(arch, aei, state_limit)
+    """The one architectural check: do the other members leave the
+    member's observable behavior unchanged?  Composes the members with
+    the buffers among them, the member partially closed and the others
+    totally closed, all relative to every AEI; restricts the result to
+    the member's visible names less the queue names and exceptions it
+    shares with the others; and compares that against the member alone
+    without buffers.  The composition is minimized as it grows (see
+    composite_semantics)."""
+    started = time.perf_counter()
+    context = arch.real_aeis
+    others = set(members) - {member}
+    keep = (build_name_sets(arch, member, context).visible
+            - h_set(arch, member, others) - e_set(arch, member, others))
+    parts = (
+        (aei, aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
+                            buffers_for=members, state_limit=state_limit))
+        for aei in members
+    )
+    lhs = composite_semantics(arch, parts, state_limit, keep=keep, members=members)
+    rhs = aei_alone(arch, member, state_limit)
     verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
+    if len(members) == 2:  # a compatibility check names the center and its partner
+        kind, subject, partner = "compatibility", (member,), next(iter(others))
+    else:
+        kind, subject, partner = "interoperability", members, member
     return CheckOutcome(
         kind=kind,
         subject=subject,
@@ -332,31 +361,13 @@ def check_compatibility(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> CheckOutcome:
     """Does the border AEI leave the center's observable behavior
-    unchanged?  Compares the center (partially closed, with only the
-    buffers toward the partner) in parallel with the partner (totally
-    closed relative to the star) against the center alone without
-    buffers, after hiding the queue names and exceptions shared by the
-    pair."""
-    border = {
-        aei
-        for att in arch.source.description.attachments
-        if center in (att.from_aei, att.to_aei)
-        for aei in (att.from_aei, att.to_aei)
-    } - {center}
-    if partner not in border:
+    unchanged?  The two-member check (_check): the center, partially
+    closed, in parallel with the partner, totally closed, with the
+    buffers between them, against the center alone."""
+    if not any({center, partner} == {att.from_aei, att.to_aei}
+               for att in arch.source.description.attachments):
         raise ValueError(f"{partner} is not attached to {center}")
-    started = time.perf_counter()
-    context = arch.real_aeis
-    star_context = (center,) + tuple(aei for aei in context if aei in border)
-    lhs = composite_semantics(arch, (
-        (center, aei_semantics(arch, center, context=context, closure="pc",
-                               buffers_for=(partner,), state_limit=state_limit)),
-        (partner, aei_semantics(arch, partner, context=star_context, closure="tc",
-                                buffers_for=(center,), state_limit=state_limit)),
-    ), state_limit)
-    shared = h_set(arch, center, {partner}) | e_set(arch, center, {partner})
-    lhs = restrict(lhs, set(lhs.labels) - shared)
-    return _compare(arch, "compatibility", (center,), partner, center, lhs, state_limit, started)
+    return _check(arch, (center, partner), center, state_limit)
 
 
 def check_interoperability(
@@ -366,29 +377,13 @@ def check_interoperability(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> CheckOutcome:
     """Does the rest of the cycle leave the member's observable
-    behavior unchanged?  Compares the whole cycle (totally closed with
-    its buffers, the member partially closed) restricted to the
-    member's visibility set, less the queue names and exceptions the
-    member shares with the rest of the cycle, against the member alone
-    without buffers.  The cycle is minimized as it is composed (see
-    composite_semantics)."""
+    behavior unchanged?  The check (_check) over the whole cycle, the
+    member partially closed."""
     if member not in cycle:
         raise ValueError(f"{member} is not part of the cycle {cycle}")
     if len(cycle) < 3:
         raise ValueError("a cycle traverses at least three AEIs")
-    started = time.perf_counter()
-    context = arch.real_aeis
-    others = set(cycle) - {member}
-    keep = (build_name_sets(arch, member, context).visible
-            - h_set(arch, member, others) - e_set(arch, member, others))
-    parts = (
-        (aei, aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
-                            buffers_for=cycle, state_limit=state_limit))
-        for aei in cycle
-    )
-    lhs = composite_semantics(arch, parts, state_limit, keep=keep, members=tuple(cycle))
-    return _compare(arch, "interoperability", tuple(cycle), member, member, lhs,
-                    state_limit, started)
+    return _check(arch, tuple(cycle), member, state_limit)
 
 
 def aei_deadlock_free(

@@ -150,6 +150,18 @@ def test_check_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_an_internal_value_error_is_an_internal_error(monkeypatch, capsys):
+    # A ValueError raised by the engine is a bug, not a usage error.
+    def crash(*args, **kwargs):
+        raise ValueError("simulated failure")
+
+    monkeypatch.setattr("padlver.cli.verify_deadlock_by_reduction", crash)
+    code, out, err = run(capsys, "check", fixture("deadlock_pair"))
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error (ValueError): simulated failure\n"
+
+
 def deep_variant(shape: str, depth: int) -> str:
     """deadlock_pair with one construct repeated `depth` times, nested."""
     source = fixture_source("deadlock_pair")
@@ -505,3 +517,22 @@ def test_a_directory_path_is_a_usage_error(argv, tmp_path, capsys):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("error: ") and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"],
+    ["lts", "{bad}", "--aei", "C"],
+    ["graph", "{bad}"],
+    ["equiv", "{bad}", "{aut}"],
+    ["equiv", "{aut}", "{bad}"],
+])
+def test_an_input_that_is_not_utf8_is_a_usage_error(argv, tmp_path, capsys):
+    aut = tmp_path / "a.aut"
+    aut.write_text(write_aut(from_traces(("a",))))
+    bad = tmp_path / "latin1.padl"
+    bad.write_bytes(fixture_source("cruise_control").encode("utf-8") + b"// caf\xe9\n")
+    paths = {"bad": str(bad), "aut": str(aut)}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1

@@ -1,12 +1,20 @@
 """Minimized composition against the plain product.
 
-check_interoperability minimizes the cycle while composing it
-(composite_semantics with a kept set).  Every check here is recomputed
-the way it was before that: the plain left-associated product, hidden
-down to the member's visible set, its shared queue names and exceptions
-hidden, resolved.  Both must be weakly bisimilar, so that they give the same verdict,
-and have the same saturation flag, and a distinguishing formula of the minimized
-check must hold on the plain product and fail on the member alone.
+The architectural check composes its members through
+composite_semantics with a kept set, which minimizes a cycle while
+composing it; a compatibility check is its two-member case.  Every
+interoperability check and both directions of every star pair are
+recomputed here as the plain left-associated product, hidden down to
+the member's visible set, its shared queue names and exceptions hidden,
+resolved.  Both must be weakly bisimilar, so that they give the same
+verdict, and have the same saturation flag, and a distinguishing
+formula of the minimized check must hold on the plain product and fail
+on the member alone.
+
+A compatibility partner is totally closed relative to every AEI.
+Closing it relative to the star around the center instead, with the
+names the pair shares hidden after composing, must give a weakly
+bisimilar lhs and the same verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import random
 import pytest
 
 from conftest import FIXTURES, load_arch
-from test_random_architectures import _SSYNC_HEAVY, random_architecture
+from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import validate
 from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import (
@@ -29,13 +37,18 @@ from padlver.elaborate import (
     h_set,
 )
 from padlver.equivalence import eval_formula, weak_bisim_check
-from padlver.lts import hide, resolve
-from padlver.topology import build_flow_graph, check_interoperability, decompose
+from padlver.lts import hide, resolve, restrict
+from padlver.topology import (
+    build_flow_graph,
+    check_compatibility,
+    check_interoperability,
+    decompose,
+)
 
 elaborate_module = importlib.import_module("padlver.elaborate")
 
 def plain_lhs(arch, cycle, member, state_limit):
-    """The interoperability lhs as the plain product computes it."""
+    """The check's lhs as the plain product computes it."""
     context = arch.real_aeis
     parts = [
         (aei, aei_semantics(arch, aei, context=context,
@@ -52,28 +65,45 @@ def plain_lhs(arch, cycle, member, state_limit):
     return resolve(lhs)
 
 
-def compare_every_interoperability_check(arch, state_limit) -> int:
-    """Run the differential on every (union, member) of arch; returns
+def every_check(arch, kind):
+    """(members, member) for every check of the kind on arch: each
+    (union, member), or both directions of every star pair."""
+    deco = decompose(build_flow_graph(arch.source))
+    if kind == "interoperability":
+        for union in deco.cyclic_unions:
+            for member in union:
+                yield union, member
+    else:
+        for star in deco.stars:
+            for partner in star.border:
+                yield (star.center, partner), star.center
+                yield (partner, star.center), partner
+
+
+def compare_every_check(arch, state_limit, kind="interoperability") -> int:
+    """Run the differential on every check of the kind on arch; returns
     the number of checks compared (a check over a limit is skipped)."""
     compared = 0
-    for union in decompose(build_flow_graph(arch.source)).cyclic_unions:
-        for member in union:
-            try:
-                plain = plain_lhs(arch, union, member, state_limit)
-                reduced = check_interoperability(arch, union, member, state_limit)
-                same = weak_bisim_check(reduced.lhs, plain, saturation_budget=8 * state_limit)
-            except StateLimitExceeded:
-                continue
-            where = (arch.name, union, member)
-            # weakly bisimilar lhs give the same verdict against any rhs
-            assert same.equivalent, where
-            assert reduced.saturated == bool(plain.marked), where
-            assert reduced.lhs_states <= plain.n_states, where
-            formula = reduced.verdict.formula
-            if formula is not None:
-                assert eval_formula(plain, formula), where
-                assert not eval_formula(reduced.rhs, formula), where
-            compared += 1
+    for members, member in every_check(arch, kind):
+        try:
+            plain = plain_lhs(arch, members, member, state_limit)
+            if kind == "interoperability":
+                reduced = check_interoperability(arch, members, member, state_limit)
+            else:
+                reduced = check_compatibility(arch, *members, state_limit)
+            same = weak_bisim_check(reduced.lhs, plain, saturation_budget=8 * state_limit)
+        except StateLimitExceeded:
+            continue
+        where = (arch.name, members, member)
+        # weakly bisimilar lhs give the same verdict against any rhs
+        assert same.equivalent, where
+        assert reduced.saturated == bool(plain.marked), where
+        assert reduced.lhs_states <= plain.n_states, where
+        formula = reduced.verdict.formula
+        if formula is not None:
+            assert eval_formula(plain, formula), where
+            assert not eval_formula(reduced.rhs, formula), where
+        compared += 1
     return compared
 
 
@@ -103,29 +133,95 @@ def steps(monkeypatch):
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.padl")))
 def test_minimized_interoperability_matches_the_plain_product_on_fixtures(name, capacity):
     arch = load_arch(name, capacity)
-    compare_every_interoperability_check(arch, state_limit=1_000_000)
+    compare_every_check(arch, state_limit=1_000_000)
+
+
+def draws(seed: int, count: int, syncs=_SYNCS):
+    """Draws of the soundness harness's generator, each elaborated at a
+    drawn capacity; 4242 is the harness's own seed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        description = random_architecture(rng, syncs)
+        yield elaborate(validate(description), capacity=rng.randint(1, 2))
 
 
 def test_minimized_interoperability_matches_the_plain_product_on_the_harness_draws(steps):
-    # The soundness harness's draws at its seed.
-    rng = random.Random(4242)
-    compared = 0
-    for _ in range(400):
-        description = random_architecture(rng)
-        arch = elaborate(validate(description), capacity=rng.randint(1, 2))
-        compared += compare_every_interoperability_check(arch, state_limit=100_000)
+    compared = sum(compare_every_check(arch, state_limit=100_000) for arch in draws(4242, 400))
     assert compared >= 300
     assert steps["quotiented"] > 0
 
 
 def test_minimized_interoperability_matches_the_plain_product_on_ssync_heavy_draws(steps):
-    rng = random.Random(5150)
-    compared = 0
-    for _ in range(150):
-        description = random_architecture(rng, _SSYNC_HEAVY)
-        arch = elaborate(validate(description), capacity=rng.randint(1, 2))
-        compared += compare_every_interoperability_check(arch, state_limit=100_000)
+    compared = sum(compare_every_check(arch, state_limit=100_000)
+                   for arch in draws(5150, 150, _SSYNC_HEAVY))
     assert compared >= 150
     # here the rule bars the quotient at most steps: a semi-synchronous
     # move still waits for a later part
     assert steps["quotiented"] < steps["steps"] / 2
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.padl")))
+def test_compatibility_matches_the_plain_product_on_fixtures(name, capacity):
+    arch = load_arch(name, capacity)
+    compare_every_check(arch, 1_000_000, "compatibility")
+
+
+@pytest.mark.parametrize("seed, count, syncs, least", [
+    pytest.param(4242, 400, _SYNCS, 800, id="harness"),
+    pytest.param(5150, 150, _SSYNC_HEAVY, 300, id="ssync-heavy"),
+])
+def test_compatibility_matches_the_plain_product_on_draws(seed, count, syncs, least):
+    compared = sum(compare_every_check(arch, 100_000, "compatibility")
+                   for arch in draws(seed, count, syncs))
+    assert compared >= least
+
+
+def star_context_lhs(arch, center, partner, state_limit):
+    """The compatibility lhs with the partner totally closed relative
+    to the star around the center, the names the pair shares hidden
+    after composing."""
+    border = {aei for att in arch.source.description.attachments
+              if center in (att.from_aei, att.to_aei)
+              for aei in (att.from_aei, att.to_aei)} - {center}
+    star = (center,) + tuple(aei for aei in arch.real_aeis if aei in border)
+    lhs = composite_semantics(arch, (
+        (center, aei_semantics(arch, center, context=arch.real_aeis, closure="pc",
+                               buffers_for=(partner,), state_limit=state_limit)),
+        (partner, aei_semantics(arch, partner, context=star, closure="tc",
+                                buffers_for=(center,), state_limit=state_limit)),
+    ), state_limit)
+    shared = h_set(arch, center, {partner}) | e_set(arch, center, {partner})
+    return restrict(lhs, set(lhs.labels) - shared)
+
+
+def compare_with_the_star_context(arch, state_limit) -> int:
+    """Check every compatibility check of arch against its star-context
+    construction; returns the number compared."""
+    compared = 0
+    for (center, partner), _ in every_check(arch, "compatibility"):
+        try:
+            in_star = star_context_lhs(arch, center, partner, state_limit)
+            outcome = check_compatibility(arch, center, partner, state_limit)
+            same = weak_bisim_check(outcome.lhs, in_star, saturation_budget=8 * state_limit)
+            verdict = weak_bisim_check(in_star, outcome.rhs, saturation_budget=8 * state_limit)
+        except StateLimitExceeded:
+            continue
+        where = (arch.name, center, partner)
+        assert same.equivalent, where
+        assert verdict.equivalent == outcome.equivalent, where
+        assert outcome.saturated == bool(in_star.marked), where
+        compared += 1
+    return compared
+
+
+def test_closing_the_partner_relative_to_every_aei_keeps_the_star_context_verdict():
+    compared = 0
+    for name in sorted(p.stem for p in FIXTURES.glob("*.padl")):
+        for capacity in (1, 2, 3):
+            compared += compare_with_the_star_context(load_arch(name, capacity), 1_000_000)
+    for arch in draws(4242, 400):
+        compared += compare_with_the_star_context(arch, 100_000)
+    for arch in draws(5150, 150, _SSYNC_HEAVY):
+        compared += compare_with_the_star_context(arch, 100_000)
+    assert compared >= 1200
