@@ -59,7 +59,9 @@ class StateLimitExceeded(Exception):
 
     Carries partial statistics so callers can report how far exploration
     got, and names the bound: a state limit, or the saturation budget of
-    weak checks, which counts transitions.
+    weak checks, which counts saturated transitions, or in a weak check
+    the signature entries of one refinement round, each standing for
+    at least one saturated transition.
     """
 
     def __init__(self, limit: int, states_seen: int, transitions_seen: int,

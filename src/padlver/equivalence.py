@@ -1,31 +1,34 @@
 """Weak bisimilarity: saturation, equivalence checking, quotient
 minimization, and distinguishing-formula diagnostics.
 
-The decision procedure saturates the transition relation (tau*-a-tau*
-as single steps, tau-closure including the empty sequence) and then
-runs plain signature-based partition refinement, i.e. strong
-bisimilarity on the saturated system.  Saturation is quadratic in the
-worst case, so the system is first made as small as weak bisimilarity
-allows cheaply: states on a common tau-cycle are collapsed, and the
-result is quotiented by branching bisimilarity, which implies weak
-bisimilarity and is computed without saturating.  Both steps keep
-every state weakly bisimilar to its image, so either is sound for
-every weak check.
+The decision procedure is strong bisimilarity on the saturated system
+(tau*-a-tau* as single steps, tau-closure including the empty
+sequence), computed without building it.  The system is first made as
+small as weak bisimilarity allows cheaply: states on a common tau-cycle
+are collapsed, and the result is quotiented by branching bisimilarity,
+which implies weak bisimilarity and is computed without saturating.
+Both steps keep every state weakly bisimilar to its image, so either is
+sound for every weak check.  The quotient has no tau cycle, so weak
+signature rounds on it, each state's weak (label, block) moves taken
+from its tau successors' signatures in tau order, are the rounds of
+signature-based refinement on its saturation, round for round
+(_weak_rounds); saturate stays the reference they are tested against.
 
 A check answers one question, about the two initial states, and stops
 once it is settled: a weak check whose initial states share a
-branching block answers "equivalent" without saturating, and
-refinement stops at the end of the first round that separates them.
-A verdict's blocks are the partition that decided it: for "equivalent"
-a weak (strong, for the strong check) bisimulation, the branching
-blocks when decided before saturation; for "distinct" the partition of
-the separating round.
+branching block answers "equivalent" before any round, and refinement
+stops at the end of the first round that separates them.  A verdict's
+blocks are the partition that decided it: for "equivalent" a weak
+(strong, for the strong check) bisimulation, the branching blocks when
+decided before the rounds; for "distinct" the partition of the
+separating round.
 
 On inequivalence a formula of the weak Hennessy-Milner fragment
 (tt, negation, conjunction, weak diamond) is produced from the
 refinement history, when the initial states separate within
 MAX_FORMULA_ROUNDS rounds; it holds at the first system's initial
-state and fails at the second's.
+state and fails at the second's.  Its weak moves are made on demand
+for the states it visits.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import count, groupby, islice, repeat
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .diagnostics import StateLimitExceeded
 from .lts import (
@@ -268,6 +271,12 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     Each (label, target) pair is one Transition object, shared by every
     row that has it.  The result shares the input's label table: every
     label in use stays in use.
+
+    No check and no quotient calls it: they refine by _weak_rounds and
+    build formulas from _weak_moves.  It is kept as the plain reference
+    for that path: the tests compare weak checks with strong checks of
+    saturated systems, and the weak rounds and moves with refining and
+    reading its rows.
     """
     _require_resolved(lts, "saturate")
     n = lts.n_states
@@ -347,18 +356,43 @@ def _quotient(lts: Lts, block: Sequence[int], n_blocks: int) -> Lts:
 # ---------------------------------------------------------------------------
 
 
+def _rounds(
+    n: int, signatures: Callable[[list[int]], Iterable[Hashable]], keep: int,
+    pair: tuple[int, int] | None,
+) -> tuple[list[int], list[list[int]]]:
+    """Signature rounds over n states from the single-block partition:
+    a round splits each block by its states' signatures under the last
+    partition, signatures(parts) in state order, and numbers the new
+    blocks in order of first occurrence over the states.  Runs until a
+    round splits no block or, given a pair of states, separates them.
+
+    Returns the last partition and the partitions of the first `keep`
+    rounds (round 0 is the single-block partition)."""
+    parts = [0] * n
+    history = [parts][:keep]
+    n_blocks = 1
+    while True:
+        # first[s]: the first state with s's key; blocks are numbered
+        # in order of their first state.
+        fresh: dict[tuple[int, Hashable], int] = {}
+        first = list(map(fresh.setdefault, zip(parts, signatures(parts)), count()))
+        number = dict(zip(dict.fromkeys(first), count()))
+        parts = list(map(number.__getitem__, first))
+        if len(history) < keep:
+            history.append(parts)
+        if len(fresh) == n_blocks or pair is not None and parts[pair[0]] != parts[pair[1]]:
+            return parts, history
+        n_blocks = len(fresh)
+
+
 def _refine(
     lts: Lts, keep: int = 0, pair: tuple[int, int] | None = None
 ) -> tuple[list[int], list[list[int]]]:
     """Signature-based refinement to the coarsest strong bisimulation,
-    or, given a pair of states, only until a round separates them.
-
-    Returns the last partition (the stable one, or the first that
-    separates the pair) and the partitions of the first `keep` rounds
-    (round 0 is the single-block partition).  A state's
-    signature is its (label, set of target blocks) pairs in label
-    order, which rows being sorted makes canonical; blocks are
-    numbered in order of first occurrence over the states."""
+    or, given a pair of states, only until a round separates them (see
+    _rounds).  A state's signature is its (label, set of target
+    blocks) pairs in label order, which rows being sorted makes
+    canonical."""
     # Each row's label groups, flattened over all states: a state's
     # groups are the next n_groups[s] entries of labels and targets.
     labels: list[int] = []
@@ -371,23 +405,120 @@ def _refine(
             targets.append(tuple(map(_TARGET, group)))
             k += 1
         n_groups.append(k)
-    parts = [0] * lts.n_states
-    history = [parts][:keep]
-    n_blocks = 1
-    while True:
+
+    def signatures(parts: list[int]) -> Iterator[tuple]:
         pairs = zip(labels, map(frozenset, map(map, repeat(parts.__getitem__), targets)))
-        signatures = map(tuple, map(islice, repeat(pairs), n_groups))
-        # first[s]: the first state with s's key; blocks are numbered
-        # in order of their first state.
-        fresh: dict[tuple[int, tuple], int] = {}
-        first = list(map(fresh.setdefault, zip(parts, signatures), count()))
-        number = dict(zip(dict.fromkeys(first), count()))
-        parts = list(map(number.__getitem__, first))
-        if len(history) < keep:
-            history.append(parts)
-        if len(fresh) == n_blocks or pair is not None and parts[pair[0]] != parts[pair[1]]:
-            return parts, history
-        n_blocks = len(fresh)
+        return map(tuple, map(islice, repeat(pairs), n_groups))
+
+    return _rounds(lts.n_states, signatures, keep, pair)
+
+
+# States whose visible steps a weak round adds to their signatures
+# before it checks the saturation budget.
+_CHUNK = 1024
+
+
+def _weak_rounds(
+    lts: Lts, keep: int = 0, pair: tuple[int, int] | None = None,
+    budget: int | None = None,
+) -> tuple[list[int], list[list[int]]]:
+    """The rounds of _refine(saturate(lts), keep, pair), for a system
+    without tau cycles (a branching quotient), without saturating.
+
+    A state's signature is the set of its weak moves' (label, block)
+    pairs, the same partition of the states as the label groups of its
+    saturated row: (tau, b) for every block b that tau* reaches from
+    it, (a, b) for every visible step to some x and every block b that
+    tau* reaches from x, and the signatures of its tau successors.
+    A round first takes the blocks tau* reaches from each state, then
+    the signatures.  Every tau step leads to a state _tau_sccs
+    completes first, so in that order a tau successor's reached blocks
+    and signature are ready before its predecessors need them.  An
+    entry is encoded as block * width + label over the label table's
+    width.
+
+    Each entry stands for at least one saturated transition, so a
+    round whose entries exceed the saturation budget raises
+    StateLimitExceeded only where saturate(lts, budget) would."""
+    n = lts.n_states
+    width = len(lts.labels)
+    comp, _ = _tau_sccs(lts)
+    # The states with tau steps, tau successors first, with their tau
+    # targets; every visible step as its source, label and target, by
+    # source.
+    taus = sorted(((s, [t.target for t in ts if not t.label])
+                   for s, ts in enumerate(lts.trans) if ts and not ts[0].label),
+                  key=lambda step: comp[step[0]])
+    sources: list[int] = []
+    adders: list[Callable[[int], int]] = []
+    targets: list[int] = []
+    ends = [0]  # the visible steps of states lo..hi-1 are ends[lo]..ends[hi]-1
+    for s, ts in enumerate(lts.trans):
+        for t in ts:
+            if t.label:
+                sources.append(s)
+                adders.append(t.label.__add__)
+                targets.append(t.target)
+        ends.append(len(sources))
+
+    def signatures(parts: list[int]) -> list[frozenset[int]]:
+        reach = [{b * width} for b in parts]
+        for s, succ in taus:
+            reach[s].update(*map(reach.__getitem__, succ))
+        sig = [{b * width} for b in parts]
+        entries = 0
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            steps = slice(ends[lo], ends[hi])
+            # each step s -label-> x adds (label, b) to sig[s] for each b in reach[x]
+            list(map(set.update, map(sig.__getitem__, sources[steps]),
+                     map(map, adders[steps], map(reach.__getitem__, targets[steps]))))
+            entries += sum(map(len, sig[lo:hi]))
+            if budget is not None and entries > budget:
+                raise StateLimitExceeded(budget, n, entries, "saturation budget")
+        for s, succ in taus:
+            own = sig[s]
+            entries -= len(own)
+            own.update(*map(sig.__getitem__, succ))
+            entries += len(own)
+            if budget is not None and entries > budget:
+                raise StateLimitExceeded(budget, n, entries, "saturation budget")
+        return list(map(frozenset, sig))
+
+    return _rounds(n, signatures, keep, pair)
+
+
+def _weak_moves(lts: Lts) -> Callable[[int], set[tuple[int, int]]]:
+    """A state's weak moves as (label, target) pairs, the row
+    saturate(lts) gives it, made on demand from the tau-closures of
+    the states asked about and of their visible steps' targets, each
+    closure made once."""
+    closures: dict[int, set[int]] = {}
+
+    def closure(s: int) -> set[int]:
+        reached = closures.get(s)
+        if reached is None:
+            reached = closures[s] = {s}
+            todo = [s]
+            while todo:
+                for t in lts.trans[todo.pop()]:
+                    if t.label:
+                        break
+                    if t.target not in reached:
+                        reached.add(t.target)
+                        todo.append(t.target)
+        return reached
+
+    def moves(s: int) -> set[tuple[int, int]]:
+        reached = closure(s)
+        out = set(zip(repeat(0), reached))
+        for x in reached:
+            for t in lts.trans[x]:
+                if t.label:
+                    out.update(zip(repeat(t.label), closure(t.target)))
+        return out
+
+    return moves
 
 
 def _branching_partition(rows: Sequence[Sequence[tuple[int, int, int, int]]],
@@ -498,11 +629,11 @@ class EquivalenceVerdict:
     blocks_left and blocks_right give each state of the first and the
     second system its block, n_blocks the number of blocks.  When
     equivalent, the partition is a bisimulation relating the initial
-    states: for a weak check decided before saturation, the branching
-    blocks; otherwise the stable partition of the refinement.  When
-    distinct, it is the partition of the refinement round that first
-    separated the initial states, and the formula is None when that
-    round comes after MAX_FORMULA_ROUNDS."""
+    states: for a weak check decided before the weak rounds, the
+    branching blocks; otherwise the stable partition of the refinement.
+    When distinct, it is the partition of the refinement round that
+    first separated the initial states, and the formula is None when
+    that round comes after MAX_FORMULA_ROUNDS."""
 
     equivalent: bool
     formula: WeakFormula | None
@@ -529,18 +660,22 @@ def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
 
 
 def _verdict(
-    refined: Lts, block_of: Sequence[int], n_left: int, p: int, q: int
+    refined: Lts, block_of: Sequence[int], n_left: int, p: int, q: int,
+    refine: Callable[..., tuple[list[int], list[list[int]]]],
+    moves: Callable[[int], Iterable[tuple[int, int]]] | None = None,
 ) -> EquivalenceVerdict:
-    """The verdict both checks end in: refine `refined`, whose states p
-    and q stand for the initial states, until p and q separate or the
-    partition is stable, and map the union's states (n_left on the
-    left) through block_of."""
-    final, rounds = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1, pair=(p, q))
+    """The verdict both checks end in: refine `refined` (by `refine`,
+    _refine or _weak_rounds), whose states p and q stand for the
+    initial states, until p and q separate or the partition is stable,
+    and map the union's states (n_left on the left) through block_of.
+    `moves` gives the moves a formula is built from (see
+    _distinguish)."""
+    final, rounds = refine(refined, keep=MAX_FORMULA_ROUNDS + 1, pair=(p, q))
     blocks = [final[s] for s in block_of]
     verdict = EquivalenceVerdict(final[p] == final[q], None, tuple(blocks[:n_left]),
                                  tuple(blocks[n_left:]), max(final) + 1)
     if not verdict.equivalent and rounds[-1][p] != rounds[-1][q]:
-        verdict.formula = _distinguish(refined, rounds, p, q)
+        verdict.formula = _distinguish(refined, rounds, p, q, moves)
     return verdict
 
 
@@ -552,20 +687,27 @@ def weak_bisim_check(
     On success the partition is the witness; on failure the verdict
     carries a weak Hennessy-Milner formula holding at l1's
     initial state and failing at l2's, or None when the two separate
-    only after MAX_FORMULA_ROUNDS refinement rounds.
+    only after MAX_FORMULA_ROUNDS refinement rounds.  The saturation
+    budget bounds the signature entries of one weak round (see
+    _weak_rounds).
     """
     for lts in (l1, l2):
         _require_resolved(lts, "weak_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
     # Strong bisimilarity on the saturated branching quotient is weak
-    # bisimilarity on the union.  Branching bisimilarity implies weak
-    # bisimilarity, so a pair the quotient merges needs no saturation.
+    # bisimilarity on the union, and the weak rounds on the quotient
+    # are that refinement's rounds.  Branching bisimilarity implies
+    # weak bisimilarity, so a pair the quotient merges needs no round.
     reduced, block = branching_quotient(union)
     if block[i1] == block[i2]:
         return EquivalenceVerdict(True, None, tuple(block[:l1.n_states]),
                                   tuple(block[l1.n_states:]), reduced.n_states)
-    saturated = saturate(reduced, saturation_budget)
-    return _verdict(saturated, block, l1.n_states, block[i1], block[i2])
+
+    def refine(lts: Lts, keep: int, pair: tuple[int, int]) -> tuple[list[int], list[list[int]]]:
+        return _weak_rounds(lts, keep, pair, saturation_budget)
+
+    return _verdict(reduced, block, l1.n_states, block[i1], block[i2], refine,
+                    _weak_moves(reduced))
 
 
 def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
@@ -573,7 +715,7 @@ def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
     for lts in (l1, l2):
         _require_resolved(lts, "strong_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
-    return _verdict(union, range(union.n_states), l1.n_states, i1, i2)
+    return _verdict(union, range(union.n_states), l1.n_states, i1, i2, _refine)
 
 
 def minimize(lts: Lts) -> Lts:
@@ -584,7 +726,7 @@ def minimize(lts: Lts) -> Lts:
     dropped, and unreachable blocks are pruned."""
     _require_resolved(lts, "minimize")
     reduced, block = branching_quotient(lts)
-    final, _ = _refine(saturate(reduced))
+    final, _ = _weak_rounds(reduced)
     return renumber_bfs(_quotient(lts, [final[b] for b in block], max(final) + 1))
 
 
@@ -593,17 +735,29 @@ def minimize(lts: Lts) -> Lts:
 # ---------------------------------------------------------------------------
 
 
-def _distinguish(saturated: Lts, rounds: list[list[int]], p: int, q: int) -> WeakFormula:
-    """Formula (over weak moves) true at p and false at q, built from
-    the refinement history.  Depth minimality is not claimed.  Equal
-    subformulas are made one object, so comparing them is shallow."""
+def _distinguish(
+    lts: Lts, rounds: list[list[int]], p: int, q: int,
+    moves: Callable[[int], Iterable[tuple[int, int]]] | None = None,
+) -> WeakFormula:
+    """Formula true at p and false at q, built from the refinement
+    history over moves(s), each state's (label, target) moves: its row
+    in lts by default (strong moves, or weak ones on a saturated lts),
+    its weak moves from _weak_moves in the weak check.  Depth
+    minimality is not claimed.  Equal subformulas are made one object,
+    so comparing them is shallow."""
     made: dict[WeakFormula, WeakFormula] = {}
+    rows: dict[int, list[tuple[int, int]]] = {}
 
     def node(f: WeakFormula) -> WeakFormula:
         return made.setdefault(f, f)
 
+    def row(s: int) -> list[tuple[int, int]]:
+        if s not in rows:
+            rows[s] = [t[:2] for t in lts.trans[s]] if moves is None else list(moves(s))
+        return rows[s]
+
     def signature(s: int, parts: list[int]) -> set[tuple[int, int]]:
-        return {(t.label, parts[t.target]) for t in saturated.trans[s]}
+        return {(label, parts[u]) for label, u in row(s)}
 
     def sep_round(a: int, b: int) -> int:
         for k, parts in enumerate(rounds):
@@ -620,15 +774,9 @@ def _distinguish(saturated: Lts, rounds: list[list[int]], p: int, q: int) -> Wea
         if not forward:
             return node(Not(dist(b, a)))
         label_idx, target_block = forward[0]
-        label = saturated.labels[label_idx]
-        witness = min(
-            t.target
-            for t in saturated.trans[a]
-            if t.label == label_idx and prev[t.target] == target_block
-        )
-        rivals = sorted(
-            {t.target for t in saturated.trans[b] if t.label == label_idx}
-        )
+        label = lts.labels[label_idx]
+        witness = min(u for l, u in row(a) if l == label_idx and prev[u] == target_block)
+        rivals = sorted({u for l, u in row(b) if l == label_idx})
         if not rivals:
             return node(Dia(label, node(Tt())))
         subs = list(dict.fromkeys([dist(witness, r) for r in rivals]))

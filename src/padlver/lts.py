@@ -79,10 +79,11 @@ class Lts:
     and structurally equal systems compare equal.
 
     The constructor does not check this form; the constructions below
-    establish it.  All of them end in _canonical except saturate, which
-    emits its rows in this form and calls the constructor directly.
-    Code that walks rows (the tau-SCC search, partition refinement)
-    relies on the sorted order."""
+    establish it.  All of them end in _canonical except
+    equivalence.saturate, the tests' reference for the weak checks,
+    which emits its rows in this form and calls the constructor
+    directly.  Code that walks rows (the tau-SCC search, partition
+    refinement, weak moves) relies on the sorted order."""
 
     labels: tuple[str, ...]  # labels[0] is always tau
     n_states: int

@@ -49,7 +49,6 @@ from .elaborate import (
     aei_semantics,
     build_name_sets,
     composite_semantics,
-    e_set,
     h_set,
 )
 from .equivalence import EquivalenceVerdict, weak_bisim_check
@@ -317,15 +316,14 @@ def _check(
     member's observable behavior unchanged?  Composes the members with
     the buffers among them, the member partially closed and the others
     totally closed, all relative to every AEI; restricts the result to
-    the member's visible names less the queue names and exceptions it
-    shares with the others; and compares that against the member alone
-    without buffers.  The composition is minimized as it grows (see
+    the member's visible names less the queue names it shares with the
+    others; and compares that against the member alone without
+    buffers.  The composition is minimized as it grows (see
     composite_semantics)."""
     started = time.perf_counter()
     context = arch.real_aeis
     others = set(members) - {member}
-    keep = (build_name_sets(arch, member, context).visible
-            - h_set(arch, member, others) - e_set(arch, member, others))
+    keep = build_name_sets(arch, member, context).visible - h_set(arch, member, others)
     parts = (
         (aei, aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
                             buffers_for=members, state_limit=state_limit))

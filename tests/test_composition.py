@@ -177,6 +177,27 @@ def test_compatibility_matches_the_plain_product_on_draws(seed, count, syncs, le
     assert compared >= least
 
 
+def test_the_kept_set_never_holds_an_exception_shared_with_the_other_members():
+    # The check hides only the shared queue names (h_set): its visible
+    # set holds composite names and the member's own converted-input
+    # exceptions, never an exception e_set names, which plain_lhs hides.
+    archs = [load_arch(name, capacity)
+             for name in sorted(p.stem for p in FIXTURES.glob("*.padl"))
+             for capacity in (1, 2, 3)]
+    archs += draws(4242, 400)
+    archs += draws(5150, 150, _SSYNC_HEAVY)
+    checked = with_exceptions = 0
+    for arch in archs:
+        for kind in ("compatibility", "interoperability"):
+            for members, member in every_check(arch, kind):
+                exceptions = e_set(arch, member, set(members) - {member})
+                visible = build_name_sets(arch, member, arch.real_aeis).visible
+                assert exceptions & visible == frozenset(), (arch.name, members, member)
+                checked += 1
+                with_exceptions += bool(exceptions)
+    assert checked >= 2000 and with_exceptions >= 1000
+
+
 def star_context_lhs(arch, center, partner, state_limit):
     """The compatibility lhs with the partner totally closed relative
     to the star around the center, the names the pair shares hidden

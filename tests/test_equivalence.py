@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     from_traces,
+    load_arch,
     naive_branching_blocks,
     naive_weak_bisim,
     prefix_lts,
@@ -16,6 +17,7 @@ from conftest import (
 )
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
 from padlver import equivalence, strong_bisim_check, weak_bisim_check
+from padlver.diagnostics import StateLimitExceeded
 from padlver.equivalence import (
     MAX_FORMULA_ROUNDS,
     And,
@@ -27,9 +29,12 @@ from padlver.equivalence import (
     _quotient,
     _refine,
     _tau_sccs,
+    _weak_moves,
+    _weak_rounds,
     branching_quotient,
     eval_formula,
 )
+from padlver.topology import verify_deadlock_by_reduction
 
 
 # -- saturation ----------------------------------------------------------------
@@ -65,18 +70,17 @@ def test_saturate_requires_resolved():
 
 
 def test_saturation_budget_surfaces_as_resource_error():
-    from padlver.diagnostics import StateLimitExceeded
-
     chain = from_traces(tuple("a" for _ in range(6)))
     longer = from_traces(tuple("a" for _ in range(7)))
     # the budget counts transitions, and the message says which bound it is
     budget = r"^saturation budget 3 exceeded \("
     with pytest.raises(StateLimitExceeded, match=budget):
         saturate(chain, max_transitions=3)
-    # not branching bisimilar, so the check saturates
+    # not branching bisimilar, so the check runs weak rounds, and the
+    # first already has more than 3 signature entries
     with pytest.raises(StateLimitExceeded, match=budget):
         weak_bisim_check(chain, longer, saturation_budget=3)
-    # a pair the branching quotient merges is decided before saturation
+    # a pair the branching quotient merges is decided before any round
     assert weak_bisim_check(chain, chain, saturation_budget=3).equivalent
 
 
@@ -411,29 +415,82 @@ def test_late_separations_keep_the_formulas_of_the_full_refinement(check, pair):
 
 
 def test_a_pair_the_branching_quotient_merges_is_never_saturated(monkeypatch):
-    def refuse(lts, max_transitions=None):
-        raise AssertionError("saturated")
+    # No check saturates: a merged pair starts no weak round, and a
+    # distinct pair does.
+    def refuse(*args):
+        raise AssertionError("weak rounds")
 
-    monkeypatch.setattr(equivalence, "saturate", refuse)
+    monkeypatch.setattr(equivalence, "_weak_rounds", refuse)
     assert weak_bisim_check(from_traces(("a", "tau")), from_traces(("a",))).equivalent
-    with pytest.raises(AssertionError, match="saturated"):
+    with pytest.raises(AssertionError, match="weak rounds"):
         weak_bisim_check(from_traces(("a",)), from_traces(("b",)))
 
 
 @pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_refinement_stops_at_the_round_that_separates_the_pair(monkeypatch, check, k):
+    # the weak check refines by weak rounds, the strong one by _refine
+    name = "_weak_rounds" if check is weak_bisim_check else "_refine"
+    real = getattr(equivalence, name)
     histories = []
 
-    def recording(lts, keep=0, pair=None):
-        parts, rounds = _refine(lts, keep, pair)
+    def recording(lts, keep=0, pair=None, *budget):
+        parts, rounds = real(lts, keep, pair, *budget)
         histories.append((lts, rounds))
         return parts, rounds
 
-    monkeypatch.setattr(equivalence, "_refine", recording)
+    monkeypatch.setattr(equivalence, name, recording)
     assert not check(*alternating_pair(k)).equivalent
     [(refined, rounds)] = histories
     # round 0, then one round each up to the separating round k + 1
     assert len(rounds) == k + 2
-    _, full = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    _, full = real(refined, keep=MAX_FORMULA_ROUNDS + 1)
     assert len(full) > len(rounds) and full[:len(rounds)] == rounds
+
+
+# -- weak rounds against the saturated refinement -------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(0.3, 0.7), st.integers(1, 14))
+def test_weak_rounds_are_the_rounds_of_the_saturated_refinement(rng, tau_bias, max_states):
+    # saturate is the reference: the weak rounds and the weak moves
+    # must be what refining and reading its rows give, round for round
+    reduced, _ = branching_quotient(random_lts(rng, max_states=max_states, tau_bias=tau_bias))
+    saturated = saturate(reduced)
+    keep = MAX_FORMULA_ROUNDS + 1
+    pair = (rng.randrange(reduced.n_states), rng.randrange(reduced.n_states))
+    assert _weak_rounds(reduced, keep) == _refine(saturated, keep)
+    assert _weak_rounds(reduced, keep, pair) == _refine(saturated, keep, pair)
+    moves = _weak_moves(reduced)
+    for s, ts in enumerate(saturated.trans):
+        assert moves(s) == {(t.label, t.target) for t in ts}
+    # the budget is passed only where saturating would exceed it
+    budget = rng.randrange(2 * sum(map(len, saturated.trans)) + 1)
+    for args in ((keep, None, budget), (keep, pair, budget)):
+        try:
+            _weak_rounds(reduced, *args)
+        except StateLimitExceeded as exc:
+            assert str(exc).startswith(f"saturation budget {budget} exceeded (")
+            with pytest.raises(StateLimitExceeded):
+                saturate(reduced, budget)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cycle_dying_member", "mutant_detector_halt"])
+def test_reduction_never_saturates(monkeypatch, name, capacity):
+    # both fixtures have distinct checks with formulas, all now decided
+    # by weak rounds on the branching quotient
+    def outcomes():
+        result = verify_deadlock_by_reduction(load_arch(name, capacity))
+        return result.status, [(o.equivalent, o.formula_text)
+                               for c in result.conditions for o in c.outcomes]
+
+    expected = outcomes()
+    assert any(formula for _, formula in expected[1])
+
+    def refuse(lts, max_transitions=None):
+        raise AssertionError("saturated")
+
+    monkeypatch.setattr(equivalence, "saturate", refuse)
+    assert outcomes() == expected
