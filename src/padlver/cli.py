@@ -14,8 +14,9 @@ a usage/parse error or an unknown AEI, variant or AEI list, 3 when
 --state-limit is hit.  graph: 0, 2 on a usage/parse error.  equiv: 0
 equivalent, 1 distinct, 2 error, 3 when an AUT header announces more
 than 1,000,000 states.  An input or output path that cannot be read or
-written, or an input that is not UTF-8, exits 2.  Any subcommand exits
-4 on an internal error, after a one-line message on stderr.
+written, or an input that is not UTF-8, exits 2; a leading UTF-8
+byte-order mark is skipped.  Any subcommand exits 4 on an internal
+error, after a one-line message on stderr.
 
 In a check report each distinct compatibility or interoperability
 check runs once and is listed under every condition that uses it
@@ -53,7 +54,7 @@ def _load(path: str, capacity: int | None) -> ValidatedArchitecture | ElabArchit
     unless capacity is None; its diagnostics, from any stage, name the
     file."""
     try:
-        arch = validate(parse(Path(path).read_text(encoding="utf-8")))
+        arch = validate(parse(Path(path).read_text(encoding="utf-8-sig")))
         return arch if capacity is None else elaborate(arch, capacity)
     except PadlError as err:
         err.filename = path
@@ -162,8 +163,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_equiv(args: argparse.Namespace) -> int:
     try:
-        l1 = read_aut(Path(args.left).read_text(encoding="utf-8"))
-        l2 = read_aut(Path(args.right).read_text(encoding="utf-8"))
+        l1 = read_aut(Path(args.left).read_text(encoding="utf-8-sig"))
+        l2 = read_aut(Path(args.right).read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

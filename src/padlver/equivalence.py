@@ -12,16 +12,15 @@ sound for every weak check.  The quotient has no tau cycle, so weak
 signature rounds on it, each state's weak (label, block) moves taken
 from its tau successors' signatures in tau order, are the rounds of
 signature-based refinement on its saturation, round for round
-(_weak_rounds); saturate stays the reference they are tested against.
+(_weak_rounds).  saturate builds the saturated system itself, as the
+plain reference they are tested against.
 
 A check answers one question, about the two initial states, and stops
 once it is settled: a weak check whose initial states share a
 branching block answers "equivalent" before any round, and refinement
-stops at the end of the first round that separates them.  A verdict's
-blocks are the partition that decided it: for "equivalent" a weak
-(strong, for the strong check) bisimulation, the branching blocks when
-decided before the rounds; for "distinct" the partition of the
-separating round.
+stops at the end of the first round that separates them.  A verdict
+is that answer, the distinguishing formula below, and the number of
+blocks of the partition that decided it.
 
 On inequivalence a formula of the weak Hennessy-Milner fragment
 (tt, negation, conjunction, weak diamond) is produced from the
@@ -44,9 +43,7 @@ from .lts import (
     _TARGET,
     TAU,
     Lts,
-    Transition,
     _canonical,
-    _new,
     _require_resolved,
     renumber_bfs,
 )
@@ -254,11 +251,6 @@ def _tau_closures(lts: Lts) -> list[list[int]]:
     return [closure_of[c] for c in comp]
 
 
-def _moves(label: int, targets: Sequence[int]) -> Iterator[Transition]:
-    """Normal transitions on one label to the given targets."""
-    return map(_new, repeat(Transition), zip(repeat(label), targets, repeat(-1), repeat(-1)))
-
-
 def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     """The weak transition relation as an explicit LTS.
 
@@ -267,10 +259,7 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     transitive closure of the original tau steps.  The relation is
     quadratic in the worst case, so a transition budget can bound the
     construction; exceeding it raises StateLimitExceeded, and the
-    budget is counted, state by state, before any transition is built.
-    Each (label, target) pair is one Transition object, shared by every
-    row that has it.  The result shares the input's label table: every
-    label in use stays in use.
+    budget is counted, state by state, before the system is built.
 
     No check and no quotient calls it: they refine by _weak_rounds and
     build formulas from _weak_moves.  It is kept as the plain reference
@@ -279,51 +268,21 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     reading its rows.
     """
     _require_resolved(lts, "saturate")
-    n = lts.n_states
     closures = _tau_closures(lts)
-    # after[x]: per visible label, the sorted states tau* reaches after
-    # one step of x on that label.  Target sets are kept as sorted lists,
-    # which take a fraction of a set's memory.
-    after: list[dict[int, list[int]]] = []
-    for ts in lts.trans:
-        step: dict[int, set[int]] = {}
-        for l, d, _, _ in ts:
-            if l:
-                step.setdefault(l, set()).update(closures[d])
-        after.append({l: sorted(dsts) for l, dsts in step.items()})
-    moves: list[dict[int, list[int]]] = []
+    rows = []
     n_moves = 0
-    for s in range(n):
-        closure = closures[s]
-        union: dict[int, set[int]] = {}
+    for closure in closures:
+        row = set(zip(repeat(0), closure, repeat(-1), repeat(-1)))
         for x in closure:
-            for l, dsts in after[x].items():
-                union.setdefault(l, set()).update(dsts)
-        targets = {l: sorted(dsts) for l, dsts in union.items()}
-        moves.append(targets)
-        n_moves += len(closure) + sum(map(len, targets.values()))
+            for l, d, _, _ in lts.trans[x]:
+                if l:
+                    row.update(zip(repeat(l), closures[d], repeat(-1), repeat(-1)))
+        rows.append(row)
+        n_moves += len(row)
         if max_transitions is not None and n_moves > max_transitions:
-            raise StateLimitExceeded(max_transitions, n, n_moves, "saturation budget")
-    # made[l][u]: the one Transition on label l to u.  A state's targets
-    # on l are the after-targets of its closure, so the after lists hold
-    # every target in use; every state has its reflexive tau step.
-    used: dict[int, set[int]] = {0: set(range(n))}
-    for step in after:
-        for l, dsts in step.items():
-            used.setdefault(l, set()).update(dsts)
-    made = {l: dict(zip(dsts, _moves(l, dsts))) for l, dsts in used.items()}
-    trans = []
-    for s in range(n):
-        row = list(map(made[0].__getitem__, closures[s]))
-        targets = moves[s]
-        for l in sorted(targets):
-            row += map(made[l].__getitem__, targets[l])
-        trans.append(tuple(row))
-    # Already the canonical form _canonical would establish, so built
-    # directly: every label of the input's table stays in use, and each
-    # row is emitted sorted (tau first, then by label and target) and
-    # free of duplicates.
-    return Lts(lts.labels, n, lts.initial, tuple(trans), lts.marked)
+            raise StateLimitExceeded(max_transitions, lts.n_states, n_moves,
+                                     "saturation budget")
+    return _canonical(lts.labels, rows, lts.initial, lts.marked)
 
 
 def _image_rows(
@@ -624,21 +583,18 @@ def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
 
 @dataclass
 class EquivalenceVerdict:
-    """A check's answer and the partition that decided it.
+    """A check's answer, and the formula that explains a "distinct".
 
-    blocks_left and blocks_right give each state of the first and the
-    second system its block, n_blocks the number of blocks.  When
-    equivalent, the partition is a bisimulation relating the initial
-    states: for a weak check decided before the weak rounds, the
-    branching blocks; otherwise the stable partition of the refinement.
-    When distinct, it is the partition of the refinement round that
-    first separated the initial states, and the formula is None when
-    that round comes after MAX_FORMULA_ROUNDS."""
+    n_blocks is the number of blocks of the partition that decided it.
+    When equivalent, that partition is a bisimulation relating the
+    initial states: for a weak check decided before the weak rounds,
+    the branching blocks; otherwise the stable partition of the
+    refinement.  When distinct, it is the partition of the refinement
+    round that first separated the initial states, and the formula is
+    None when that round comes after MAX_FORMULA_ROUNDS."""
 
     equivalent: bool
     formula: WeakFormula | None
-    blocks_left: tuple[int, ...]
-    blocks_right: tuple[int, ...]
     n_blocks: int
 
 
@@ -660,20 +616,17 @@ def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
 
 
 def _verdict(
-    refined: Lts, block_of: Sequence[int], n_left: int, p: int, q: int,
+    refined: Lts, p: int, q: int,
     refine: Callable[..., tuple[list[int], list[list[int]]]],
     moves: Callable[[int], Iterable[tuple[int, int]]] | None = None,
 ) -> EquivalenceVerdict:
     """The verdict both checks end in: refine `refined` (by `refine`,
     _refine or _weak_rounds), whose states p and q stand for the
-    initial states, until p and q separate or the partition is stable,
-    and map the union's states (n_left on the left) through block_of.
+    initial states, until p and q separate or the partition is stable.
     `moves` gives the moves a formula is built from (see
     _distinguish)."""
     final, rounds = refine(refined, keep=MAX_FORMULA_ROUNDS + 1, pair=(p, q))
-    blocks = [final[s] for s in block_of]
-    verdict = EquivalenceVerdict(final[p] == final[q], None, tuple(blocks[:n_left]),
-                                 tuple(blocks[n_left:]), max(final) + 1)
+    verdict = EquivalenceVerdict(final[p] == final[q], None, max(final) + 1)
     if not verdict.equivalent and rounds[-1][p] != rounds[-1][q]:
         verdict.formula = _distinguish(refined, rounds, p, q, moves)
     return verdict
@@ -684,12 +637,11 @@ def weak_bisim_check(
 ) -> EquivalenceVerdict:
     """Decide weak bisimilarity of the initial states.
 
-    On success the partition is the witness; on failure the verdict
-    carries a weak Hennessy-Milner formula holding at l1's
-    initial state and failing at l2's, or None when the two separate
-    only after MAX_FORMULA_ROUNDS refinement rounds.  The saturation
-    budget bounds the signature entries of one weak round (see
-    _weak_rounds).
+    On failure the verdict carries a weak Hennessy-Milner formula
+    holding at l1's initial state and failing at l2's, or None when the
+    two separate only after MAX_FORMULA_ROUNDS refinement rounds.  The
+    saturation budget bounds the signature entries of one weak round
+    (see _weak_rounds).
     """
     for lts in (l1, l2):
         _require_resolved(lts, "weak_bisim_check")
@@ -700,14 +652,12 @@ def weak_bisim_check(
     # weak bisimilarity, so a pair the quotient merges needs no round.
     reduced, block = branching_quotient(union)
     if block[i1] == block[i2]:
-        return EquivalenceVerdict(True, None, tuple(block[:l1.n_states]),
-                                  tuple(block[l1.n_states:]), reduced.n_states)
+        return EquivalenceVerdict(True, None, reduced.n_states)
 
     def refine(lts: Lts, keep: int, pair: tuple[int, int]) -> tuple[list[int], list[list[int]]]:
         return _weak_rounds(lts, keep, pair, saturation_budget)
 
-    return _verdict(reduced, block, l1.n_states, block[i1], block[i2], refine,
-                    _weak_moves(reduced))
+    return _verdict(reduced, block[i1], block[i2], refine, _weak_moves(reduced))
 
 
 def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
@@ -715,7 +665,7 @@ def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
     for lts in (l1, l2):
         _require_resolved(lts, "strong_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
-    return _verdict(union, range(union.n_states), l1.n_states, i1, i2, _refine)
+    return _verdict(union, i1, i2, _refine)
 
 
 def minimize(lts: Lts) -> Lts:

@@ -78,12 +78,10 @@ class Lts:
     transitions sorted and free of duplicates, so tau moves come first
     and structurally equal systems compare equal.
 
-    The constructor does not check this form; the constructions below
-    establish it.  All of them end in _canonical except
-    equivalence.saturate, the tests' reference for the weak checks,
-    which emits its rows in this form and calls the constructor
-    directly.  Code that walks rows (the tau-SCC search, partition
-    refinement, weak moves) relies on the sorted order."""
+    The constructor does not check this form; every construction ends
+    in _canonical, which establishes it.  Code that walks rows (the
+    tau-SCC search, partition refinement, weak moves) relies on the
+    sorted order."""
 
     labels: tuple[str, ...]  # labels[0] is always tau
     n_states: int

@@ -387,11 +387,10 @@ def check_interoperability(
 def aei_deadlock_free(
     arch: ElabArchitecture, aei: str, notion: str = "weak",
     state_limit: int = DEFAULT_STATE_LIMIT,
-) -> tuple[bool, int]:
+) -> bool:
     """Deadlock freedom of the AEI alone (partially closed, without
-    buffers); returns (verdict, state count)."""
-    lts = aei_alone(arch, aei, state_limit)
-    return (not find_deadlocks(lts, notion), lts.n_states)
+    buffers)."""
+    return not find_deadlocks(aei_alone(arch, aei, state_limit), notion)
 
 
 def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
@@ -591,7 +590,7 @@ def verify_deadlock_by_reduction(
                 free[aei] = free[twin[aei]]
             continue
         try:
-            free[aei], _ = aei_deadlock_free(arch, aei, notion, state_limit)
+            free[aei] = aei_deadlock_free(arch, aei, notion, state_limit)
         except StateLimitExceeded:
             limited = True
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, fixture_source, from_traces, load_arch
+from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
+from padlver import pretty_print
 from padlver.cli import main
 from padlver.lts import DEFAULT_STATE_LIMIT, read_aut, write_aut
 from padlver.diagnostics import PadlError
@@ -536,3 +539,50 @@ def test_an_input_that_is_not_utf8_is_a_usage_error(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, marked", [
+    (["check", "{padl}", "--mode", "both", "--format", "json", "--no-timings"], "padl"),
+    (["lts", "{padl}", "--aei", "C"], "padl"),
+    (["graph", "{padl}"], "padl"),
+    (["equiv", "{left}", "{right}"], "left"),
+    (["equiv", "{left}", "{right}"], "right"),
+])
+def test_a_byte_order_mark_changes_nothing(argv, marked, tmp_path, capsys):
+    # Editors on some systems save UTF-8 with a leading byte-order mark.
+    left = tmp_path / "left.aut"
+    right = tmp_path / "right.aut"
+    left.write_text(write_aut(from_traces(("a", "tau", "b"))))
+    right.write_text(write_aut(from_traces(("a", "c"))))
+    paths = {"padl": fixture("cruise_control"), "left": str(left), "right": str(right)}
+    plain = run(capsys, *(arg.format(**paths) for arg in argv))
+    source = Path(paths[marked])
+    with_bom = tmp_path / f"bom{source.suffix}"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    paths[marked] = str(with_bom)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == plain[:2]
+    assert plain[1] and err == ""
+
+
+def test_random_architectures_end_in_a_documented_exit_code(tmp_path, capsys):
+    # The whole pipeline, from printed text to report, over the random
+    # harness's draws at small capacities and at state limits from tiny
+    # to the default: every run ends in a verdict or "inconclusive",
+    # never in a crash or in the two routes disagreeing.
+    rng = random.Random(1)
+    path = tmp_path / "random.padl"
+    limits = (3, 30, 300, 3_000, 30_000, DEFAULT_STATE_LIMIT)
+    codes = set()
+    for i in range(200):
+        description = random_architecture(rng, _SYNCS if i % 2 else _SSYNC_HEAVY)
+        path.write_text(pretty_print(description), encoding="utf-8")
+        capacity, limit = rng.randint(1, 3), rng.choice(limits)
+        code, out, err = run(capsys, "check", str(path), "--mode", "both", "--format", "json",
+                             "--no-timings", "--queue-capacity", str(capacity),
+                             "--state-limit", str(limit))
+        assert code in (0, 1, 3), err
+        assert "internal error" not in err
+        assert json.loads(out)["conclusion"] != "disagreement", pretty_print(description)
+        codes.add(code)
+    assert codes == {0, 1, 3}
