@@ -255,7 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         for diagnostic in exc.diagnostics:
             print(diagnostic.render(exc.filename), file=sys.stderr)
         return USAGE_ERROR
-    except (SemanticsError, UnicodeDecodeError) as exc:
+    except SemanticsError as exc:
+        print(f"{args.input}: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except UnicodeDecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except StateLimitExceeded as exc:

@@ -33,7 +33,7 @@ from itertools import count
 from typing import Iterable
 
 from . import model as m
-from .diagnostics import Diagnostic, Loc, PadlError, Severity
+from .diagnostics import Diagnostic, Loc, PadlError, SemanticsError, Severity
 from .equivalence import branching_quotient
 from .lts import (
     DEFAULT_STATE_LIMIT,
@@ -663,7 +663,8 @@ def aei_semantics(
     (an Lts is immutable).  A request is the AEI, the context as a set,
     the closure, the queues that buffers_for selects and the state
     limit, so a smaller limit raises as it would on a first build; a
-    build that raises is not kept."""
+    build that raises is not kept.  A SemanticsError from the AEI's
+    behavior (a value outside its declared range) names the AEI."""
     if context is None:
         context = arch.real_aeis
     elab = arch.aeis[aei]
@@ -694,9 +695,10 @@ def aei_semantics(
         for name, inter in elab.interactions.items()
         if inter.synchronicity is m.Synchronicity.SSYNC
     )
-    acc = generate_lts(
-        elab.equations, prefix=aei, ssync_actions=ssync, state_limit=state_limit
-    )
+    try:
+        acc = generate_lts(elab.equations, prefix=aei, ssync_actions=ssync, state_limit=state_limit)
+    except SemanticsError as exc:
+        raise SemanticsError(f"AEI '{aei}': {exc}") from None
 
     # The AEI's internal families: its own side and each queue's inner
     # end are relabeled to the family's name, the one they synchronize on.

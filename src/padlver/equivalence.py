@@ -17,8 +17,9 @@ plain reference they are tested against.
 
 A check answers one question, about the two initial states, and stops
 once it is settled: a weak check whose initial states share a
-branching block answers "equivalent" before any round, and refinement
-stops at the end of the first round that separates them.  A verdict
+branching block answers "equivalent" before it builds the quotient,
+and refinement stops at the end of the first round that separates
+them.  A verdict
 is that answer, the distinguishing formula below, and the number of
 blocks of the partition that decided it.
 
@@ -43,6 +44,7 @@ from .lts import (
     _TARGET,
     TAU,
     Lts,
+    Move,
     _canonical,
     _require_resolved,
     renumber_bfs,
@@ -146,8 +148,8 @@ def eval_formula(lts: Lts, formula: WeakFormula, state: int | None = None) -> bo
                 after = weak_after.get((id(closure), label))
                 if after is None:
                     after = weak_after[id(closure), label] = {
-                        u for x in closure for t in lts.trans[x]
-                        if t.label == label for u in closures[t.target]}
+                        u for x in closure for l, d, _, _ in lts.trans[x]
+                        if l == label for u in closures[d]}
             for u in after:
                 if ev(u, f.sub):
                     result = True
@@ -197,11 +199,10 @@ def _tau_sccs(lts: Lts) -> tuple[list[int], int]:
             advanced = False
             ts = lts.trans[v]
             while pi < len(ts):
-                t = ts[pi]
+                l, w, _, _ = ts[pi]
                 pi += 1
-                if t.label != 0:
+                if l != 0:
                     break
-                w = t.target
                 if index[w] == -1:
                     work[-1] = (v, pi)
                     work.append((w, 0))
@@ -239,10 +240,10 @@ def _tau_closures(lts: Lts) -> list[list[int]]:
     for c, states in enumerate(members):
         below = set()
         for v in states:
-            for t in lts.trans[v]:
-                if t.label != 0:
+            for l, d, _, _ in lts.trans[v]:
+                if l != 0:
                     break
-                below.add(comp[t.target])
+                below.add(comp[d])
         below.discard(c)
         seen = set(states)
         for d in below:
@@ -285,15 +286,13 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     return _canonical(lts.labels, rows, lts.initial, lts.marked)
 
 
-def _image_rows(
-    lts: Lts, block: Sequence[int], n_blocks: int
-) -> list[list[tuple[int, int, int, int]]]:
+def _image_rows(lts: Lts, block: Sequence[int], n_blocks: int) -> list[list[Move]]:
     """lts's transitions mapped through a state map, by block, with the
     tau steps inside one block dropped; rows are neither sorted nor
     free of duplicates.  A map keeps only (label, target) of a move, so
     a semi-synchronous one would lose its exception target: refused."""
     _require_resolved(lts, "a quotient")
-    rows: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_blocks)]
+    rows: list[list[Move]] = [[] for _ in range(n_blocks)]
     for s, ts in enumerate(lts.trans):
         b = block[s]
         row = rows[b]
@@ -405,19 +404,19 @@ def _weak_rounds(
     # The states with tau steps, tau successors first, with their tau
     # targets; every visible step as its source, label and target, by
     # source.
-    taus = sorted(((s, [t.target for t in ts if not t.label])
-                   for s, ts in enumerate(lts.trans) if ts and not ts[0].label),
+    taus = sorted(((s, [d for l, d, _, _ in ts if not l])
+                   for s, ts in enumerate(lts.trans) if ts and not ts[0][0]),
                   key=lambda step: comp[step[0]])
     sources: list[int] = []
     adders: list[Callable[[int], int]] = []
     targets: list[int] = []
     ends = [0]  # the visible steps of states lo..hi-1 are ends[lo]..ends[hi]-1
     for s, ts in enumerate(lts.trans):
-        for t in ts:
-            if t.label:
+        for l, d, _, _ in ts:
+            if l:
                 sources.append(s)
-                adders.append(t.label.__add__)
-                targets.append(t.target)
+                adders.append(l.__add__)
+                targets.append(d)
         ends.append(len(sources))
 
     def signatures(parts: list[int]) -> list[frozenset[int]]:
@@ -460,28 +459,27 @@ def _weak_moves(lts: Lts) -> Callable[[int], set[tuple[int, int]]]:
             reached = closures[s] = {s}
             todo = [s]
             while todo:
-                for t in lts.trans[todo.pop()]:
-                    if t.label:
+                for l, d, _, _ in lts.trans[todo.pop()]:
+                    if l:
                         break
-                    if t.target not in reached:
-                        reached.add(t.target)
-                        todo.append(t.target)
+                    if d not in reached:
+                        reached.add(d)
+                        todo.append(d)
         return reached
 
     def moves(s: int) -> set[tuple[int, int]]:
         reached = closure(s)
         out = set(zip(repeat(0), reached))
         for x in reached:
-            for t in lts.trans[x]:
-                if t.label:
-                    out.update(zip(repeat(t.label), closure(t.target)))
+            for l, d, _, _ in lts.trans[x]:
+                if l:
+                    out.update(zip(repeat(l), closure(d)))
         return out
 
     return moves
 
 
-def _branching_partition(rows: Sequence[Sequence[tuple[int, int, int, int]]],
-                         width: int) -> list[int]:
+def _branching_partition(rows: Sequence[Sequence[Move]], width: int) -> list[int]:
     """The coarsest branching bisimulation of a tau-SCC-collapsed
     system, given as its rows (_image_rows under the components) over
     a label table of `width` names, by signature refinement (Blom &
@@ -559,21 +557,27 @@ def _branching_partition(rows: Sequence[Sequence[tuple[int, int, int, int]]],
     return [number.setdefault(b, len(number)) for b in block]
 
 
-def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
-    """The quotient of a resolved system by branching bisimilarity,
-    with the block of each state: tau cycles are collapsed, the
-    coarsest branching bisimulation of the collapse is computed, and
-    the input is mapped through both maps at once.  Every state is
-    branching, hence weakly, bisimilar to its block (Groote & Vaandrager
-    1990).  The tau steps the quotient drops join states of one block,
-    so they are inert, and the quotient stays free of tau cycles: by
-    the stuttering property every member of a block on such a cycle
-    would reach the next block by tau steps, an infinite tau path in
-    the finite, tau-acyclic collapse."""
+def _branching_blocks(lts: Lts) -> tuple[list[int], int]:
+    """The branching block of each state of a resolved system, and the
+    number of blocks: tau cycles are collapsed, and the coarsest
+    branching bisimulation of the collapse is composed with the
+    collapse.  Every state is branching, hence weakly, bisimilar to its
+    block (Groote & Vaandrager 1990)."""
     comp, n_comps = _tau_sccs(lts)
     parts = _branching_partition(_image_rows(lts, comp, n_comps), len(lts.labels))
-    block = [parts[c] for c in comp]
-    return _quotient(lts, block, max(parts) + 1), block
+    return [parts[c] for c in comp], max(parts) + 1
+
+
+def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
+    """The quotient of a resolved system by branching bisimilarity,
+    with the block of each state (_branching_blocks): the input mapped
+    through the blocks.  The tau steps the quotient drops join states
+    of one block, so they are inert, and the quotient stays free of tau
+    cycles: by the stuttering property every member of a block on such
+    a cycle would reach the next block by tau steps, an infinite tau
+    path in the finite, tau-acyclic collapse."""
+    block, n_blocks = _branching_blocks(lts)
+    return _quotient(lts, block, n_blocks), block
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +650,15 @@ def weak_bisim_check(
     for lts in (l1, l2):
         _require_resolved(lts, "weak_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
-    # Strong bisimilarity on the saturated branching quotient is weak
+    # Branching bisimilarity implies weak bisimilarity, so a pair the
+    # branching blocks merge needs no quotient and no round.  Otherwise
+    # strong bisimilarity on the saturated branching quotient is weak
     # bisimilarity on the union, and the weak rounds on the quotient
-    # are that refinement's rounds.  Branching bisimilarity implies
-    # weak bisimilarity, so a pair the quotient merges needs no round.
-    reduced, block = branching_quotient(union)
+    # are that refinement's rounds.
+    block, n_blocks = _branching_blocks(union)
     if block[i1] == block[i2]:
-        return EquivalenceVerdict(True, None, reduced.n_states)
+        return EquivalenceVerdict(True, None, n_blocks)
+    reduced = _quotient(union, block, n_blocks)
 
     def refine(lts: Lts, keep: int, pair: tuple[int, int]) -> tuple[list[int], list[list[int]]]:
         return _weak_rounds(lts, keep, pair, saturation_budget)

@@ -3,16 +3,19 @@
 Labels are strings: ``tau`` is the invisible action, visible labels
 are dotted names (``C.action``), possibly composed with ``#`` into
 fresh synchronization names, possibly suffixed ``_exception``.  Each
-Lts keeps them in a sorted label table and its transitions refer to
-them by index; the operators below map those indices (hiding maps a
-label to tau, relabeling renames a table entry) and all end in one
-canonicalizing step, so only build_lts and LtsBuilder.add read label
-strings from outside.  One pass, restrict(), hides labels and resolves
-semi-synchronous moves; hide() and resolve() are its two special cases.
+Lts keeps them in a sorted label table, and each of its transitions
+is a plain tuple of four ints, (label, target, exc_label, exc_target),
+whose label fields index that table.  The operators below map those
+indices (hiding maps a label to tau, relabeling renames a table entry)
+and all end in one canonicalizing step, so only build_lts and
+LtsBuilder.add read label strings from outside.  One pass, restrict(),
+hides labels and resolves semi-synchronous moves; hide() and resolve()
+are its two special cases.
 
-A transition is either normal or semi-synchronous.  A semi-synchronous
-transition carries two continuations: the success target (the implicit
-success variable set to true) and the exception target (success set to
+A transition is either normal (exc_label and exc_target are -1) or
+semi-synchronous (exc_target >= 0).  A semi-synchronous transition
+carries two continuations: the success target (the implicit success
+variable set to true) and the exception target (success set to
 false).  Inside parallel composition the exception target is taken,
 under the transition's exception label, exactly when the other side
 offers no transition on the shared name; this encodes the
@@ -24,11 +27,13 @@ their success target.
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .diagnostics import StateLimitExceeded
 
@@ -47,24 +52,9 @@ def exception_label(label: str) -> str:
     return label + EXCEPTION_SUFFIX
 
 
-class Transition(NamedTuple):
-    """One outgoing transition.  Label fields index the owning Lts label
-    table; exc_label/exc_target are -1 on normal transitions.
+# One transition: (label, target, exc_label, exc_target), as above.
+Move = tuple[int, int, int, int]
 
-    Hot loops build instances with ``tuple.__new__(Transition, fields)``,
-    which skips the keyword-argument handling of ``Transition(...)``."""
-
-    label: int
-    target: int
-    exc_label: int = -1
-    exc_target: int = -1
-
-    @property
-    def semisync(self) -> bool:
-        return self.exc_target >= 0
-
-
-_new = tuple.__new__
 _LABEL = itemgetter(0)
 _TARGET = itemgetter(1)
 _EXC_LABEL = itemgetter(2)
@@ -75,8 +65,9 @@ _EXC_TARGET = itemgetter(3)
 class Lts:
     """A finite LTS in canonical form: ``labels`` holds tau first and
     then every other label in use, sorted; ``trans[s]`` holds state s's
-    transitions sorted and free of duplicates, so tau moves come first
-    and structurally equal systems compare equal.
+    transitions, each a plain Move tuple, sorted and free of
+    duplicates, so tau moves come first and structurally equal systems
+    compare equal.
 
     The constructor does not check this form; every construction ends
     in _canonical, which establishes it.  Code that walks rows (the
@@ -86,7 +77,7 @@ class Lts:
     labels: tuple[str, ...]  # labels[0] is always tau
     n_states: int
     initial: int
-    trans: tuple[tuple[Transition, ...], ...]
+    trans: tuple[tuple[Move, ...], ...]
     marked: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
@@ -97,11 +88,11 @@ class Lts:
         """Labels of transitions reachable from the initial state, tau excluded."""
         seen = set()
         for s in reachable_states(self):
-            for t in self.trans[s]:
-                if t.label != 0:
-                    seen.add(self.labels[t.label])
-                if t.semisync:
-                    seen.add(self.labels[t.exc_label])
+            for l, _, el, ed in self.trans[s]:
+                if l != 0:
+                    seen.add(self.labels[l])
+                if ed >= 0:
+                    seen.add(self.labels[el])
         return seen
 
     def has_semisync(self) -> bool:
@@ -111,12 +102,11 @@ class Lts:
         """Label-resolved transitions, convenient for tests and debugging."""
         out = []
         for s, ts in enumerate(self.trans):
-            for t in ts:
-                if t.semisync:
-                    out.append((s, self.labels[t.label], t.target,
-                                self.labels[t.exc_label], t.exc_target))
+            for l, d, el, ed in ts:
+                if ed >= 0:
+                    out.append((s, self.labels[l], d, self.labels[el], ed))
                 else:
-                    out.append((s, self.labels[t.label], t.target, None, None))
+                    out.append((s, self.labels[l], d, None, None))
         return out
 
 
@@ -125,22 +115,41 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
+def _acyclic(build):
+    """Run `build` with the cyclic garbage collector paused.  What the
+    builders below make is acyclic and freed by reference counting, so
+    the collections a large build triggers reclaim nothing, and the
+    full ones land wherever the allocation count falls."""
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_acyclic
 def _canonical(
     names: Sequence[str],
-    rows: Sequence[Sequence[tuple[int, int, int, int]]],
+    rows: Sequence[Sequence[Move]],
     initial: int,
     marked: frozenset[int] | set[int],
     exc_names: Sequence[str] | None = None,
 ) -> Lts:
     """The one path every constructed Lts ends in.
 
-    rows[s] holds state s's transitions as (label, target, exc_label,
-    exc_target) tuples.  Label fields index ``names`` and exc_label
-    fields index ``exc_names`` (``names`` when omitted); both tables
-    may repeat a name and may hold unused ones, and a name mapped to
-    tau makes its transitions tau steps.  Unused names are dropped, the
-    rest sorted after tau, the indices remapped by name, and each row
-    deduplicated and sorted."""
+    rows[s] holds state s's transitions as Move tuples.  Label fields
+    index ``names`` and exc_label fields index ``exc_names`` (``names``
+    when omitted); both tables may repeat a name and may hold unused
+    ones, and a name mapped to tau makes its transitions tau steps.
+    Unused names are dropped, the rest sorted after tau, the indices
+    remapped by name, and each row deduplicated and sorted."""
     if exc_names is None:
         exc_names = names
     used = set(map(_LABEL, chain.from_iterable(rows)))
@@ -154,12 +163,12 @@ def _canonical(
     # The trailing -1 keeps exc_label -1 (a normal transition) at -1.
     remap_exc = [position.get(name, -1) for name in exc_names] + [-1]
     flat = chain.from_iterable
-    moves = map(_new, repeat(Transition), zip(
+    moves = zip(
         map(remap.__getitem__, map(_LABEL, flat(rows))),
         map(_TARGET, flat(rows)),
         map(remap_exc.__getitem__, map(_EXC_LABEL, flat(rows))),
         map(_EXC_TARGET, flat(rows)),
-    ))
+    )
     trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
     return Lts(labels, len(rows), initial, trans, frozenset(marked))
 
@@ -195,7 +204,7 @@ class LtsBuilder:
 
     States are keyed by arbitrary hashable values and numbered in
     discovery order, which makes every construction reproducible.
-    ``rows[s]`` collects state s's transitions as index 4-tuples over
+    ``rows[s]`` collects state s's transitions as Move tuples over
     ``labels``, which starts as the given table and grows as add() and
     add_semisync() intern names; duplicates are dropped at finish().
     """
@@ -204,7 +213,7 @@ class LtsBuilder:
                  labels: Sequence[str] = (TAU,)):
         self.state_limit = state_limit
         self.labels = list(labels)
-        self.rows: list[list[tuple[int, int, int, int]]] = []
+        self.rows: list[list[Move]] = []
         self.index: dict[object, int] = {}  # state key -> state
         self._label_index = {name: i for i, name in enumerate(self.labels)}
         self._marked: set[int] = set()
@@ -248,6 +257,7 @@ class LtsBuilder:
 # ---------------------------------------------------------------------------
 
 
+@_acyclic
 def parallel(
     left: Lts,
     right: Lts,
@@ -299,10 +309,10 @@ def parallel(
     while queue:
         src, ls, rs = queue.popleft()
         row = rows[src]
-        right_by_label: dict[int, list[Transition]] = {}
-        for t in right.trans[rs]:
-            if t.label in sync_right:
-                right_by_label.setdefault(t.label, []).append(t)
+        right_by_label: dict[int, list[Move]] = {}
+        for move in right.trans[rs]:
+            if move[0] in sync_right:
+                right_by_label.setdefault(move[0], []).append(move)
 
         # Left side: interleaving and joint moves.
         offered = set()  # right indices of the shared names left offers here
@@ -399,10 +409,11 @@ def restrict(
     rows = lts.trans
     if lts.has_semisync():
         settled = [name not in pending for name in lts.labels]
-        # Tuples, so that an unchanged system compares equal to lts.trans.
+        # Tuples, so that an unchanged system compares equal to lts.trans;
+        # a move that stays is shared, not copied (peak memory).
         rows = tuple([
-            tuple([(t.label, t.target, -1, -1) if t.exc_target >= 0 and settled[t.label] else t
-                   for t in row])
+            tuple([(move[0], move[1], -1, -1) if move[3] >= 0 and settled[move[0]] else move
+                   for move in row])
             for row in rows
         ])
     if names == list(lts.labels) and rows == lts.trans:
@@ -440,8 +451,8 @@ def reachable_states(lts: Lts) -> list[int]:
     queue = deque([lts.initial])
     while queue:
         s = queue.popleft()
-        for t in lts.trans[s]:
-            for dst in (t.target, t.exc_target) if t.semisync else (t.target,):
+        for _, d, _, ed in lts.trans[s]:
+            for dst in (d, ed) if ed >= 0 else (d,):
                 if not seen[dst]:
                     seen[dst] = True
                     order.append(dst)
@@ -474,11 +485,11 @@ def find_deadlocks(lts: Lts, notion: str = "weak") -> frozenset[int]:
     can_visible = [False] * lts.n_states
     rev_tau: list[list[int]] = [[] for _ in range(lts.n_states)]
     for s in range(lts.n_states):
-        for t in lts.trans[s]:
-            if t.label != 0:
+        for l, d, _, _ in lts.trans[s]:
+            if l != 0:
                 can_visible[s] = True
             else:
-                rev_tau[t.target].append(s)
+                rev_tau[d].append(s)
     queue = deque(s for s in range(lts.n_states) if can_visible[s])
     while queue:
         s = queue.popleft()
@@ -497,10 +508,10 @@ def shortest_trace(lts: Lts, targets: frozenset[int]) -> list[str]:
     queue = deque([lts.initial])
     while queue:
         s = queue.popleft()
-        for t in lts.trans[s]:
-            succ = [(t.target, lts.labels[t.label])]
-            if t.semisync:
-                succ.append((t.exc_target, lts.labels[t.exc_label]))
+        for l, d, el, ed in lts.trans[s]:
+            succ = [(d, lts.labels[l])]
+            if ed >= 0:
+                succ.append((ed, lts.labels[el]))
             for dst, label in succ:
                 if dst in parent:
                     continue
@@ -532,10 +543,10 @@ def write_aut(lts: Lts) -> str:
     """
     lines: list[tuple[int, str, int]] = []
     for src, ts in enumerate(lts.trans):
-        for t in ts:
-            lines.append((src, lts.labels[t.label], t.target))
-            if t.semisync:
-                lines.append((src, lts.labels[t.exc_label], t.exc_target))
+        for l, d, el, ed in ts:
+            lines.append((src, lts.labels[l], d))
+            if ed >= 0:
+                lines.append((src, lts.labels[el], ed))
     lines.sort()
     body = [f'({src}, "{label}", {dst})' for src, label, dst in lines]
     header = f"des ({lts.initial}, {len(body)}, {lts.n_states})"

@@ -76,13 +76,13 @@ def reachable_part(lts: Lts) -> Lts:
     the file write_aut makes of it."""
     seen, work = {lts.initial}, [lts.initial]
     while work:
-        for t in lts.trans[work.pop()]:
-            if t.target not in seen:
-                seen.add(t.target)
-                work.append(t.target)
+        for _, d, _, _ in lts.trans[work.pop()]:
+            if d not in seen:
+                seen.add(d)
+                work.append(d)
     number = {s: k for k, s in enumerate(sorted(seen))}
-    triples = [(number[s], lts.labels[t.label], number[t.target])
-               for s in sorted(seen) for t in lts.trans[s]]
+    triples = [(number[s], lts.labels[l], number[d])
+               for s in sorted(seen) for l, d, _, _ in lts.trans[s]]
     return build_lts(len(number), number[lts.initial], triples)
 
 
@@ -107,8 +107,8 @@ def prefix_lts(label: str, lts: Lts) -> Lts:
     """The process label . L: one fresh initial state."""
     triples = [(0, label, lts.initial + 1)]
     for s, ts in enumerate(lts.trans):
-        for t in ts:
-            triples.append((s + 1, lts.labels[t.label], t.target + 1))
+        for l, d, _, _ in ts:
+            triples.append((s + 1, lts.labels[l], d + 1))
     return build_lts(lts.n_states + 1, 0, triples)
 
 
@@ -117,13 +117,13 @@ def tau_pad(lts: Lts, rng: random.Random) -> Lts:
     triples = []
     extra = lts.n_states
     for s, ts in enumerate(lts.trans):
-        for t in ts:
+        for l, d, _, _ in ts:
             if rng.random() < 0.4:
-                triples.append((s, lts.labels[t.label], extra))
-                triples.append((extra, "tau", t.target))
+                triples.append((s, lts.labels[l], extra))
+                triples.append((extra, "tau", d))
                 extra += 1
             else:
-                triples.append((s, lts.labels[t.label], t.target))
+                triples.append((s, lts.labels[l], d))
     return build_lts(extra, lts.initial, triples)
 
 
@@ -139,20 +139,20 @@ def _weak_moves(lts: Lts, state: int) -> dict[str, frozenset[int]]:
         work = list(seed)
         while work:
             x = work.pop()
-            for t in lts.trans[x]:
-                if lts.labels[t.label] == "tau" and t.target not in seen:
-                    seen.add(t.target)
-                    work.append(t.target)
+            for l, d, _, _ in lts.trans[x]:
+                if lts.labels[l] == "tau" and d not in seen:
+                    seen.add(d)
+                    work.append(d)
         return frozenset(seen)
 
     base = tau_closure(frozenset({state}))
     moves: dict[str, set[int]] = {"tau": set(base)}
     for x in base:
-        for t in lts.trans[x]:
-            name = lts.labels[t.label]
+        for l, d, _, _ in lts.trans[x]:
+            name = lts.labels[l]
             if name == "tau":
                 continue
-            moves.setdefault(name, set()).update(tau_closure(frozenset({t.target})))
+            moves.setdefault(name, set()).update(tau_closure(frozenset({d})))
     return {k: frozenset(v) for k, v in moves.items()}
 
 
@@ -166,10 +166,10 @@ def naive_weak_bisim(l1: Lts, l2: Lts) -> bool:
     related = {(p, q) for p in range(l1.n_states) for q in range(l2.n_states)}
 
     def answered(steps_lts, p, weak_other, q, left_side):
-        for t in steps_lts.trans[p]:
-            name = steps_lts.labels[t.label]
+        for l, d, _, _ in steps_lts.trans[p]:
+            name = steps_lts.labels[l]
             answers = weak_other[q].get(name, frozenset())
-            pair = (lambda e: (t.target, e)) if left_side else (lambda e: (e, t.target))
+            pair = (lambda e: (d, e)) if left_side else (lambda e: (e, d))
             if not any(pair(e) in related for e in answers):
                 return False
         return True
@@ -197,22 +197,22 @@ def naive_branching_blocks(lts: Lts) -> list[int]:
         work = [q]
         while work:
             x = work.pop()
-            for t in lts.trans[x]:
-                if t.label == 0 and t.target not in seen:
-                    seen.add(t.target)
-                    work.append(t.target)
+            for l, d, _, _ in lts.trans[x]:
+                if l == 0 and d not in seen:
+                    seen.add(d)
+                    work.append(d)
         closure.append(seen)
     related = {(p, q) for p in range(n) for q in range(n)}
 
-    def matches(p, t, q2):  # p ~ q2, and q2 -a-> some q' ~ p' for t = p -a-> p'
+    def matches(p, a, p2, q2):  # p ~ q2, and q2 -a-> some q' ~ p2 for p -a-> p2
         return (p, q2) in related and any(
-            u.label == t.label and (t.target, u.target) in related for u in lts.trans[q2])
+            l == a and (p2, d) in related for l, d, _, _ in lts.trans[q2])
 
     def answered(p, q):
-        for t in lts.trans[p]:
-            if t.label == 0 and (t.target, q) in related:
+        for a, p2, _, _ in lts.trans[p]:
+            if a == 0 and (p2, q) in related:
                 continue
-            if not any(matches(p, t, q2) for q2 in closure[q]):
+            if not any(matches(p, a, p2, q2) for q2 in closure[q]):
                 return False
         return True
 

@@ -88,6 +88,18 @@ def test_elaboration_error_reports_file_and_position(command, tmp_path, capsys):
     assert err.startswith(f"{bad}:8:11: error[E_DEP_UNSET]") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["check"], ["lts", "--aei", "L"]])
+def test_semantics_error_names_file_and_aei(command, tmp_path, capsys):
+    # The bounded counter validates; it overflows only while the
+    # AEI's state space is generated.
+    bad = tmp_path / "probe.padl"
+    bad.write_text(fixture_source("deadlock_pair").replace(
+        "Node(void; void)", "Node(int(0..2) n := 0; void)").replace("Node()", "Node(n + 1)"))
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"{bad}: error: AEI 'L': value 3 for 'n' of 'Node' is outside int(0..2)\n"
+
+
 def test_check_json_deterministic_without_timings(capsys):
     argv = ("check", fixture("client_server_async"), "--mode", "both",
             "--format", "json", "--no-timings")

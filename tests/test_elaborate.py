@@ -153,8 +153,8 @@ def test_dep_index_tracked_across_equations():
         if (state, last) in seen:
             continue
         seen.add((state, last))
-        for t in lts.trans[state]:
-            label = lts.labels[t.label]
+        for l, d, _, _ in lts.trans[state]:
+            label = lts.labels[l]
             nxt = last
             got_req = req.search(label)
             if got_req:
@@ -162,7 +162,7 @@ def test_dep_index_tracked_across_equations():
             got_res = res.search(label)
             if got_res:
                 assert int(got_res.group(1)) == last
-            stack.append((t.target, nxt))
+            stack.append((d, nxt))
 
 
 def test_dependent_output_without_recorded_index_is_an_error():
@@ -603,7 +603,7 @@ def test_declared_semisync_names_cover_every_built_part():
             for closure in ("pc", "tc"):
                 for buffers in ((), arch.real_aeis):
                     part = aei_semantics(arch, aei, closure=closure, buffers_for=buffers)
-                    moves = {part.labels[t.label] for ts in part.trans for t in ts if t.semisync}
+                    moves = {part.labels[l] for ts in part.trans for l, _, _, ed in ts if ed >= 0}
                     assert moves <= declared, (arch.name, aei, closure, buffers)
                     found += len(moves)
     assert found > 0

@@ -22,6 +22,7 @@ from padlver.equivalence import (
     MAX_FORMULA_ROUNDS,
     And,
     Dia,
+    EquivalenceVerdict,
     Tt,
     _branching_partition,
     _disjoint_union,
@@ -106,8 +107,8 @@ def test_no_tau_step_inside_a_strong_block_once_tau_cycles_collapse(rng, max_sta
     comp, n_comps = _tau_sccs(lts)
     collapsed = _quotient(lts, comp, n_comps)
     parts, _ = _refine(collapsed)
-    inside = [(s, t.target) for s, ts in enumerate(collapsed.trans) for t in ts
-              if t.label == 0 and parts[s] == parts[t.target]]
+    inside = [(s, d) for s, ts in enumerate(collapsed.trans) for l, d, _, _ in ts
+              if l == 0 and parts[s] == parts[d]]
     assert inside == []
 
 
@@ -125,8 +126,8 @@ def test_branching_partition_matches_the_naive_fixpoint(rng, max_states):
     assert reduced == _quotient(collapsed, parts, max(parts) + 1)
     _, n_components = _tau_sccs(reduced)
     assert n_components == reduced.n_states
-    assert not [s for s, ts in enumerate(reduced.trans) for t in ts
-                if t.label == 0 and t.target == s]
+    assert not [s for s, ts in enumerate(reduced.trans) for l, d, _, _ in ts
+                if l == 0 and d == s]
     assert naive_weak_bisim(lts, reduced)
 
 
@@ -414,6 +415,26 @@ def test_a_pair_the_branching_quotient_merges_is_never_saturated(monkeypatch):
         weak_bisim_check(from_traces(("a",)), from_traces(("b",)))
 
 
+def test_a_merged_pair_builds_no_quotient(monkeypatch):
+    # The branching blocks of the union decide a merged pair, and their
+    # number is its n_blocks; only a distinct pair is quotiented.
+    rng = random.Random(19)
+    pairs = [(from_traces(("a", "tau")), from_traces(("a",)))]
+    for _ in range(30):
+        lts = random_lts(rng)
+        pairs.append((lts, tau_pad(lts, rng)))
+    blocks = [branching_quotient(_disjoint_union(*pair)[0])[0].n_states for pair in pairs]
+
+    def refuse(*args):
+        raise AssertionError("quotient")
+
+    monkeypatch.setattr(equivalence, "_quotient", refuse)
+    assert [weak_bisim_check(*pair) for pair in pairs] == [
+        EquivalenceVerdict(True, None, n) for n in blocks]
+    with pytest.raises(AssertionError, match="quotient"):
+        weak_bisim_check(from_traces(("a",)), from_traces(("b",)))
+
+
 @pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_refinement_stops_at_the_round_that_separates_the_pair(monkeypatch, check, k):
@@ -452,7 +473,7 @@ def test_weak_rounds_are_the_rounds_of_the_saturated_refinement(rng, tau_bias, m
     assert _weak_rounds(reduced, keep, pair) == _refine(saturated, keep, pair)
     moves = _weak_moves(reduced)
     for s, ts in enumerate(saturated.trans):
-        assert moves(s) == {(t.label, t.target) for t in ts}
+        assert moves(s) == {(l, d) for l, d, _, _ in ts}
     # the budget is passed only where saturating would exceed it
     budget = rng.randrange(2 * sum(map(len, saturated.trans)) + 1)
     for args in ((keep, None, budget), (keep, pair, budget)):

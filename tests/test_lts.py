@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -8,11 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import from_traces, random_lts, random_semisync_lts, reachable_part
 from padlver import build_lts, find_deadlocks, hide, parallel, read_aut, relabel, resolve, write_aut
+from padlver import lts as lts_module
 from padlver.diagnostics import StateLimitExceeded
-from padlver.equivalence import saturate, strong_bisim_check
+from padlver.equivalence import (
+    _disjoint_union,
+    branching_quotient,
+    minimize,
+    saturate,
+    strong_bisim_check,
+)
 from padlver.lts import (
     TAU,
-    Transition,
+    is_exception,
     reachable_states,
     renumber_bfs,
     restrict,
@@ -82,12 +90,11 @@ def reference_product(left, right, sync, with_pairs=False):
     independent implementation used to cross-check parallel()."""
     def moves(lts, s):
         out = []
-        for t in lts.trans[s]:
-            if t.semisync:
-                out.append((lts.labels[t.label], t.target,
-                            lts.labels[t.exc_label], t.exc_target))
+        for l, d, el, ed in lts.trans[s]:
+            if ed >= 0:
+                out.append((lts.labels[l], d, lts.labels[el], ed))
             else:
-                out.append((lts.labels[t.label], t.target, None, None))
+                out.append((lts.labels[l], d, None, None))
         return out
 
     states = {(left.initial, right.initial): 0}
@@ -164,15 +171,15 @@ def test_exception_completeness_per_product_state():
         for (ls, rs), src in pairs.items():
             expected = set()
             for mine, other, ms, os_ in ((left, right, ls, rs), (right, left, rs, ls)):
-                ready_other = {other.labels[t.label] for t in other.trans[os_]}
-                for t in mine.trans[ms]:
-                    name = mine.labels[t.label]
-                    if t.semisync and name in sync and name not in ready_other:
-                        expected.add(mine.labels[t.exc_label])
+                ready_other = {other.labels[l] for l, _, _, _ in other.trans[os_]}
+                for l, _, el, ed in mine.trans[ms]:
+                    name = mine.labels[l]
+                    if ed >= 0 and name in sync and name not in ready_other:
+                        expected.add(mine.labels[el])
             emitted = {
-                product.labels[t.label]
-                for t in product.trans[src]
-                if not t.semisync and product.labels[t.label].endswith("_exception")
+                product.labels[l]
+                for l, _, _, ed in product.trans[src]
+                if ed < 0 and product.labels[l].endswith("_exception")
             }
             assert emitted == expected
 
@@ -195,6 +202,40 @@ def test_state_limit():
     with pytest.raises(StateLimitExceeded) as err:
         parallel(chain, chain, set(), state_limit=3)
     assert err.value.states_seen >= 3
+
+
+def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
+    # parallel and _canonical build only acyclic containers: the
+    # collector is off while they run and left as it was found, also
+    # when the state limit raises.
+    chain = from_traces(tuple("a" for _ in range(9)))
+    seen = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(lts_module.LtsBuilder, "state", spy(lts_module.LtsBuilder.state))
+    monkeypatch.setattr(lts_module, "Lts", spy(lts_module.Lts))
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            assert parallel(chain, chain, {"a"}).n_states == 10
+            assert len(seen) == 11 and not any(seen)
+            assert gc.isenabled() is enabled
+            with pytest.raises(StateLimitExceeded):
+                parallel(chain, chain, set(), state_limit=3)
+            assert gc.isenabled() is enabled
+            seen.clear()
+            lts_module._canonical(("tau", "a"), [[(1, 0, -1, -1)], []], 0, set())
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # -- hide / relabel ------------------------------------------------------------
@@ -422,11 +463,11 @@ def ref_build(n_states, initial, items, marked=frozenset()):
 
 def string_items(lts):
     for src, ts in enumerate(lts.trans):
-        for t in ts:
-            if t.semisync:
-                yield (src, lts.labels[t.label], t.target, lts.labels[t.exc_label], t.exc_target)
+        for l, d, el, ed in ts:
+            if ed >= 0:
+                yield (src, lts.labels[l], d, lts.labels[el], ed)
             else:
-                yield (src, lts.labels[t.label], t.target)
+                yield (src, lts.labels[l], d)
 
 
 def ref_hide(lts, hidden):
@@ -470,8 +511,8 @@ def ref_resolve(lts):
 def ref_renumber(lts):
     order, seen = [lts.initial], {lts.initial}
     for s in order:  # grows while iterating: breadth-first
-        for t in lts.trans[s]:
-            for dst in (t.target, t.exc_target) if t.semisync else (t.target,):
+        for _, d, _, ed in lts.trans[s]:
+            for dst in (d, ed) if ed >= 0 else (d,):
                 if dst not in seen:
                     seen.add(dst)
                     order.append(dst)
@@ -486,7 +527,7 @@ def ref_renumber(lts):
 
 
 def string_items_of(lts, s):
-    return [(lts.labels[t.label], t.target, t.semisync) for t in lts.trans[s]]
+    return [(lts.labels[l], d, ed >= 0) for l, d, _, ed in lts.trans[s]]
 
 
 def ref_saturate(lts, budget):
@@ -514,15 +555,29 @@ def ref_saturate(lts, budget):
     return ref_build(lts.n_states, lts.initial, items, lts.marked), None
 
 
-def assert_matches(lts, ref):
-    trans = tuple(
-        tuple((t.label, t.target, t.exc_label, t.exc_target) for t in row) for row in lts.trans
-    )
-    assert (lts.labels, lts.initial, trans, lts.marked) == ref
+def assert_canonical(lts):
+    """The form every operator's output is in: tau and then every other
+    label in use, sorted, as the label table; each row sorted and free
+    of duplicates; each transition exactly a tuple of four ints, in
+    range, whose exception fields are both -1 or both set."""
     assert lts.n_states == len(lts.trans)
+    moves = [move for row in lts.trans for move in row]
+    for move in moves:
+        assert type(move) is tuple and len(move) == 4
+        assert all(type(field) is int for field in move)
+        l, d, el, ed = move
+        assert 0 <= l < len(lts.labels) and 0 <= d < lts.n_states
+        assert (el, ed) == (-1, -1) or 0 <= el < len(lts.labels) and 0 <= ed < lts.n_states
+    used = {lts.labels[l] for l, _, _, _ in moves}
+    used |= {lts.labels[el] for _, _, el, ed in moves if ed >= 0}
+    assert lts.labels == (TAU,) + tuple(sorted(used - {TAU}))
     for row in lts.trans:
-        assert all(type(t) is Transition for t in row)
-        assert list(row) == sorted(set(row))  # sorted and free of duplicates
+        assert list(row) == sorted(set(row))
+
+
+def assert_matches(lts, ref):
+    assert (lts.labels, lts.initial, lts.trans, lts.marked) == ref
+    assert_canonical(lts)
 
 
 @st.composite
@@ -556,6 +611,11 @@ def test_integer_core_matches_string_reference(spec, names, pending, mapping, bu
     assert_matches(renumber_bfs(lts), ref_renumber(lts))
 
     resolved = resolve(lts)
+    sync = {name for name in names if not is_exception(name)}
+    for derived in (parallel(lts, lts, sync), parallel(lts, resolved, sync),
+                    _disjoint_union(lts, resolved)[0], branching_quotient(resolved)[0],
+                    minimize(resolved), read_aut(write_aut(lts))):
+        assert_canonical(derived)
     expected, over = ref_saturate(resolved, None)
     assert_matches(saturate(resolved), expected)
     expected, over = ref_saturate(resolved, budget)

@@ -25,7 +25,7 @@ def test_stop_has_single_state_and_no_transitions():
 def test_queue_initially_enables_only_arrive():
     # guard on depart is n > 0, so the empty queue can only accept
     lts = generate_lts(_queue_aet_equations(1), prefix="Q")
-    initial_moves = {lts.labels[t.label] for t in lts.trans[lts.initial]}
+    initial_moves = {lts.labels[l] for l, _, _, _ in lts.trans[lts.initial]}
     assert initial_moves == {"Q.arrive"}
     assert lts.n_states == 2  # n = 0 and n = 1
 
@@ -35,7 +35,7 @@ def test_queue_capacity_blocks_arrive_when_full():
                        mark_when=lambda env: env.get("n") == 2)
     assert lts.n_states == 3
     full = next(iter(lts.marked))
-    moves = {lts.labels[t.label] for t in lts.trans[full]}
+    moves = {lts.labels[l] for l, _, _, _ in lts.trans[full]}
     assert moves == {"Q.depart"}
 
 
@@ -59,13 +59,14 @@ def test_client_in_isolation_has_both_outcomes():
     client = ast.aet("Client_Type")
     lts = generate_lts(client.equations, prefix="C_1",
                        ssync_actions={"send_request"})
-    (send,) = [t for t in lts.trans[1] if lts.labels[t.label] == "C_1.send_request"]
-    assert send.semisync
-    ok_moves = {lts.labels[t.label] for t in lts.trans[send.target]}
-    exc_moves = {lts.labels[t.label] for t in lts.trans[send.exc_target]}
+    (send,) = [move for move in lts.trans[1] if lts.labels[move[0]] == "C_1.send_request"]
+    _, ok, exc_label, exc = send
+    assert exc >= 0
+    ok_moves = {lts.labels[l] for l, _, _, _ in lts.trans[ok]}
+    exc_moves = {lts.labels[l] for l, _, _, _ in lts.trans[exc]}
     assert ok_moves == {"C_1.receive_response"}
     assert exc_moves == {"C_1.keep_processing"}
-    assert lts.labels[send.exc_label] == "C_1.send_request_exception"
+    assert lts.labels[exc_label] == "C_1.send_request_exception"
 
 
 def test_false_guards_contribute_nothing():
@@ -74,7 +75,7 @@ def test_false_guards_contribute_nothing():
         m.Branch(m.BoolLit(False), m.Prefix("b", m.Invoke("E", ()))),
     ))
     lts = generate_lts([eq("E", body)])
-    assert {lts.labels[t.label] for t in lts.trans[0]} == {"a"}
+    assert {lts.labels[l] for l, _, _, _ in lts.trans[0]} == {"a"}
 
 
 def test_parameter_values_drive_guards():
@@ -131,8 +132,8 @@ def test_success_environment_is_live_only():
     # of the semisync transition coincide
     body = m.Prefix("s", m.Prefix("next", m.Invoke("E", ())))
     lts = generate_lts([eq("E", body)], ssync_actions={"s"})
-    (tr,) = [t for t in lts.trans[lts.initial] if t.semisync]
-    assert tr.target == tr.exc_target
+    ((_, ok, _, exc),) = [move for move in lts.trans[lts.initial] if move[3] >= 0]
+    assert ok == exc
 
 
 PYTHON_OPS = {
