@@ -20,6 +20,7 @@ ALL_FIXTURES = (
     "two_islands",
     "sulky_receiver",
     "cycle_dying_member",
+    "metered_clients",
 )
 
 
