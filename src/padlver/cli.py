@@ -14,9 +14,9 @@ a usage/parse error or an unknown AEI, variant or AEI list, 3 when
 --state-limit is hit.  graph: 0, 2 on a usage/parse error.  equiv: 0
 equivalent, 1 distinct, 2 error, 3 when an AUT header announces more
 than 1,000,000 states.  An input or output path that cannot be read or
-written, or an input that is not UTF-8, exits 2; a leading UTF-8
-byte-order mark is skipped.  Any subcommand exits 4 on an internal
-error, after a one-line message on stderr.
+written, or an input that is not UTF-8 (the message names it), exits
+2; a leading UTF-8 byte-order mark is skipped.  Any subcommand exits 4
+on an internal error, after a one-line message on stderr.
 
 In a check report each distinct compatibility or interoperability
 check runs once and is listed under every condition that uses it
@@ -49,12 +49,24 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 4
 
 
+class _InputError(Exception):
+    """An input file that is not UTF-8; the message names it."""
+
+
+def _read(path: str) -> str:
+    """The text of the file at path, a leading byte-order mark skipped."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: error: {exc}") from None
+
+
 def _load(path: str, capacity: int | None) -> ValidatedArchitecture | ElabArchitecture:
     """The architecture in the file at path, validated, and elaborated
     unless capacity is None; its diagnostics, from any stage, name the
     file."""
     try:
-        arch = validate(parse(Path(path).read_text(encoding="utf-8-sig")))
+        arch = validate(parse(_read(path)))
         return arch if capacity is None else elaborate(arch, capacity)
     except PadlError as err:
         err.filename = path
@@ -163,8 +175,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_equiv(args: argparse.Namespace) -> int:
     try:
-        l1 = read_aut(Path(args.left).read_text(encoding="utf-8-sig"))
-        l2 = read_aut(Path(args.right).read_text(encoding="utf-8-sig"))
+        l1 = read_aut(_read(args.left))
+        l2 = read_aut(_read(args.right))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -258,8 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     except SemanticsError as exc:
         print(f"{args.input}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except UnicodeDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
         return USAGE_ERROR
     except StateLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 The pipeline mirrors the semantics of the language:
 
-1. per AEI, substitute the actual parameters that validate evaluated
-   and rewrite or-interactions with at least two attachments into
-   indexed fresh uni-interactions (with DEP tracking through the set
-   of fresh input interactions in force);
+1. per AEI, rewrite or-interactions with at least two attachments
+   into indexed fresh uni-interactions (with DEP tracking through the
+   set of fresh input interactions in force); the actual parameters
+   are bound only where aei_semantics generates the AEI's states;
 2. insert one implicit queue AEI per attachment of an asynchronous
    interaction, every input queue (IAQ_n) before every output queue
    (OAQ_n) so that an attachment asynchronous at both ends gains both;
@@ -45,7 +45,7 @@ from .lts import (
     resolve,
     restrict,
 )
-from .semantics import Value, generate_lts
+from .semantics import generate_lts
 from .validate import ValidatedArchitecture
 
 QUEUE_ARRIVE = "arrive"
@@ -210,62 +210,6 @@ def or_rewrite(
 
 
 # ---------------------------------------------------------------------------
-# Parameter substitution
-# ---------------------------------------------------------------------------
-
-
-def _subst_expr(expr: m.Expr, env: dict[str, Value]) -> m.Expr:
-    if isinstance(expr, m.Var) and expr.name in env:
-        value = env[expr.name]
-        if isinstance(value, bool):
-            return m.BoolLit(value, loc=expr.loc)
-        return m.IntLit(value, loc=expr.loc)
-    if isinstance(expr, m.Unary):
-        return replace(expr, operand=_subst_expr(expr.operand, env))
-    if isinstance(expr, m.Binary):
-        return replace(
-            expr, left=_subst_expr(expr.left, env), right=_subst_expr(expr.right, env)
-        )
-    return expr
-
-
-def _subst_body(body: m.ProcessBody, env: dict[str, Value]) -> m.ProcessBody:
-    if isinstance(body, m.Stop):
-        return body
-    if isinstance(body, m.Invoke):
-        return replace(body, args=tuple(_subst_expr(a, env) for a in body.args))
-    if isinstance(body, m.Prefix):
-        return replace(body, cont=_subst_body(body.cont, env))
-    if isinstance(body, m.Choice):
-        return replace(
-            body,
-            branches=tuple(
-                m.Branch(
-                    None if b.guard is None else _subst_expr(b.guard, env),
-                    _subst_body(b.body, env),
-                    loc=b.loc,
-                )
-                for b in body.branches
-            ),
-        )
-    raise AssertionError(body)
-
-
-def _substitute_aet_params(
-    aet: m.AetDef, actuals: dict[str, Value]
-) -> tuple[m.BehaviorEquation, ...]:
-    out = []
-    for eq in aet.equations:
-        env = {k: v for k, v in actuals.items() if k not in {p.name for p in eq.params}}
-        params = tuple(
-            replace(p, default=None if p.default is None else _subst_expr(p.default, env))
-            for p in eq.params
-        )
-        out.append(replace(eq, params=params, body=_subst_body(eq.body, env)))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # Elaborated architecture
 # ---------------------------------------------------------------------------
 
@@ -391,16 +335,8 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
         attachments[k] = (new, dst) if src == old else (src, new)
         insort(positions.setdefault(new, []), k)
 
-    # Instances of one AET with equal actuals share their substituted equations.
-    substituted: dict[tuple, tuple[m.BehaviorEquation, ...]] = {}
     for inst in d.instances:
         aet = arch.aets[inst.aet]
-        actuals = arch.actuals[inst.name]
-        key = (inst.aet, tuple(sorted(actuals.items())))
-        if key not in substituted:
-            substituted[key] = _substitute_aet_params(aet, actuals)
-        equations = substituted[key]
-
         counts: dict[str, int] = {}
         for decl in aet.interactions:
             counts[decl.name] = len(arch.attachments_of.get((inst.name, decl.name), []))
@@ -412,7 +348,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
             for decl in aet.interactions
             if decl.multiplicity is m.Multiplicity.OR
         ]
-        equations, fresh = or_rewrite(equations, counts, deps, ors)
+        equations, fresh = or_rewrite(aet.equations, counts, deps, ors)
 
         interactions: dict[str, ElabInteraction] = {}
         for decl in aet.interactions:
@@ -640,6 +576,7 @@ def queue_lts(arch: ElabArchitecture, queue_name: str,
     """The bounded queue behavior, its full states marked."""
     return generate_lts(
         arch.aeis[queue_name].equations,
+        {},
         prefix=queue_name,
         state_limit=state_limit,
         mark_when=lambda env: env.get("n") == arch.capacity,
@@ -696,7 +633,8 @@ def aei_semantics(
         if inter.synchronicity is m.Synchronicity.SSYNC
     )
     try:
-        acc = generate_lts(elab.equations, prefix=aei, ssync_actions=ssync, state_limit=state_limit)
+        acc = generate_lts(elab.equations, arch.source.actuals[aei], prefix=aei,
+                           ssync_actions=ssync, state_limit=state_limit)
     except SemanticsError as exc:
         raise SemanticsError(f"AEI '{aei}': {exc}") from None
 

@@ -380,8 +380,8 @@ def _weak_rounds(
     lts: Lts, keep: int = 0, pair: tuple[int, int] | None = None,
     budget: int | None = None,
 ) -> tuple[list[int], list[list[int]]]:
-    """The rounds of _refine(saturate(lts), keep, pair), for a system
-    without tau cycles (a branching quotient), without saturating.
+    """The rounds of _refine(saturate(lts), keep, pair), for a
+    branching quotient, without saturating.
 
     A state's signature is the set of its weak moves' (label, block)
     pairs, the same partition of the states as the label groups of its
@@ -389,9 +389,10 @@ def _weak_rounds(
     it, (a, b) for every visible step to some x and every block b that
     tau* reaches from x, and the signatures of its tau successors.
     A round first takes the blocks tau* reaches from each state, then
-    the signatures.  Every tau step leads to a state _tau_sccs
-    completes first, so in that order a tau successor's reached blocks
-    and signature are ready before its predecessors need them.  An
+    the signatures.  Every tau step of a branching quotient leads to a
+    lower-numbered state (see branching_quotient), so in state order a
+    tau successor's reached blocks and signature are ready before its
+    predecessors need them.  An
     entry is encoded as block * width + label over the label table's
     width.
 
@@ -400,13 +401,11 @@ def _weak_rounds(
     StateLimitExceeded only where saturate(lts, budget) would."""
     n = lts.n_states
     width = len(lts.labels)
-    comp, _ = _tau_sccs(lts)
-    # The states with tau steps, tau successors first, with their tau
+    # The states with tau steps, in state order, with their tau
     # targets; every visible step as its source, label and target, by
     # source.
-    taus = sorted(((s, [d for l, d, _, _ in ts if not l])
-                   for s, ts in enumerate(lts.trans) if ts and not ts[0][0]),
-                  key=lambda step: comp[step[0]])
+    taus = [(s, [d for l, d, _, _ in ts if not l])
+            for s, ts in enumerate(lts.trans) if ts and not ts[0][0]]
     sources: list[int] = []
     adders: list[Callable[[int], int]] = []
     targets: list[int] = []
@@ -571,11 +570,12 @@ def _branching_blocks(lts: Lts) -> tuple[list[int], int]:
 def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
     """The quotient of a resolved system by branching bisimilarity,
     with the block of each state (_branching_blocks): the input mapped
-    through the blocks.  The tau steps the quotient drops join states
-    of one block, so they are inert, and the quotient stays free of tau
-    cycles: by the stuttering property every member of a block on such
-    a cycle would reach the next block by tau steps, an infinite tau
-    path in the finite, tau-acyclic collapse."""
+    through the blocks.  The tau steps it drops join states of one
+    block, so they are inert, and every tau step it keeps leads to a
+    lower-numbered block: blocks are numbered by first occurrence over
+    the tau-SCC collapse, in which tau steps descend, and if block B
+    has a tau step to C != B, B's first member z reaches C by a
+    nonempty tau path (branching transfer), so C has a member below z."""
     block, n_blocks = _branching_blocks(lts)
     return _quotient(lts, block, n_blocks), block
 
@@ -739,4 +739,7 @@ def _distinguish(
         body = subs[0] if len(subs) == 1 else node(And(tuple(subs)))
         return node(Dia(label, body))
 
-    return dist(p, q)
+    try:  # dist holds its own cell: clearing it breaks the cycle
+        return dist(p, q)
+    finally:
+        del dist

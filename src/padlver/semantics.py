@@ -14,7 +14,7 @@ bounded by a configurable state limit.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from . import model as m
 from .diagnostics import SemanticsError
@@ -120,6 +120,7 @@ class _Program:
 
 def generate_lts(
     equations: Sequence[m.BehaviorEquation],
+    actuals: Mapping[str, Value],
     *,
     prefix: str | None = None,
     ssync_actions: frozenset[str] | set[str] = frozenset(),
@@ -127,6 +128,10 @@ def generate_lts(
     mark_when: Callable[[dict[str, Value]], bool] | None = None,
 ) -> Lts:
     """Exhaustive reachability from the first equation's default invocation.
+
+    actuals binds the element type's parameters (empty for a queue or
+    hand-built equations) under every equation's own parameters, which
+    shadow them; the first equation's defaults are evaluated with them.
 
     Action names become dotted labels "<prefix>.<action>" when a prefix
     is given.  Each action in ssync_actions yields a semi-synchronous
@@ -146,7 +151,7 @@ def generate_lts(
             raise SemanticsError(
                 f"initial equation '{first.name}' parameter '{p.name}' has no default"
             )
-        args.append(eval_expr(p.default, {}))
+        args.append(eval_expr(p.default, dict(actuals)))
 
     ssync = frozenset(ssync_actions)
 
@@ -158,7 +163,7 @@ def generate_lts(
             raise SemanticsError(
                 f"'{eq.name}' expects {len(eq.params)} arguments, got {len(values)}"
             )
-        env: dict[str, Value] = {}
+        env = dict(actuals)
         for p, v in zip(eq.params, values):
             if isinstance(p.type, m.IntType):
                 if isinstance(v, bool) or not isinstance(v, int):

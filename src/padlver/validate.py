@@ -31,7 +31,7 @@ class ValidatedArchitecture:
     to elaboration: the warnings, each AEI's actual parameters as
     values (``actuals[aei][param]``, evaluated with the architectural
     defaults and checked against the AET's declared types, which
-    elaboration substitutes without evaluating again), and the lookup
+    generate_lts binds without evaluating again), and the lookup
     tables built here.  Construction goes through validate()."""
 
     description: m.ArchiDescription
@@ -402,7 +402,7 @@ def _validate_aet(ck: _Checker, aet: m.AetDef) -> list[tuple[m.Param, tuple[str,
     used_actions: set[str] = set()
     for eq in aet.equations:
         # A default sees the AET's parameters that the equation's own
-        # do not shadow, as elaborate substitutes them.
+        # do not shadow; generate_lts evaluates it with the actuals.
         own = {p.name for p in eq.params}
         outer = {k: t for k, t in aet_types.items() if k not in own}
         env: dict[str, m.DataType] = dict(aet_types)

@@ -550,7 +550,7 @@ def test_an_input_that_is_not_utf8_is_a_usage_error(argv, tmp_path, capsys):
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert err.startswith(f"{bad}: error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, marked", [

@@ -419,7 +419,7 @@ def test_whole_sync_composite_matches_the_displayed_term():
         4: "S.send_response_2#C_2.receive_response",
     }
     server = relabel(
-        generate_lts(arch.aeis["S"].equations, prefix="S"),
+        generate_lts(arch.aeis["S"].equations, {}, prefix="S"),
         {
             "S.receive_request_1": n[1],
             "S.send_response_1": n[2],
@@ -430,7 +430,7 @@ def test_whole_sync_composite_matches_the_displayed_term():
     clients = {}
     for i, (req, res) in ((1, (n[1], n[2])), (2, (n[3], n[4]))):
         clients[i] = relabel(
-            generate_lts(arch.aeis[f"C_{i}"].equations, prefix=f"C_{i}"),
+            generate_lts(arch.aeis[f"C_{i}"].equations, {}, prefix=f"C_{i}"),
             {f"C_{i}.send_request": req, f"C_{i}.receive_response": res},
         )
     manual = parallel(parallel(server, clients[1], {n[1], n[2]}),
@@ -489,7 +489,8 @@ def test_buffers_cascade_uni_before_and_whatever_the_declaration_order():
         "put": "H.put#OAQ_3.arrive",
     }
     hub = relabel(
-        generate_lts(arch.aeis["H"].equations, prefix="H", ssync_actions={"gather", "get"}),
+        generate_lts(arch.aeis["H"].equations, {}, prefix="H",
+                     ssync_actions={"gather", "get"}),
         {f"H.{name}": composite for name, composite in family.items()},
     )
     # queue -> (its end on H's side, H's interaction)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -129,6 +130,16 @@ def test_branching_partition_matches_the_naive_fixpoint(rng, max_states):
     assert not [s for s, ts in enumerate(reduced.trans) for l, d, _, _ in ts
                 if l == 0 and d == s]
     assert naive_weak_bisim(lts, reduced)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(0.3, 0.9), st.integers(1, 14))
+def test_every_tau_step_of_the_branching_quotient_descends(rng, tau_bias, max_states):
+    # _weak_rounds walks the quotient in state order and needs every
+    # tau successor to come first
+    reduced, _ = branching_quotient(random_lts(rng, max_states=max_states, tau_bias=tau_bias))
+    assert not [(s, d) for s, ts in enumerate(reduced.trans) for l, d, _, _ in ts
+                if l == 0 and d >= s]
 
 
 # -- basic verdicts --------------------------------------------------------------
@@ -455,6 +466,21 @@ def test_refinement_stops_at_the_round_that_separates_the_pair(monkeypatch, chec
     assert len(rounds) == k + 2
     _, full = real(refined, keep=MAX_FORMULA_ROUNDS + 1)
     assert len(full) > len(rounds) and full[:len(rounds)] == rounds
+
+
+def test_a_distinct_weak_check_leaves_no_reference_cycle():
+    # the formula's builder must not keep the refinement history and
+    # the weak moves alive until the cyclic GC runs
+    l1, l2 = from_traces(("a", "b")), from_traces(("a", "c"))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert weak_bisim_check(l1, l2).formula is not None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- weak rounds against the saturated refinement -------------------------------

@@ -17,21 +17,21 @@ def eq(name, body, params=()):
 
 
 def test_stop_has_single_state_and_no_transitions():
-    lts = generate_lts([eq("Dead", m.Stop())])
+    lts = generate_lts([eq("Dead", m.Stop())], {})
     assert lts.n_states == 1
     assert lts.transition_view() == []
 
 
 def test_queue_initially_enables_only_arrive():
     # guard on depart is n > 0, so the empty queue can only accept
-    lts = generate_lts(_queue_aet_equations(1), prefix="Q")
+    lts = generate_lts(_queue_aet_equations(1), {}, prefix="Q")
     initial_moves = {lts.labels[l] for l, _, _, _ in lts.trans[lts.initial]}
     assert initial_moves == {"Q.arrive"}
     assert lts.n_states == 2  # n = 0 and n = 1
 
 
 def test_queue_capacity_blocks_arrive_when_full():
-    lts = generate_lts(_queue_aet_equations(2), prefix="Q",
+    lts = generate_lts(_queue_aet_equations(2), {}, prefix="Q",
                        mark_when=lambda env: env.get("n") == 2)
     assert lts.n_states == 3
     full = next(iter(lts.marked))
@@ -42,8 +42,8 @@ def test_queue_capacity_blocks_arrive_when_full():
 def test_queue_capacity_sublts():
     # canonical numbering puts n = k at state k, so the capacity-1
     # system embeds into the capacity-2 one
-    small = generate_lts(_queue_aet_equations(1), prefix="Q")
-    large = generate_lts(_queue_aet_equations(2), prefix="Q")
+    small = generate_lts(_queue_aet_equations(1), {}, prefix="Q")
+    large = generate_lts(_queue_aet_equations(2), {}, prefix="Q")
     small_view = set(small.transition_view())
     large_view = set(large.transition_view())
     assert small.n_states <= large.n_states
@@ -57,7 +57,7 @@ def test_client_in_isolation_has_both_outcomes():
     # (success) and one enabling keep_processing (exception)
     ast = parse(fixture_source("client_server_async"))
     client = ast.aet("Client_Type")
-    lts = generate_lts(client.equations, prefix="C_1",
+    lts = generate_lts(client.equations, {}, prefix="C_1",
                        ssync_actions={"send_request"})
     (send,) = [move for move in lts.trans[1] if lts.labels[move[0]] == "C_1.send_request"]
     _, ok, exc_label, exc = send
@@ -74,7 +74,7 @@ def test_false_guards_contribute_nothing():
         m.Branch(m.BoolLit(True), m.Prefix("a", m.Invoke("E", ()))),
         m.Branch(m.BoolLit(False), m.Prefix("b", m.Invoke("E", ()))),
     ))
-    lts = generate_lts([eq("E", body)])
+    lts = generate_lts([eq("E", body)], {})
     assert {lts.labels[l] for l, _, _, _ in lts.trans[0]} == {"a"}
 
 
@@ -85,25 +85,25 @@ def test_parameter_values_drive_guards():
         m.Branch(m.Binary("<", n, m.IntLit(2)), m.Prefix("up", m.Invoke("E", (m.Binary("+", n, m.IntLit(1)),)))),
         m.Branch(m.Binary(">", n, m.IntLit(0)), m.Prefix("down", m.Invoke("E", (m.Binary("-", n, m.IntLit(1)),)))),
     ))
-    lts = generate_lts([eq("E", body, [m.Param("n", m.IntType(0, 2), m.IntLit(0))])])
+    lts = generate_lts([eq("E", body, [m.Param("n", m.IntType(0, 2), m.IntLit(0))])], {})
     assert lts.n_states == 3
 
 
 def test_out_of_range_invocation_rejected():
     body = m.Prefix("a", m.Invoke("E", (m.Binary("+", m.Var("n"), m.IntLit(1)),)))
     with pytest.raises(SemanticsError):
-        generate_lts([eq("E", body, [m.Param("n", m.IntType(0, 1), m.IntLit(0))])])
+        generate_lts([eq("E", body, [m.Param("n", m.IntType(0, 1), m.IntLit(0))])], {})
 
 
 def test_unguarded_recursion_detected():
     looping = [eq("A", m.Invoke("B", ())), eq("B", m.Invoke("A", ()))]
     with pytest.raises(SemanticsError):
-        generate_lts(looping)
+        generate_lts(looping, {})
 
 
 def test_unknown_equation_rejected():
     with pytest.raises(SemanticsError):
-        generate_lts([eq("A", m.Invoke("Nope", ()))])
+        generate_lts([eq("A", m.Invoke("Nope", ()))], {})
 
 
 def test_state_limit_reports_progress():
@@ -111,7 +111,7 @@ def test_state_limit_reports_progress():
     body = m.Prefix("tick", m.Invoke("E", (m.Binary("+", n, m.IntLit(1)),)))
     with pytest.raises(StateLimitExceeded) as err:
         generate_lts(
-            [eq("E", body, [m.Param("n", m.IntType(0, 500), m.IntLit(0))])],
+            [eq("E", body, [m.Param("n", m.IntType(0, 500), m.IntLit(0))])], {},
             state_limit=10,
         )
     assert err.value.states_seen == 10
@@ -122,8 +122,8 @@ def test_generation_is_deterministic():
     panel = ast.aet("Panel_Type")
     ssync = {"signal_engine_on", "signal_engine_off", "signal_accelerator",
              "signal_brake", "signal_on", "signal_off", "signal_resume"}
-    one = generate_lts(panel.equations, prefix="P", ssync_actions=ssync)
-    two = generate_lts(panel.equations, prefix="P", ssync_actions=ssync)
+    one = generate_lts(panel.equations, {}, prefix="P", ssync_actions=ssync)
+    two = generate_lts(panel.equations, {}, prefix="P", ssync_actions=ssync)
     assert one == two
 
 
@@ -131,9 +131,30 @@ def test_success_environment_is_live_only():
     # an unread success flag does not split states: both continuations
     # of the semisync transition coincide
     body = m.Prefix("s", m.Prefix("next", m.Invoke("E", ())))
-    lts = generate_lts([eq("E", body)], ssync_actions={"s"})
+    lts = generate_lts([eq("E", body)], {}, ssync_actions={"s"})
     ((_, ok, _, exc),) = [move for move in lts.trans[lts.initial] if move[3] >= 0]
     assert ok == exc
+
+
+@pytest.mark.parametrize("flag, states", [(True, 4), (False, 2)])
+def test_actuals_bind_under_each_equations_own_parameters(flag, states):
+    # E(int(0..3) n := k) = up . F(k);
+    # F(int(0..3) k) = choice { cond(k > 0 and flag) -> down . F(k - 1),
+    #                           cond(k = 0) -> reset . E(k) }
+    # F's own k shadows the actual k = 2 that E's default and argument read
+    k, one = m.Var("k"), m.IntLit(1)
+    f_body = m.Choice((
+        m.Branch(m.Binary("and", m.Binary(">", k, m.IntLit(0)), m.Var("flag")),
+                 m.Prefix("down", m.Invoke("F", (m.Binary("-", k, one),)))),
+        m.Branch(m.Binary("=", k, m.IntLit(0)), m.Prefix("reset", m.Invoke("E", (k,)))),
+    ))
+    lts = generate_lts([eq("E", m.Prefix("up", m.Invoke("F", (k,))),
+                           [m.Param("n", m.IntType(0, 3), k)]),
+                        eq("F", f_body, [m.Param("k", m.IntType(0, 3), None)])],
+                       {"k": 2, "flag": flag})
+    assert lts.n_states == states
+    assert [lts.labels[l] for l, _, _, _ in lts.trans[lts.n_states - 1]] == \
+        (["reset"] if flag else [])
 
 
 PYTHON_OPS = {
