@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import gc
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,18 @@ from padlver.lts import (
     restrict,
     shortest_trace,
 )
+
+
+def test_constructed_systems_match_golden_digest():
+    # tests/golden/lts_digest.txt holds the output of
+    # `python3 tools/lts_digest.py .`: per benchmark input and fixture
+    # capacity, one sha256 over the exact form of every AEI's pc and tc
+    # semantics, one over the whole system and one over every check's
+    # lhs and rhs, then a total.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "tools" / "lts_digest.py"), str(root)],
+                          capture_output=True, check=True)
+    assert done.stdout == (root / "tests" / "golden" / "lts_digest.txt").read_bytes()
 
 
 def labels_of(lts):
