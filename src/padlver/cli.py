@@ -174,14 +174,18 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    try:
-        l1 = read_aut(_read(args.left))
-        l2 = read_aut(_read(args.right))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    systems = []
+    for path in (args.left, args.right):
+        try:
+            systems.append(read_aut(_read(path)))
+        except ValueError as exc:
+            print(f"{path}: error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except StateLimitExceeded as exc:
+            print(f"{path}: error: {exc}", file=sys.stderr)
+            return 3
     check = strong_bisim_check if args.strong else weak_bisim_check
-    verdict = check(l1, l2)
+    verdict = check(*systems)
     if verdict.equivalent:
         print("equivalent")
         return 0

@@ -46,6 +46,8 @@ from .lts import (
     Lts,
     Move,
     _canonical,
+    _merged_table,
+    _reindexed,
     _require_resolved,
     renumber_bfs,
 )
@@ -304,7 +306,9 @@ def _image_rows(lts: Lts, block: Sequence[int], n_blocks: int) -> list[list[Move
 
 
 def _quotient(lts: Lts, block: Sequence[int], n_blocks: int) -> Lts:
-    """The image of lts under a state map, intra-block tau steps dropped."""
+    """The image of lts under a state map, intra-block tau steps dropped.
+    Every visible move keeps its label, so lts's table is already the
+    image's and _canonical only sorts the rows."""
     marked = frozenset(block[s] for s in lts.marked)
     return _canonical(lts.labels, _image_rows(lts, block, n_blocks), block[lts.initial], marked)
 
@@ -603,19 +607,17 @@ class EquivalenceVerdict:
 
 
 def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
-    """l1 and l2 side by side: l2's states shift by l1.n_states and its
-    label indices by len(l1.labels), over the joined label tables."""
+    """l1 and l2 side by side over one label table, tau and then both
+    tables' other names sorted, with l2's states shifted by l1.n_states.
+    Each side's label indices map into that table in order, so the rows
+    stay sorted and free of duplicates and nothing is re-sorted; l1's
+    rows are reused as they are when its indices do not move."""
+    labels = _merged_table(l1.labels, l2.labels)
+    position = {name: i for i, name in enumerate(labels)}
     offset = l1.n_states
-    shift = len(l1.labels)
-    rows = list(l1.trans)
-    for ts in l2.trans:
-        rows.append([
-            (l + shift, d + offset, el + shift, ed + offset) if ed >= 0
-            else (l + shift, d + offset, -1, -1)
-            for l, d, el, ed in ts
-        ])
+    rows = _reindexed(l1, position) + _reindexed(l2, position, offset)
     marked = frozenset(l1.marked) | frozenset(offset + s for s in l2.marked)
-    union = _canonical(l1.labels + l2.labels, rows, l1.initial, marked)
+    union = _canonical(labels, rows, l1.initial, marked, ordered=True)
     return union, l1.initial, offset + l2.initial
 
 

@@ -7,10 +7,12 @@ Lts keeps them in a sorted label table, and each of its transitions
 is a plain tuple of four ints, (label, target, exc_label, exc_target),
 whose label fields index that table.  The operators below map those
 indices (hiding maps a label to tau, relabeling renames a table entry)
-and all end in one canonicalizing step, so only build_lts and
-LtsBuilder.add read label strings from outside.  One pass, restrict(),
-hides labels and resolves semi-synchronous moves; hide() and resolve()
-are its two special cases.
+and all end in one canonicalizing step, _canonical, so only build_lts
+and LtsBuilder.add read label strings from outside.  An operator that
+already builds over the final table, as parallel does, leaves that step
+only the sorting of its rows.  One pass, restrict(), hides labels and
+resolves semi-synchronous moves; hide() and resolve() are its two
+special cases.
 
 A transition is either normal (exc_label and exc_target are -1) or
 semi-synchronous (exc_target >= 0).  A semi-synchronous transition
@@ -70,9 +72,10 @@ class Lts:
     compare equal.
 
     The constructor does not check this form; every construction ends
-    in _canonical, which establishes it.  Code that walks rows (the
-    tau-SCC search, partition refinement, weak moves) relies on the
-    sorted order."""
+    in _canonical, the constructor's only caller, which establishes it
+    or, where the caller's rows already have it, keeps them.  Code that
+    walks rows (the tau-SCC search, partition refinement, weak moves)
+    relies on the sorted order."""
 
     labels: tuple[str, ...]  # labels[0] is always tau
     n_states: int
@@ -83,17 +86,6 @@ class Lts:
     def __post_init__(self) -> None:
         assert self.labels and self.labels[0] == TAU
         assert 0 <= self.initial < self.n_states
-
-    def visible_labels(self) -> set[str]:
-        """Labels of transitions reachable from the initial state, tau excluded."""
-        seen = set()
-        for s in reachable_states(self):
-            for l, _, el, ed in self.trans[s]:
-                if l != 0:
-                    seen.add(self.labels[l])
-                if ed >= 0:
-                    seen.add(self.labels[el])
-        return seen
 
     def has_semisync(self) -> bool:
         return max(map(_EXC_TARGET, chain.from_iterable(self.trans)), default=-1) >= 0
@@ -141,6 +133,8 @@ def _canonical(
     initial: int,
     marked: frozenset[int] | set[int],
     exc_names: Sequence[str] | None = None,
+    *,
+    ordered: bool = False,
 ) -> Lts:
     """The one path every constructed Lts ends in.
 
@@ -149,12 +143,26 @@ def _canonical(
     when omitted); both tables may repeat a name and may hold unused
     ones, and a name mapped to tau makes its transitions tau steps.
     Unused names are dropped, the rest sorted after tau, the indices
-    remapped by name, and each row deduplicated and sorted."""
-    if exc_names is None:
-        exc_names = names
-    used = set(map(_LABEL, chain.from_iterable(rows)))
-    used_exc = set(map(_EXC_LABEL, chain.from_iterable(rows)))
+    remapped by name, and each row deduplicated and sorted.
+
+    What the caller's rows already satisfy is skipped.  When ``names``
+    alone is the final table, tau and then distinct names in sorted
+    order every one of which fires, no index moves and each row is
+    only deduplicated and sorted: parallel, the quotients and saturate
+    build over such a table.  ``ordered`` promises that, and also that
+    every row is sorted and free of duplicates, so the rows are kept as
+    they are (the disjoint union of two canonical systems)."""
+    if ordered:
+        return Lts(tuple(names), len(rows), initial, tuple(map(tuple, rows)), frozenset(marked))
+    flat = chain.from_iterable
+    used = set(map(_LABEL, flat(rows)))
+    used_exc = set(map(_EXC_LABEL, flat(rows)))
     used_exc.discard(-1)
+    if exc_names is None:
+        if _is_table(names) and len(used.union(used_exc, (0,))) == len(names):
+            trans = tuple(map(tuple, map(sorted, map(set, rows))))
+            return Lts(tuple(names), len(rows), initial, trans, frozenset(marked))
+        exc_names = names
     in_use = {names[i] for i in used} | {exc_names[i] for i in used_exc}
     in_use.discard(TAU)
     labels = (TAU,) + tuple(sorted(in_use))
@@ -162,7 +170,6 @@ def _canonical(
     remap = [position.get(name, -1) for name in names]
     # The trailing -1 keeps exc_label -1 (a normal transition) at -1.
     remap_exc = [position.get(name, -1) for name in exc_names] + [-1]
-    flat = chain.from_iterable
     moves = zip(
         map(remap.__getitem__, map(_LABEL, flat(rows))),
         map(_TARGET, flat(rows)),
@@ -171,6 +178,38 @@ def _canonical(
     )
     trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
     return Lts(labels, len(rows), initial, trans, frozenset(marked))
+
+
+def _is_table(names: Sequence[str]) -> bool:
+    """Whether names is tau and then distinct names in sorted order."""
+    rest = names[1:]
+    return names[0] == TAU and TAU not in rest and all(map(str.__lt__, rest, rest[1:]))
+
+
+def _merged_table(*tables: Sequence[str]) -> tuple[str, ...]:
+    """Tau, then every other name of the given tables, sorted: the
+    label table of a system built from systems with these tables, when
+    every label of theirs still fires in it."""
+    return (TAU,) + tuple(sorted(set().union(*(table[1:] for table in tables))))
+
+
+def _reindexed(
+    lts: Lts, position: dict[str, int], shift: int = 0
+) -> tuple[tuple[Move, ...], ...]:
+    """lts's rows over a larger table: label indices mapped by name
+    through position, targets shifted by shift.  The table keeps lts's
+    labels in their order (as _merged_table does), so the rows stay
+    sorted and free of duplicates; they are lts.trans itself when no
+    index moves."""
+    index = [position[name] for name in lts.labels]
+    if not shift and index == list(range(len(index))):
+        return lts.trans
+    index.append(-1)  # keeps a normal move's exc_label at -1
+    return tuple([
+        tuple([(index[l], d + shift, index[el], ed + shift if ed >= 0 else -1)
+               for l, d, el, ed in row])
+        for row in lts.trans
+    ])
 
 
 def build_lts(
@@ -275,23 +314,27 @@ def parallel(
     semi-synchronous (a later party of a multiway synchronization may
     still be missing); a joint move of two semi-synchronous transitions
     succeeds on both sides.
+
+    The product is built over its final label table: tau, then the
+    sorted union of both operands' other labels.  Each operand's indices
+    are mapped into it once, before the product is built, so _canonical
+    only sorts and deduplicates the rows.  The full remap by name runs
+    only when some label of that table never fires in the product (a
+    sync name that only one side offers, or a label whose moves cannot
+    be reached), and drops it.
     """
     bad = {name for name in sync_set if name == TAU or is_exception(name)}
     if bad:
         raise ValueError(f"sync set may not contain tau or exception labels: {sorted(bad)}")
 
-    # The product's label table is left's followed by right's, so right
-    # indices shift by `off`; a joint move keeps the left index.
-    off = len(left.labels)
-    right_index = {name: j for j, name in enumerate(right.labels)}
-    # Each left sync label's right index (-1 when right never offers it).
-    partner = {
-        i: right_index.get(name, -1)
-        for i, name in enumerate(left.labels) if name in sync_set
-    }
-    sync_right = frozenset(j for j, name in enumerate(right.labels) if name in sync_set)
+    # Over one table a joint move's label is the same index on both sides.
+    labels = _merged_table(left.labels, right.labels)
+    position = {name: i for i, name in enumerate(labels)}
+    left_trans = _reindexed(left, position)
+    right_trans = _reindexed(right, position)
+    sync = frozenset(position[name] for name in sync_set if name in position)
 
-    builder = LtsBuilder(state_limit, left.labels + right.labels)
+    builder = LtsBuilder(state_limit, labels)
     rows, seen = builder.rows, builder.index
     queue: deque[tuple[int, int, int]] = deque()  # (state, left state, right state)
 
@@ -310,22 +353,21 @@ def parallel(
         src, ls, rs = queue.popleft()
         row = rows[src]
         right_by_label: dict[int, list[Move]] = {}
-        for move in right.trans[rs]:
-            if move[0] in sync_right:
+        for move in right_trans[rs]:
+            if move[0] in sync:
                 right_by_label.setdefault(move[0], []).append(move)
 
         # Left side: interleaving and joint moves.
-        offered = set()  # right indices of the shared names left offers here
-        for l, d, el, ed in left.trans[ls]:
-            j = partner.get(l)
-            if j is None:
+        offered = set()  # the shared labels left offers here
+        for l, d, el, ed in left_trans[ls]:
+            if l not in sync:
                 if ed >= 0:
                     row.append((l, visit(d, rs), el, visit(ed, rs)))
                 else:
                     row.append((l, visit(d, rs), -1, -1))
                 continue
-            offered.add(j)
-            partners = right_by_label.get(j)
+            offered.add(l)
+            partners = right_by_label.get(l)
             if not partners:
                 if ed >= 0:
                     row.append((el, visit(ed, rs), -1, -1))
@@ -336,20 +378,21 @@ def parallel(
                 elif ed >= 0:
                     row.append((l, visit(d, rd), el, visit(ed, rs)))
                 elif red >= 0:
-                    row.append((l, visit(d, rd), rel + off, visit(ls, red)))
+                    row.append((l, visit(d, rd), rel, visit(ls, red)))
                 else:
                     row.append((l, visit(d, rd), -1, -1))
 
         # Right side: interleaving, plus exceptions for unmatched semisync.
-        for r, d, el, ed in right.trans[rs]:
-            if r not in sync_right:
+        for r, d, el, ed in right_trans[rs]:
+            if r not in sync:
                 if ed >= 0:
-                    row.append((r + off, visit(ls, d), el + off, visit(ls, ed)))
+                    row.append((r, visit(ls, d), el, visit(ls, ed)))
                 else:
-                    row.append((r + off, visit(ls, d), -1, -1))
+                    row.append((r, visit(ls, d), -1, -1))
             elif r not in offered and ed >= 0:
-                row.append((el + off, visit(ls, ed), -1, -1))
+                row.append((el, visit(ls, ed), -1, -1))
 
+    del left_trans, right_trans  # no longer read (peak memory)
     return builder.finish(init)
 
 
@@ -568,24 +611,15 @@ def read_aut(text: str) -> Lts:
     header = lines[0][3:].strip()
     if not (header.startswith("(") and header.endswith(")")):
         raise ValueError("malformed AUT header")
-    parts = [p.strip() for p in header[1:-1].split(",")]
-    if len(parts) != 3:
-        raise ValueError("malformed AUT header")
-    initial, n_trans, n_states = (int(p) for p in parts)
+    try:
+        initial, n_trans, n_states = (int(p) for p in header[1:-1].split(","))
+    except ValueError:
+        raise ValueError("malformed AUT header") from None
     if n_states > DEFAULT_STATE_LIMIT:
         raise StateLimitExceeded(DEFAULT_STATE_LIMIT, n_states, 0)
     triples: list[tuple[int, str, int]] = []
     for line in lines[1:]:
-        if not (line.startswith("(") and line.endswith(")")):
-            raise ValueError(f"malformed AUT transition: {line!r}")
-        inner = line[1:-1]
-        first_comma = inner.index(",")
-        last_comma = inner.rindex(",")
-        src = int(inner[:first_comma].strip())
-        dst = int(inner[last_comma + 1 :].strip())
-        label = inner[first_comma + 1 : last_comma].strip()
-        if label.startswith('"') and label.endswith('"') and len(label) >= 2:
-            label = label[1:-1]
+        src, label, dst = _aut_transition(line)
         if not (0 <= src < n_states and 0 <= dst < n_states):
             raise ValueError(f"AUT transition out of range: {line!r}")
         triples.append((src, label, dst))
@@ -609,6 +643,23 @@ def read_aut(text: str) -> Lts:
     return build_lts(len(number), number[initial], [
         (number[src], label, number[dst]) for src, label, dst in triples if src in number
     ])
+
+
+def _aut_transition(line: str) -> tuple[int, str, int]:
+    """The source, label and target of one AUT transition line,
+    ``(src, "label", dst)``; the label may hold commas."""
+    inner = line[1:-1]
+    first_comma = inner.find(",")
+    last_comma = inner.rfind(",")
+    if line.startswith("(") and line.endswith(")") and first_comma < last_comma:
+        label = inner[first_comma + 1 : last_comma].strip()
+        if label.startswith('"') and label.endswith('"') and len(label) >= 2:
+            label = label[1:-1]
+        try:
+            return int(inner[:first_comma]), label, int(inner[last_comma + 1 :])
+        except ValueError:
+            pass
+    raise ValueError(f"malformed AUT transition: {line!r}")
 
 
 # ---------------------------------------------------------------------------

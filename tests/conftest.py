@@ -7,7 +7,7 @@ import pytest
 
 from padlver import elaborate, parse, validate
 from padlver.elaborate import ElabArchitecture
-from padlver.lts import Lts, build_lts
+from padlver.lts import Lts, build_lts, reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,6 +37,19 @@ def star_source(n: int, synchronous: bool) -> str:
     )
     return (f"{types}  ARCHI_TOPOLOGY\n    ARCHI_ELEM_INSTANCES\n{instances}\n"
             f"    ARCHI_INTERACTIONS void\n    ARCHI_ATTACHMENTS\n{attachments}\nEND\n")
+
+
+def visible_labels(lts: Lts) -> set[str]:
+    """Labels of transitions reachable from the initial state, tau
+    excluded, exception labels of semi-synchronous moves included."""
+    seen = set()
+    for s in reachable_states(lts):
+        for l, _, el, ed in lts.trans[s]:
+            if l != 0:
+                seen.add(lts.labels[l])
+            if ed >= 0:
+                seen.add(lts.labels[el])
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, fixture_source, from_traces, load_arch
+from conftest import FIXTURES, fixture_source, from_traces, load_arch, visible_labels
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import pretty_print
 from padlver.cli import main
@@ -268,7 +268,7 @@ def test_lts_pc_wob_visible_labels(tmp_path, capsys):
                      "--aei", "S", "--variant", "pc-wob", "--out", str(out_path))
     assert code == 0
     lts = read_aut(out_path.read_text())
-    labels = {l for l in lts.visible_labels()}
+    labels = {l for l in visible_labels(lts)}
     assert labels == {
         "C_1.send_request#S.receive_request_1",
         "C_2.send_request#S.receive_request_2",
@@ -288,9 +288,9 @@ def test_lts_open_vs_pc_differ_only_in_hiding(tmp_path, capsys):
     open_lts, pc_lts = paths["open"], paths["pc-wob"]
     assert open_lts.n_states == pc_lts.n_states
     # same composite labels stay visible; the internal step becomes tau
-    assert "C_1.process" in open_lts.visible_labels()
-    assert "C_1.process" not in pc_lts.visible_labels()
-    assert open_lts.visible_labels() - {"C_1.process"} == pc_lts.visible_labels()
+    assert "C_1.process" in visible_labels(open_lts)
+    assert "C_1.process" not in visible_labels(pc_lts)
+    assert visible_labels(open_lts) - {"C_1.process"} == visible_labels(pc_lts)
 
 
 def test_lts_named_buffers_and_dot(tmp_path, capsys):
@@ -301,7 +301,7 @@ def test_lts_named_buffers_and_dot(tmp_path, capsys):
                      "--out", str(aut), "--dot-out", str(dot))
     assert code == 0
     lts = read_aut(aut.read_text())
-    labels = lts.visible_labels()
+    labels = visible_labels(lts)
     # only the buffer toward C_1 is present: its depart composite is
     # observable, the one toward C_2 is not
     assert "OAQ_1.depart#C_1.receive_response" in labels
@@ -460,6 +460,37 @@ def test_equiv_malformed_aut(tmp_path, capsys):
     code, _, err = run(capsys, "equiv", str(bad), str(good))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("text, message", [
+    ('des (0, 2, 2)\n(0, "a", 1)\n', "AUT header announces 2 transitions, file has 1"),
+    ('des (0, 1, 2)\n(0 "a" 1)\n', "malformed AUT transition: '(0 \"a\" 1)'"),
+    ('des (0, 1, 2)\n(0, "a")\n', "malformed AUT transition: '(0, \"a\")'"),
+    ('des (0, 1, 2)\n(x, "a", 1)\n', "malformed AUT transition: '(x, \"a\", 1)'"),
+    ('des (0, 1, 2)\n(0, "a", 1.5)\n', "malformed AUT transition: '(0, \"a\", 1.5)'"),
+    ('des (0, one, 2)\n(0, "a", 1)\n', "malformed AUT header"),
+])
+def test_equiv_read_errors_name_the_file(side, text, message, tmp_path, capsys):
+    bad = tmp_path / "bad.aut"
+    bad.write_text(text)
+    good = tmp_path / "good.aut"
+    good.write_text(write_aut(from_traces(("a",))))
+    files = [str(bad), str(good)] if side == "left" else [str(good), str(bad)]
+    code, out, err = run(capsys, "equiv", *files)
+    assert (code, out, err) == (2, "", f"{bad}: error: {message}\n")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_equiv_header_limit_names_the_file(side, tmp_path, capsys):
+    huge = tmp_path / "huge.aut"
+    huge.write_text(f"des (0, 1, {DEFAULT_STATE_LIMIT + 1})\n(0, \"a\", 1)\n")
+    good = tmp_path / "good.aut"
+    good.write_text(write_aut(from_traces(("a",))))
+    files = [str(huge), str(good)] if side == "left" else [str(good), str(huge)]
+    code, out, err = run(capsys, "equiv", *files)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{huge}: error: state limit {DEFAULT_STATE_LIMIT} exceeded")
 
 
 def test_equiv_refuses_a_header_past_the_state_limit(tmp_path, capsys):

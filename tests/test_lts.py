@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_traces, random_lts, random_semisync_lts, reachable_part
+from conftest import (
+    from_traces,
+    random_lts,
+    random_semisync_lts,
+    reachable_part,
+    visible_labels,
+)
 from padlver import build_lts, find_deadlocks, hide, parallel, read_aut, relabel, resolve, write_aut
 from padlver import lts as lts_module
 from padlver.diagnostics import StateLimitExceeded
@@ -44,7 +50,7 @@ def test_constructed_systems_match_golden_digest():
 
 
 def labels_of(lts):
-    return sorted(set(lts.visible_labels()))
+    return sorted(set(visible_labels(lts)))
 
 
 # -- parallel -----------------------------------------------------------------
@@ -155,7 +161,8 @@ def reference_product(left, right, sync, with_pairs=False):
                     triples.append((src, label, idx((ls, tgt)), exc_label, idx((ls, exc_tgt))))
             elif exc_label is not None and not any(mv[0] == label for mv in lm):
                 triples.append((src, exc_label, idx((ls, exc_tgt))))
-    lts = build_lts(len(states), 0, triples)
+    marked = {idx for (ls, rs), idx in states.items() if ls in left.marked or rs in right.marked}
+    lts = build_lts(len(states), 0, triples, marked)
     return (lts, states) if with_pairs else lts
 
 
@@ -365,7 +372,7 @@ def test_weak_deadlocks_grow_under_hiding():
         hidden = hide(lts, keep_only={"b", "c"})
         after = find_deadlocks(hidden, "weak")
         assert before <= after
-        if "a" not in lts.visible_labels():
+        if "a" not in visible_labels(lts):
             assert before == after
 
 
@@ -641,3 +648,70 @@ def test_integer_core_matches_string_reference(spec, names, pending, mapping, bu
             saturate(resolved, budget)
         assert (exc.value.limit, exc.value.states_seen, exc.value.transitions_seen) == (
             budget, n, over)
+
+
+# -- operands with different label tables ----------------------------------------
+#
+# parallel builds its product over the operands' merged table and
+# _disjoint_union maps both sides into it in order; both must give
+# exactly what building from label strings gives, also when the tables
+# interleave, when a table name never fires in the product (a sync name
+# that only one side offers) and when only one side has an exception
+# label.
+
+LEFT_NAMES, LEFT_EXCEPTIONS = ("a", "c", "s", "u"), ("s_exception", "x_exception")
+RIGHT_NAMES, RIGHT_EXCEPTIONS = ("b", "c", "s", "t"), ("s_exception", "t_exception")
+
+
+@st.composite
+def lts_over(draw, names, exceptions):
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    normal = st.tuples(state, st.sampled_from((TAU,) + names + exceptions), state)
+    semisync = st.tuples(state, st.sampled_from(names), state, st.sampled_from(exceptions), state)
+    items = draw(st.lists(st.one_of(normal, semisync), max_size=12))
+    return build_lts(n, draw(state), items, draw(st.frozensets(state, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lts_over(LEFT_NAMES, LEFT_EXCEPTIONS), lts_over(RIGHT_NAMES, RIGHT_EXCEPTIONS),
+       st.frozensets(st.sampled_from(("c", "s", "t", "u"))))
+def test_parallel_over_interleaved_tables_matches_reference(left, right, sync):
+    for a, b in ((left, right), (right, left)):
+        product = parallel(a, b, sync)
+        assert_canonical(product)
+        assert renumber_bfs(product) == renumber_bfs(reference_product(a, b, sync))
+
+
+def test_parallel_drops_a_sync_name_only_one_side_offers():
+    # u is in the merged table, but no joint move on it can fire.
+    left = build_lts(3, 0, [(0, "u", 1), (0, "a", 2)])
+    right = build_lts(2, 0, [(0, "b", 1)])
+    product = parallel(left, right, {"u"})
+    assert product.labels == (TAU, "a", "b")
+    assert_canonical(product)
+
+
+def ref_union(l1, l2):
+    items = list(string_items(l1))
+    for item in string_items(l2):
+        shifted = (item[0] + l1.n_states, item[1], item[2] + l1.n_states)
+        items.append(shifted + ((item[3], item[4] + l1.n_states) if len(item) == 5 else ()))
+    marked = set(l1.marked) | {s + l1.n_states for s in l2.marked}
+    return ref_build(l1.n_states + l2.n_states, l1.initial, items, marked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lts_over(("c", "e"), ("c_exception",)),
+       st.sampled_from([
+           (("a", "b"), ("a_exception",)),  # all before l1's names
+           (("x", "y"), ("y_exception",)),  # all after them
+           (("b", "d", "f"), ("d_exception",)),  # among them
+           (("c",), ("c_exception",)),  # a subset: l1's indices do not move
+           (("c", "e"), ("c_exception",)),  # the same table
+       ]).flatmap(lambda table: lts_over(*table)))
+def test_disjoint_union_matches_string_reference(l1, l2):
+    union, i1, i2 = _disjoint_union(l1, l2)
+    assert_matches(union, ref_union(l1, l2))
+    assert (union.n_states, i1, i2) == (l1.n_states + l2.n_states, l1.initial,
+                                        l1.n_states + l2.initial)
