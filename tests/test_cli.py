@@ -126,7 +126,8 @@ def test_check_json_matches_golden(name, capacity, capsys):
 def test_benchmark_reports_match_golden_digest():
     # tests/golden/report_digest.txt holds the output of
     # `python3 tools/report_digest.py .`: one sha256 per benchmark input
-    # and route over its --no-timings JSON and text reports, then a total.
+    # and route over its --no-timings JSON and text reports (the fixtures
+    # also at tight state limits and under the strict notion), then a total.
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, str(root / "tools" / "report_digest.py"), str(root)],
                           capture_output=True, check=True)

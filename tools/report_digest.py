@@ -11,8 +11,10 @@ line is printed per input and route: the sha256 of its JSON report,
 a newline and its text report, then the workload and input names.  The
 ``fixtures`` inputs then run again at each of the tight state limits in
 ``LIMITS``, so that the limit messages in the reports are pinned too;
-their lines end in ``limit=N`` and the route.  The last line is the
-sha256 of all lines before it.
+their lines end in ``limit=N`` and the route.  Last, the ``fixtures``
+inputs run under the strict deadlock notion, their lines ending in
+``notion=strict`` and the route.  The last line is the sha256 of all
+lines before it.
 
 Run it on two checkouts and ``diff`` the outputs: equal totals mean
 byte-identical reports, and the differing lines name the reports that
@@ -48,16 +50,16 @@ def load(root: Path):
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
 
-    def reports(inp, route: str) -> str:
+    def reports(inp, route: str, notion: str = "weak") -> str:
         arch = elaborate(validate(parse(inp.text, filename=inp.name)), inp.capacity)
         report = VerificationReport(
-            architecture=arch.name, mode=route, notion="weak",
+            architecture=arch.name, mode=route, notion=notion,
             queue_capacity=inp.capacity, state_limit=inp.state_limit, with_timings=False,
         )
         if route == "reduce":
-            report.reduction = verify_deadlock_by_reduction(arch, "weak", inp.state_limit)
+            report.reduction = verify_deadlock_by_reduction(arch, notion, inp.state_limit)
         else:
-            report.direct = verify_deadlock_direct(arch, "weak", inp.state_limit)
+            report.direct = verify_deadlock_direct(arch, notion, inp.state_limit)
         return report.to_json() + "\n" + report.to_text()
 
     return workloads, reports
@@ -70,9 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     workloads, reports = load(args.root.resolve())
     total = hashlib.sha256()
 
-    def emit(inp, label: str) -> None:
+    def emit(inp, label: str, notion: str = "weak") -> None:
         for route in ROUTES:
-            digest = hashlib.sha256(reports(inp, route).encode("utf-8")).hexdigest()
+            digest = hashlib.sha256(reports(inp, route, notion).encode("utf-8")).hexdigest()
             line = f"{digest}  {label} {route}\n"
             total.update(line.encode("utf-8"))
             sys.stdout.write(line)
@@ -83,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     for inp in sorted(workloads.build_inputs("fixtures", SEED), key=lambda i: i.name):
         for limit in LIMITS:
             emit(replace(inp, state_limit=limit), f"fixtures/{inp.name} limit={limit}")
+    for inp in sorted(workloads.build_inputs("fixtures", SEED), key=lambda i: i.name):
+        emit(inp, f"fixtures/{inp.name} notion=strict", "strict")
     sys.stdout.write(f"{total.hexdigest()}  total\n")
     return 0
 
