@@ -493,49 +493,28 @@ class NameSets:
 def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) -> NameSets:
     members = set(arch.bundle(aei))
     ctx = set(context)
-    phi: dict[str, str] = {}
-    for f in arch.families:
-        if aei not in f.owners:
-            continue
-        if not (f.owners - {aei}) & ctx:
-            continue
-        for x, inter in f.endpoints:
-            if x in members:
-                phi[f"{x}.{inter}"] = f.composite
-    oali: set[str] = set()
-    for f in arch.families:
-        if f.internal_owner == aei:
-            oali.add(f.composite)
+    phi = {f"{x}.{inter}": f.composite for f in arch.families
+           if aei in f.owners and (f.owners - {aei}) & ctx
+           for x, inter in f.endpoints if x in members}
+    oali = {f.composite for f in arch.families if f.internal_owner == aei}
     for name, inter in arch.aeis[aei].interactions.items():
         if inter.converted_from_async and inter.direction is m.Direction.INPUT:
             oali.add(exception_label(f"{aei}.{name}"))
-    visible = frozenset(phi.values()) | oali
-    return NameSets(
-        phi=tuple(sorted(phi.items())),
-        oali=frozenset(oali),
-        visible=visible,
-    )
+    return NameSets(tuple(sorted(phi.items())), frozenset(oali), frozenset(phi.values()) | oali)
 
 
 def sync_set(arch: ElabArchitecture, left: str, right: str) -> frozenset[str]:
     """Pairwise synchronization set: composite names of external
     families touching both bundles."""
-    out = set()
-    for f in arch.families:
-        if left in f.owners and right in f.owners:
-            out.add(f.composite)
-    return frozenset(out)
+    return frozenset(f.composite for f in arch.families if left in f.owners and right in f.owners)
 
 
 def h_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -> frozenset[str]:
     """Composite names of the queue-AEI interactions of `aei` attached
     to any of the other AEIs."""
     queues = set(arch.bundle(aei)) - {aei}
-    out = set()
-    for f in arch.families:
-        if not f.owners.isdisjoint(others) and any(x in queues for x, _ in f.endpoints):
-            out.add(f.composite)
-    return frozenset(out)
+    return frozenset(f.composite for f in arch.families
+                     if not f.owners.isdisjoint(others) and any(x in queues for x, _ in f.endpoints))
 
 
 def semisync_names(arch: ElabArchitecture, aei: str) -> frozenset[str]:
@@ -543,27 +522,10 @@ def semisync_names(arch: ElabArchitecture, aei: str) -> frozenset[str]:
     semi-synchronous endpoint: every label its semi-synchronous moves
     can carry in a closed part (a name no family maps is hidden by
     either closure, which makes its moves tau steps)."""
-    out = set()
-    for f in arch.families:
-        if aei in f.owners:
-            for x, inter in f.endpoints:
-                decl = arch.aeis[x].interactions[inter]
-                if x == aei and decl.synchronicity is m.Synchronicity.SSYNC:
-                    out.add(f.composite)
-    return frozenset(out)
-
-
-def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -> frozenset[str]:
-    """Exception labels of semi-synchronous interactions involved in
-    attachments between `aei` (or its queues) and the other AEIs."""
-    out = set()
-    for f in arch.families:
-        if aei in f.owners and not f.owners.isdisjoint(others):
-            for x, inter in f.endpoints:
-                decl = arch.aeis[x].interactions[inter]
-                if decl.synchronicity is m.Synchronicity.SSYNC:
-                    out.add(exception_label(f"{x}.{inter}"))
-    return frozenset(out)
+    ssync = {name for name, decl in arch.aeis[aei].interactions.items()
+             if decl.synchronicity is m.Synchronicity.SSYNC}
+    return frozenset(f.composite for f in arch.families
+                     if any(x == aei and inter in ssync for x, inter in f.endpoints))
 
 
 # ---------------------------------------------------------------------------

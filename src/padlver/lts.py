@@ -61,6 +61,9 @@ _LABEL = itemgetter(0)
 _TARGET = itemgetter(1)
 _EXC_LABEL = itemgetter(2)
 _EXC_TARGET = itemgetter(3)
+_LABEL_TARGET = itemgetter(0, 1)
+
+Rows = Sequence[Sequence[Move]]  # rows[s]: state s's moves
 
 
 @dataclass(frozen=True)
@@ -92,14 +95,9 @@ class Lts:
 
     def transition_view(self) -> list[tuple[int, str, int, str | None, int | None]]:
         """Label-resolved transitions, convenient for tests and debugging."""
-        out = []
-        for s, ts in enumerate(self.trans):
-            for l, d, el, ed in ts:
-                if ed >= 0:
-                    out.append((s, self.labels[l], d, self.labels[el], ed))
-                else:
-                    out.append((s, self.labels[l], d, None, None))
-        return out
+        name = self.labels + (None,)  # a normal move's exc_label, -1, names None
+        return [(s, name[l], d, name[el], ed if ed >= 0 else None)
+                for s, row in enumerate(self.trans) for l, d, el, ed in row]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,8 @@ def parallel(
     sync_set: set[str] | frozenset[str],
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Lts:
-    """Parallel composition forcing synchronization on sync_set.
+    """Parallel composition forcing synchronization on sync_set: the
+    canonical form of _product.
 
     Labels outside the set interleave.  A label in the set fires only
     jointly.  When one side offers a semi-synchronous transition on a
@@ -323,6 +322,15 @@ def parallel(
     sync name that only one side offers, or a label whose moves cannot
     be reached), and drops it.
     """
+    return _canonical(*_product(left, right, sync_set, state_limit))
+
+
+@_acyclic
+def _product(left: Lts, right: Lts, sync_set: Iterable[str],
+             state_limit: int = DEFAULT_STATE_LIMIT):
+    """parallel's exploration, before _canonical: the product's label
+    table, its rows (unsorted, with duplicates, semi-synchronous moves
+    unresolved), its initial state and its marked states."""
     bad = {name for name in sync_set if name == TAU or is_exception(name)}
     if bad:
         raise ValueError(f"sync set may not contain tau or exception labels: {sorted(bad)}")
@@ -393,7 +401,7 @@ def parallel(
                 row.append((el, visit(ls, ed), -1, -1))
 
     del left_trans, right_trans  # no longer read (peak memory)
-    return builder.finish(init)
+    return builder.labels, rows, init, builder._marked
 
 
 def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
@@ -491,15 +499,12 @@ def reachable_states(lts: Lts) -> list[int]:
     seen = [False] * lts.n_states
     seen[lts.initial] = True
     order = [lts.initial]
-    queue = deque([lts.initial])
-    while queue:
-        s = queue.popleft()
+    for s in order:  # the loop appends
         for _, d, _, ed in lts.trans[s]:
             for dst in (d, ed) if ed >= 0 else (d,):
                 if not seen[dst]:
                     seen[dst] = True
                     order.append(dst)
-                    queue.append(dst)
     return order
 
 
@@ -516,58 +521,73 @@ def find_deadlocks(lts: Lts, notion: str = "weak") -> frozenset[int]:
     dead end counts as deadlocked, matching what weak bisimilarity can
     observe).
     """
-    if notion not in ("weak", "strict"):
-        raise ValueError(f"unknown deadlock notion {notion!r}")
     _require_resolved(lts, "find_deadlocks")
-    reachable = reachable_states(lts)
-    if notion == "strict":
-        return frozenset(s for s in reachable if not lts.trans[s])
-
-    # Mark states that can perform a visible action, then walk tau edges
-    # backwards; unmarked reachable states are weakly deadlocked.
-    can_visible = [False] * lts.n_states
-    rev_tau: list[list[int]] = [[] for _ in range(lts.n_states)]
-    for s in range(lts.n_states):
-        for l, d, _, _ in lts.trans[s]:
-            if l != 0:
-                can_visible[s] = True
-            else:
-                rev_tau[d].append(s)
-    queue = deque(s for s in range(lts.n_states) if can_visible[s])
-    while queue:
-        s = queue.popleft()
-        for p in rev_tau[s]:
-            if not can_visible[p]:
-                can_visible[p] = True
-                queue.append(p)
-    return frozenset(s for s in reachable if not can_visible[s])
+    return _deadlocks(lts.trans, lts.initial, notion)
 
 
 def shortest_trace(lts: Lts, targets: frozenset[int]) -> list[str]:
     """Labels along a shortest path from the initial state to any target."""
-    if lts.initial in targets:
+    _require_resolved(lts, "shortest_trace")
+    return _trace(lts.labels, lts.trans, lts.initial, targets)
+
+
+def _deadlocks(rows: Rows, initial: int, notion: str) -> frozenset[int]:
+    """find_deadlocks over rows as resolve() would leave them: a move is
+    its label and success target, its exception fields are ignored, and
+    rows may be unsorted and hold duplicates, as _product's raw rows do."""
+    if notion not in ("weak", "strict"):
+        raise ValueError(f"unknown deadlock notion {notion!r}")
+    seen = [False] * len(rows)
+    seen[initial] = True
+    order = [initial]  # reachable states in BFS order; the loop appends
+    for s in order:
+        for _, d, _, _ in rows[s]:
+            if not seen[d]:
+                seen[d] = True
+                order.append(d)
+    if notion == "strict":
+        return frozenset(s for s in order if not rows[s])
+
+    # A state with a visible move is live; so is a silent one (all its
+    # moves are tau) that reaches a live one: found walking tau edges back.
+    live = seen
+    rev_tau: dict[int, list[int]] = {}
+    for s in order:
+        row = rows[s]
+        if not any(map(_LABEL, row)):
+            live[s] = False
+            for _, d, _, _ in row:
+                rev_tau.setdefault(d, []).append(s)
+    work = [d for d in rev_tau if live[d]]
+    for s in work:  # the loop appends
+        for p in rev_tau.get(s, ()):
+            if not live[p]:
+                live[p] = True
+                work.append(p)
+    return frozenset(s for s in order if not live[s])
+
+
+def _trace(labels: Sequence[str], rows: Rows, initial: int, targets: frozenset[int]) -> list[str]:
+    """shortest_trace over rows as _deadlocks takes them.  Each row's
+    distinct (label, target) pairs are visited in sorted order, the row
+    order of the resolved canonical system, so over a table sorted
+    after tau (a product's or an Lts's) the trace is that system's."""
+    if initial in targets:
         return []
-    parent: dict[int, tuple[int, str]] = {lts.initial: (-1, "")}
-    queue = deque([lts.initial])
-    while queue:
-        s = queue.popleft()
-        for l, d, el, ed in lts.trans[s]:
-            succ = [(d, lts.labels[l])]
-            if ed >= 0:
-                succ.append((ed, lts.labels[el]))
-            for dst, label in succ:
-                if dst in parent:
-                    continue
-                parent[dst] = (s, label)
-                if dst in targets:
-                    trace: list[str] = []
-                    cur = dst
-                    while cur != lts.initial:
-                        prev, lab = parent[cur]
-                        trace.append(lab)
-                        cur = prev
-                    return list(reversed(trace))
-                queue.append(dst)
+    parent: dict[int, tuple[int, int]] = {initial: (-1, 0)}
+    queue = [initial]
+    for s in queue:  # the loop appends
+        for l, d in sorted(set(map(_LABEL_TARGET, rows[s]))):
+            if d in parent:
+                continue
+            parent[d] = (s, l)
+            if d in targets:
+                trace: list[str] = []
+                while d != initial:
+                    d, l = parent[d]
+                    trace.append(labels[l])
+                return trace[::-1]
+            queue.append(d)
     raise ValueError("no target state is reachable")
 
 

@@ -27,7 +27,12 @@ compatibility condition on every star pair and the interoperability
 conditions on every cyclic union, and only then transfers the verdict
 from a single AEI to the whole architecture; the direct one explores
 the full composite state space and is used as the cross-validation
-oracle.  When the compositional conditions fail, no verdict is claimed.
+oracle.  The direct one composes every AEI but the last as
+composite_semantics does, then searches the last product's rows as
+they are explored, neither sorted nor resolved; its state count is
+every state explored, exception continuations that resolution would
+leave unreachable included.  When the compositional conditions fail,
+no verdict is claimed.
 The compositional driver checks once per twin class: AEIs whose swap
 maps the architecture onto itself share their isolation check and
 their equivalent compatibility outcomes.
@@ -40,6 +45,7 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from . import model as m
 from .diagnostics import StateLimitExceeded
@@ -50,6 +56,7 @@ from .elaborate import (
     build_name_sets,
     composite_semantics,
     h_set,
+    sync_set,
 )
 from .equivalence import EquivalenceVerdict, weak_bisim_check
 from .lts import (
@@ -57,13 +64,16 @@ from .lts import (
     EXCEPTION_SUFFIX,
     TAU,
     Lts,
+    _canonical,
+    _deadlocks,
+    _product,
+    _trace,
     exception_label,
     find_deadlocks,
     is_exception,
     parallel,  # unused here; perfbench's tracer test still looks it up on this module
     relabel,
     resolve,
-    shortest_trace,
 )
 from .validate import ValidatedArchitecture
 
@@ -393,15 +403,28 @@ def aei_deadlock_free(
     return not find_deadlocks(aei_alone(arch, aei, state_limit), notion)
 
 
-def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
-    """All AEIs with all their buffers, partially closed, resolved."""
-    everyone = arch.real_aeis
+def _whole_product(arch: ElabArchitecture, state_limit: int):
+    """All AEIs with all their buffers, partially closed: the plain
+    product chain of composite_semantics, its last step left as
+    _product's raw rows (a lone AEI's semantics as its own rows)."""
+    *first, last = everyone = arch.real_aeis
     parts = (
         (aei, aei_semantics(arch, aei, context=everyone, closure="pc", buffers_for=everyone,
                             state_limit=state_limit))
         for aei in everyone
     )
-    return resolve(composite_semantics(arch, parts, state_limit))
+    if not first:
+        ((_, lts),) = parts
+        return lts.labels, lts.trans, lts.initial, lts.marked
+    head = composite_semantics(arch, islice(parts, len(first)), state_limit)
+    _, tail = next(parts)
+    sync = set().union(*(sync_set(arch, prev, last) for prev in first))
+    return _product(head, tail, sync, state_limit)
+
+
+def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
+    """The whole product (_whole_product) built and resolved."""
+    return resolve(_canonical(*_whole_product(arch, state_limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +434,10 @@ def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
 
 @dataclass
 class DirectResult:
+    """The direct check's answer.  ``states`` counts every state the
+    exploration generated, which includes exception continuations that
+    resolution leaves unreachable (_whole_system's n_states)."""
+
     status: str  # "deadlock_free" | "deadlock" | "inconclusive"
     trace: list[str] | None
     states: int
@@ -425,21 +452,22 @@ def verify_deadlock_direct(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> DirectResult:
     """Whole-system model check: all AEIs with all their buffers,
-    partially closed, searched for (weak) deadlocks."""
+    partially closed, searched for (weak) deadlocks.  The last product
+    is searched as it was explored, unsorted and unresolved, with the
+    search find_deadlocks and shortest_trace run on _whole_system."""
     started = time.perf_counter()
     try:
-        full = _whole_system(arch, state_limit)
+        labels, rows, initial, marked = _whole_product(arch, state_limit)
     except StateLimitExceeded as exc:
         return DirectResult(
             "inconclusive", None, exc.states_seen,
             (time.perf_counter() - started) * 1000.0, False, str(exc),
         )
-    dead = find_deadlocks(full, notion)
+    dead = _deadlocks(rows, initial, notion)
     elapsed = (time.perf_counter() - started) * 1000.0
-    if dead:
-        trace = shortest_trace(full, dead)
-        return DirectResult("deadlock", trace, full.n_states, elapsed, bool(full.marked))
-    return DirectResult("deadlock_free", None, full.n_states, elapsed, bool(full.marked))
+    trace = _trace(labels, rows, initial, dead) if dead else None
+    status = "deadlock" if dead else "deadlock_free"
+    return DirectResult(status, trace, len(rows), elapsed, bool(marked))
 
 
 @dataclass
@@ -459,10 +487,6 @@ class ReductionResult:
     witness: str | None  # AEI whose deadlock freedom transfers to the whole
     decomposition: Decomposition
     time_ms: float
-
-    @property
-    def all_conditions_hold(self) -> bool:
-        return all(c.holds for c in self.conditions)
 
 
 # A check is (kind, subject, partner): ("compatibility", center, partner)

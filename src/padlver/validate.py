@@ -53,13 +53,6 @@ class ValidatedArchitecture:
     def interaction(self, aei: str, name: str) -> m.InteractionDecl | None:
         return self.aet_of(aei).interaction(name)
 
-    def attach_no(self, endpoint: tuple[str, str]) -> int:
-        """Number of attachments involving an (aei, interaction) endpoint."""
-        aei, inter = endpoint
-        if aei not in self.instances or self.interaction(aei, inter) is None:
-            raise ValueError(f"unknown endpoint {aei}.{inter}")
-        return len(self.attachments_of.get(endpoint, []))
-
 
 # ---------------------------------------------------------------------------
 # Type checking

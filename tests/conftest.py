@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 from padlver import elaborate, parse, validate
+from padlver import model as m
 from padlver.elaborate import ElabArchitecture
-from padlver.lts import Lts, build_lts, reachable_states
+from padlver.lts import Lts, build_lts, exception_label, reachable_states
+from padlver.topology import ReductionResult
+from padlver.validate import ValidatedArchitecture
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -18,6 +21,31 @@ def fixture_source(name: str) -> str:
 
 def load_arch(name: str, capacity: int = 2) -> ElabArchitecture:
     return elaborate(validate(parse(fixture_source(name))), capacity)
+
+
+def attach_no(arch: ValidatedArchitecture, endpoint: tuple[str, str]) -> int:
+    """Number of attachments involving an (aei, interaction) endpoint."""
+    aei, inter = endpoint
+    if aei not in arch.instances or arch.interaction(aei, inter) is None:
+        raise ValueError(f"unknown endpoint {aei}.{inter}")
+    return len(arch.attachments_of.get(endpoint, []))
+
+
+def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -> frozenset[str]:
+    """Exception labels of semi-synchronous interactions involved in
+    attachments between `aei` (or its queues) and the other AEIs."""
+    out = set()
+    for f in arch.families:
+        if aei in f.owners and not f.owners.isdisjoint(others):
+            for x, inter in f.endpoints:
+                decl = arch.aeis[x].interactions[inter]
+                if decl.synchronicity is m.Synchronicity.SSYNC:
+                    out.add(exception_label(f"{x}.{inter}"))
+    return frozenset(out)
+
+
+def all_conditions_hold(reduction: ReductionResult) -> bool:
+    return all(c.holds for c in reduction.conditions)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import random
 import time
 
 from conftest import (
+    all_conditions_hold,
     fixture_source,
     load_arch,
     naive_weak_bisim,
@@ -117,7 +118,7 @@ def test_acceptance_4_cruise_control_verification():
     assert compat.lhs_states < 10**6
 
     reduction = verify_deadlock_by_reduction(arch)
-    assert reduction.all_conditions_hold
+    assert all_conditions_hold(reduction)
     assert reduction.status == "deadlock_free"
 
     direct = verify_deadlock_direct(arch)
@@ -226,7 +227,7 @@ def test_acceptance_8_reduction_soundness_harness():
     for name in ALL_FIXTURES:
         arch = load_arch(name)
         reduction = verify_deadlock_by_reduction(arch)
-        if not reduction.all_conditions_hold:
+        if not all_conditions_hold(reduction):
             continue
         direct = verify_deadlock_direct(arch)
         assert direct.status in ("deadlock_free", "deadlock")

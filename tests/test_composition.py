@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, load_arch
+from conftest import FIXTURES, e_set, load_arch
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import validate
 from padlver.diagnostics import StateLimitExceeded
@@ -32,7 +32,6 @@ from padlver.elaborate import (
     aei_semantics,
     build_name_sets,
     composite_semantics,
-    e_set,
     elaborate,
     h_set,
 )

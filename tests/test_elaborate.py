@@ -7,7 +7,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import FIXTURES, fixture_source, load_arch, star_source, visible_labels
+from conftest import (
+    FIXTURES,
+    attach_no,
+    e_set,
+    fixture_source,
+    load_arch,
+    star_source,
+    visible_labels,
+)
 from test_random_architectures import _SSYNC_HEAVY, random_architecture
 from padlver import PadlError, StateLimitExceeded, parse, validate
 from padlver import model as m
@@ -15,7 +23,6 @@ from padlver.elaborate import (
     aei_semantics,
     build_name_sets,
     composite_semantics,
-    e_set,
     elaborate,
     h_set,
     or_rewrite,
@@ -186,7 +193,7 @@ def test_fresh_copy_count_equals_attach_no():
     varch = arch.source
     for name in ("receive_request", "send_response"):
         copies = [i for i in arch.aeis["S"].interactions if i.startswith(name + "_")]
-        assert len(copies) == varch.attach_no(("S", name))
+        assert len(copies) == attach_no(varch, ("S", name))
 
 
 # -- queue insertion ---------------------------------------------------------------

@@ -390,6 +390,8 @@ def test_deadlock_ops_require_resolved():
     # resolution takes the success continuation; the exception target
     # becomes unreachable and deadlock search only reports reachable states
     assert find_deadlocks(resolve(lts)) == {1}
+    with pytest.raises(ValueError):
+        shortest_trace(lts, frozenset({1}))
 
 
 # -- AUT ------------------------------------------------------------------------
@@ -690,6 +692,69 @@ def test_parallel_drops_a_sync_name_only_one_side_offers():
     product = parallel(left, right, {"u"})
     assert product.labels == (TAU, "a", "b")
     assert_canonical(product)
+
+
+# -- the search over a product's raw rows ------------------------------------------
+#
+# The direct oracle searches _product's rows as they were explored:
+# unsorted, with duplicates and with semi-synchronous moves unresolved.
+# Its deadlocks and shortest trace must be those of the resolved
+# canonical system.
+
+
+def scrambled(rows, rng):
+    """rows with each row's moves reordered and some repeated."""
+    out = []
+    for row in rows:
+        row = list(row) + (rng.choices(row, k=rng.randint(0, 2)) if row else [])
+        rng.shuffle(row)
+        out.append(row)
+    return out
+
+
+def assert_search_matches_resolved(raw, targets):
+    labels, rows, initial, marked = raw
+    built = resolve(lts_module._canonical(*raw))
+    for notion in ("weak", "strict"):
+        dead = lts_module._deadlocks(rows, initial, notion)
+        assert dead == find_deadlocks(built, notion)
+        if dead:
+            assert lts_module._trace(labels, rows, initial, dead) == shortest_trace(built, dead)
+    try:
+        expected = shortest_trace(built, targets)
+    except ValueError:
+        with pytest.raises(ValueError):
+            lts_module._trace(labels, rows, initial, targets)
+    else:
+        assert lts_module._trace(labels, rows, initial, targets) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(lts_over(LEFT_NAMES, LEFT_EXCEPTIONS), lts_over(RIGHT_NAMES, RIGHT_EXCEPTIONS),
+       st.frozensets(st.sampled_from(("c", "s", "t", "u"))), st.randoms(use_true_random=False),
+       st.frozensets(st.integers(0, 24), max_size=3))
+def test_row_search_over_a_raw_product_matches_the_resolved_system(left, right, sync, rng,
+                                                                   targets):
+    labels, rows, initial, marked = lts_module._product(left, right, sync)
+    for raw_rows in (rows, scrambled(rows, rng)):
+        assert_search_matches_resolved((labels, raw_rows, initial, marked), targets)
+
+
+def test_a_state_only_an_exception_reaches_counts_but_is_never_a_deadlock():
+    # Left's s is semi-synchronous; right is ready for it, so the joint
+    # move keeps left's exception target, state (2, 0), which is
+    # generated and counted, dead, and unreachable once resolved.
+    left = build_lts(3, 0, [(0, "s", 1, "L.s_exception", 2), (1, "a", 1)])
+    right = build_lts(2, 0, [(0, "s", 1), (1, "b", 1)])
+    raw = lts_module._product(left, right, {"s"})
+    labels, rows, initial, marked = raw
+    built = resolve(lts_module._canonical(*raw))
+    assert len(rows) == built.n_states == 3
+    assert len(reachable_states(built)) == 2
+    stranded = next(s for s, row in enumerate(rows) if not row)
+    for notion in ("weak", "strict"):
+        assert stranded not in lts_module._deadlocks(rows, initial, notion)
+    assert_search_matches_resolved(raw, frozenset({stranded}))
 
 
 def ref_union(l1, l2):

@@ -6,10 +6,19 @@ from collections import Counter
 
 import pytest
 
-from conftest import fixture_source, load_arch, naive_cyclic_unions
+from conftest import (
+    FIXTURES,
+    all_conditions_hold,
+    e_set,
+    fixture_source,
+    load_arch,
+    naive_cyclic_unions,
+)
 from padlver import parse, topology, validate
+from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import elaborate
 from padlver.equivalence import eval_formula
+from padlver.lts import DEFAULT_STATE_LIMIT, find_deadlocks, shortest_trace
 from padlver.topology import (
     AbstractFlowGraph,
     build_flow_graph,
@@ -21,6 +30,7 @@ from padlver.topology import (
     verify_deadlock_by_reduction,
     verify_deadlock_direct,
 )
+from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 
 SINGLE = """ARCHI_TYPE Solo(void)
   ARCHI_BEHAVIOR
@@ -230,7 +240,7 @@ def test_cruise_reduction_and_direct_agree():
     arch = load_arch("cruise_control")
     reduction = verify_deadlock_by_reduction(arch)
     assert reduction.status == "deadlock_free"
-    assert reduction.all_conditions_hold
+    assert all_conditions_hold(reduction)
     direct = verify_deadlock_direct(arch)
     assert direct.status == "deadlock_free"
 
@@ -258,7 +268,7 @@ def test_client_server_reduction_matches_direct():
         arch = load_arch(name)
         reduction = verify_deadlock_by_reduction(arch)
         direct = verify_deadlock_direct(arch)
-        assert reduction.all_conditions_hold
+        assert all_conditions_hold(reduction)
         assert reduction.status == direct.status == "deadlock_free"
         pairs = [c.subject for c in reduction.conditions if c.condition == "1"]
         assert pairs == [("S", "C_1"), ("S", "C_2")]
@@ -499,6 +509,67 @@ def test_strict_notion_finds_the_same_deadlock_here():
     assert verify_deadlock_direct(arch, notion="strict").status == "deadlock"
 
 
+# The direct oracle searches the last product's raw rows; it must give
+# exactly what the search gives on the whole system built, sorted and
+# resolved (_whole_system), at every limit and under both notions.
+
+
+def built_oracle(arch, notion, state_limit):
+    """verify_deadlock_direct's fields, from find_deadlocks and
+    shortest_trace on _whole_system."""
+    try:
+        full = topology._whole_system(arch, state_limit)
+    except StateLimitExceeded as exc:
+        return "inconclusive", None, exc.states_seen, False, str(exc)
+    dead = find_deadlocks(full, notion)
+    trace = shortest_trace(full, dead) if dead else None
+    return "deadlock" if dead else "deadlock_free", trace, full.n_states, bool(full.marked), None
+
+
+def direct_fields(arch, notion, state_limit):
+    result = verify_deadlock_direct(arch, notion, state_limit)
+    return result.status, result.trace, result.states, result.saturated, result.detail
+
+
+def test_direct_oracle_matches_the_built_whole_system_on_fixtures():
+    statuses = Counter()
+    traced = saturated = 0
+    for name in sorted(p.stem for p in FIXTURES.glob("*.padl")):
+        varch = validate(parse(fixture_source(name)))
+        for capacity in (1, 2, 3):
+            arch, reference = elaborate(varch, capacity), elaborate(varch, capacity)
+            for notion in ("weak", "strict"):
+                for limit in (8, 60, 1000, DEFAULT_STATE_LIMIT):
+                    fields = direct_fields(arch, notion, limit)
+                    assert fields == built_oracle(reference, notion, limit), (
+                        name, capacity, notion, limit)
+                    statuses[fields[0]] += 1
+                    traced += bool(fields[1])
+                    saturated += fields[3]
+    assert set(statuses) == {"deadlock", "deadlock_free", "inconclusive"}
+    assert traced and saturated
+
+
+def test_direct_oracle_matches_the_built_whole_system_on_a_lone_aei():
+    arch = elaborate(validate(parse(SINGLE)), 1)
+    for notion in ("weak", "strict"):
+        assert direct_fields(arch, notion, 100) == built_oracle(arch, notion, 100)
+
+
+def test_direct_oracle_matches_the_built_whole_system_on_harness_draws():
+    rng = random.Random(2201)
+    statuses = Counter()
+    for i in range(200):
+        description = random_architecture(rng, _SYNCS if i % 2 else _SSYNC_HEAVY)
+        capacity = rng.randint(1, 2)
+        for notion in ("weak", "strict"):
+            fields = direct_fields(elaborate(validate(description), capacity), notion, 100_000)
+            reference = built_oracle(elaborate(validate(description), capacity), notion, 100_000)
+            assert fields == reference, description
+            statuses[fields[0]] += 1
+    assert statuses["deadlock"] >= 20 and statuses["deadlock_free"] >= 20
+
+
 def test_reports_are_deterministic():
     from padlver.report import VerificationReport
 
@@ -523,7 +594,6 @@ def test_star_reduction_target():
     from padlver.elaborate import (
         aei_semantics,
         composite_semantics,
-        e_set,
         h_set,
     )
     from padlver.equivalence import weak_bisim_check

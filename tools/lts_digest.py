@@ -14,7 +14,10 @@ was digested:
 
 - ``semantics``: every AEI's ``pc`` and ``tc`` semantics, without
   buffers and with the buffers towards every AEI;
-- ``whole``: the whole system the direct check searches;
+- ``whole``: the whole system the direct check searches, built and
+  resolved (the direct check searches the same product's raw rows, so
+  its state count also includes exception continuations that
+  resolution leaves unreachable);
 - ``checks``: the ``lhs`` and ``rhs`` of every check the reduction
   lists, in its order, and the limit message of each condition that
   hit one; a compatibility check that takes a twin's outcome builds
