@@ -705,8 +705,8 @@ def composite_semantics(
     synchronize on (restrict), then quotiented by branching
     bisimilarity where _reduction_plan allows and no semi-synchronous
     move is left.  The architectural check always passes keep; only the
-    direct oracle (topology._whole_system, which behavioral conformity
-    also uses) composes the plain product."""
+    direct oracle (topology._whole_product, and _whole_system, which
+    behavioral conformity uses) composes the plain product."""
     plan = None if keep is None else _reduction_plan(arch, members)
     expected = iter(members)
     names: list[str] = []

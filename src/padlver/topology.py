@@ -27,12 +27,12 @@ compatibility condition on every star pair and the interoperability
 conditions on every cyclic union, and only then transfers the verdict
 from a single AEI to the whole architecture; the direct one explores
 the full composite state space and is used as the cross-validation
-oracle.  The direct one composes every AEI but the last as
+oracle.  When the compositional conditions fail, no verdict is claimed.
+The direct driver composes every AEI but the last as
 composite_semantics does, then searches the last product's rows as
 they are explored, neither sorted nor resolved; its state count is
 every state explored, exception continuations that resolution would
-leave unreachable included.  When the compositional conditions fail,
-no verdict is claimed.
+leave unreachable included.
 The compositional driver checks once per twin class: AEIs whose swap
 maps the architecture onto itself share their isolation check and
 their equivalent compatibility outcomes.
@@ -453,8 +453,8 @@ def verify_deadlock_direct(
 ) -> DirectResult:
     """Whole-system model check: all AEIs with all their buffers,
     partially closed, searched for (weak) deadlocks.  The last product
-    is searched as it was explored, unsorted and unresolved, with the
-    search find_deadlocks and shortest_trace run on _whole_system."""
+    is searched as it was explored, unsorted and unresolved, by the
+    search that find_deadlocks and shortest_trace run on _whole_system."""
     started = time.perf_counter()
     try:
         labels, rows, initial, marked = _whole_product(arch, state_limit)
