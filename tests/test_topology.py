@@ -14,6 +14,7 @@ from conftest import (
     load_arch,
     naive_cyclic_unions,
 )
+from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import parse, topology, validate
 from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import elaborate
@@ -30,7 +31,6 @@ from padlver.topology import (
     verify_deadlock_by_reduction,
     verify_deadlock_direct,
 )
-from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 
 SINGLE = """ARCHI_TYPE Solo(void)
   ARCHI_BEHAVIOR
