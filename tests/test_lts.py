@@ -174,10 +174,9 @@ def test_parallel_matches_reference_implementation():
         sync = set(rng.sample(["a", "b", "c"], rng.randint(0, 3)))
         expected = reference_product(left, right, sync)
         actual = parallel(left, right, sync)
-        # state numbering may differ (BFS vs FIFO replay), so compare
-        # after canonical renumbering of both
-        from padlver.lts import renumber_bfs
-
+        # Both number states in discovery order, so they agree exactly,
+        # state numbering included, and so after renumbering.
+        assert actual == expected
         assert renumber_bfs(actual) == renumber_bfs(expected)
 
 
@@ -219,11 +218,31 @@ def test_parallel_commutative_up_to_strong_bisim():
         assert strong_bisim_check(p, q).equivalent
 
 
-def test_state_limit():
+@pytest.mark.parametrize("limit, states, transitions", [(3, 3, 2), (5, 5, 5)])
+def test_state_limit(limit, states, transitions):
+    # The error counts the states numbered and the moves appended before
+    # the refused state.  Explored in order, (0,0) -> (1,0), (0,1);
+    # (1,0) -> (2,0), (1,1); (0,1) -> (1,1), (0,2): limit 3 refuses
+    # (2,0) after two moves, limit 5 refuses (0,2) after five.
     chain = from_traces(tuple("a" for _ in range(9)))
     with pytest.raises(StateLimitExceeded) as err:
-        parallel(chain, chain, set(), state_limit=3)
-    assert err.value.states_seen >= 3
+        parallel(chain, chain, set(), state_limit=limit)
+    assert (err.value.limit, err.value.states_seen, err.value.transitions_seen) == (
+        limit, states, transitions)
+
+
+@pytest.mark.parametrize("semisync_left", [True, False])
+def test_state_limit_on_an_exception_target(semisync_left):
+    # x is shared and the silent side never offers it, so the product
+    # takes x's exception target, the third state, which is refused
+    # after the one move on a.
+    sender = build_lts(4, 0, [(0, "a", 1), (0, "x", 2, "L.x_exception", 3)])
+    silent = build_lts(1, 0, [])
+    pair = (sender, silent) if semisync_left else (silent, sender)
+    with pytest.raises(StateLimitExceeded) as err:
+        parallel(*pair, {"x"}, state_limit=2)
+    assert (err.value.limit, err.value.states_seen, err.value.transitions_seen) == (2, 2, 1)
+    assert parallel(*pair, {"x"}, state_limit=3).n_states == 3
 
 
 def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
@@ -682,7 +701,9 @@ def test_parallel_over_interleaved_tables_matches_reference(left, right, sync):
     for a, b in ((left, right), (right, left)):
         product = parallel(a, b, sync)
         assert_canonical(product)
-        assert renumber_bfs(product) == renumber_bfs(reference_product(a, b, sync))
+        expected = reference_product(a, b, sync)
+        assert product == expected
+        assert renumber_bfs(product) == renumber_bfs(expected)
 
 
 def test_parallel_drops_a_sync_name_only_one_side_offers():
