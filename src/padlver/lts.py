@@ -8,9 +8,11 @@ is a plain tuple of four ints, (label, target, exc_label, exc_target),
 whose label fields index that table.  The operators below map those
 indices (hiding maps a label to tau, relabeling renames a table entry)
 and all end in one canonicalizing step, _canonical, so only build_lts
-and LtsBuilder.add read label strings from outside.  An operator that
-already builds over the final table, as parallel does, leaves that step
-only the sorting of its rows.  One pass, restrict(), hides labels and
+and LtsBuilder, through which generate_lts builds too, read label
+strings from outside.  An operator that already builds over the final
+table, as parallel does, leaves that step only the sorting of its rows;
+parallel's exploration, _product, keys its states by int and reads its
+operands' rows in place.  One pass, restrict(), hides labels and
 resolves semi-synchronous moves; hide() and resolve() are its two
 special cases.
 
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
@@ -237,19 +238,19 @@ def build_lts(
 
 
 class LtsBuilder:
-    """Incremental builder used by the breadth-first constructions.
+    """Incremental builder over label strings, used by generate_lts and
+    build_lts (_product keys its states by int; see _States).
 
     States are keyed by arbitrary hashable values and numbered in
     discovery order, which makes every construction reproducible.
     ``rows[s]`` collects state s's transitions as Move tuples over
-    ``labels``, which starts as the given table and grows as add() and
+    ``labels``, which starts as tau alone and grows as add() and
     add_semisync() intern names; duplicates are dropped at finish().
     """
 
-    def __init__(self, state_limit: int = DEFAULT_STATE_LIMIT,
-                 labels: Sequence[str] = (TAU,)):
+    def __init__(self, state_limit: int = DEFAULT_STATE_LIMIT):
         self.state_limit = state_limit
-        self.labels = list(labels)
+        self.labels = [TAU]
         self.rows: list[list[Move]] = []
         self.index: dict[object, int] = {}  # state key -> state
         self._label_index = {name: i for i, name in enumerate(self.labels)}
@@ -315,14 +316,35 @@ def parallel(
     succeeds on both sides.
 
     The product is built over its final label table: tau, then the
-    sorted union of both operands' other labels.  Each operand's indices
-    are mapped into it once, before the product is built, so _canonical
-    only sorts and deduplicates the rows.  The full remap by name runs
-    only when some label of that table never fires in the product (a
-    sync name that only one side offers, or a label whose moves cannot
-    be reached), and drops it.
+    sorted union of both operands' other labels.  Each operand's label
+    indices are mapped into it (see _product), so _canonical only sorts
+    and deduplicates the rows.  The full remap by name runs only when
+    some label of that table never fires in the product (a sync name
+    that only one side offers, or a label whose moves cannot be
+    reached), and drops it.
     """
     return _canonical(*_product(left, right, sync_set, state_limit))
+
+
+class _States(dict):
+    """_product's states by key, numbered in discovery order.  Looking
+    up an unseen key numbers it, opens its row and queues it, so a
+    target that is already known costs one dict lookup and no call."""
+
+    def __init__(self, state_limit: int) -> None:
+        self.state_limit = state_limit
+        self.order: list[int] = []  # order[s]: state s's key; the BFS queue
+        self.rows: list[list[Move]] = []
+
+    def __missing__(self, key: int) -> int:
+        idx = len(self.order)
+        if idx >= self.state_limit:
+            # Rows keep duplicates, so this counts every transition added.
+            raise StateLimitExceeded(self.state_limit, idx, sum(map(len, self.rows)))
+        self[key] = idx
+        self.order.append(key)
+        self.rows.append([])
+        return idx
 
 
 @_acyclic
@@ -330,7 +352,14 @@ def _product(left: Lts, right: Lts, sync_set: Iterable[str],
              state_limit: int = DEFAULT_STATE_LIMIT):
     """parallel's exploration, before _canonical: the product's label
     table, its rows (unsorted, with duplicates, semi-synchronous moves
-    unresolved), its initial state and its marked states."""
+    unresolved), its initial state and its marked states.
+
+    The pair of left state ls and right state rs is keyed by the int
+    ls * right.n_states + rs, and states are numbered and explored in
+    discovery order.  Left's rows, the large accumulated operand's, are
+    read in place, each label field mapped into the product's table
+    through one index list; right's are mapped once, and each right
+    state's shared moves are grouped by label once."""
     bad = {name for name in sync_set if name == TAU or is_exception(name)}
     if bad:
         raise ValueError(f"sync set may not contain tau or exception labels: {sorted(bad)}")
@@ -338,70 +367,70 @@ def _product(left: Lts, right: Lts, sync_set: Iterable[str],
     # Over one table a joint move's label is the same index on both sides.
     labels = _merged_table(left.labels, right.labels)
     position = {name: i for i, name in enumerate(labels)}
-    left_trans = _reindexed(left, position)
+    index = [position[name] for name in left.labels]
+    index.append(-1)  # keeps a normal move's exc_label at -1
     right_trans = _reindexed(right, position)
     sync = frozenset(position[name] for name in sync_set if name in position)
-
-    builder = LtsBuilder(state_limit, labels)
-    rows, seen = builder.rows, builder.index
-    queue: deque[tuple[int, int, int]] = deque()  # (state, left state, right state)
-
-    def visit(ls: int, rs: int) -> int:
-        idx = seen.get((ls, rs))
-        if idx is None:
-            idx, _ = builder.state((ls, rs))
-            if ls in left.marked or rs in right.marked:
-                builder.mark(idx)
-            queue.append((idx, ls, rs))
-        return idx
-
-    init = visit(left.initial, right.initial)
-
-    while queue:
-        src, ls, rs = queue.popleft()
-        row = rows[src]
-        right_by_label: dict[int, list[Move]] = {}
-        for move in right_trans[rs]:
+    partners_of: list[dict[int, list[Move]]] = []  # [rs]: shared label -> moves
+    for row in right_trans:
+        partners: dict[int, list[Move]] = {}
+        for move in row:
             if move[0] in sync:
-                right_by_label.setdefault(move[0], []).append(move)
+                partners.setdefault(move[0], []).append(move)
+        partners_of.append(partners)
+
+    width = right.n_states
+    seen = _States(state_limit)
+    init = seen[left.initial * width + right.initial]
+    left_trans, rows = left.trans, seen.rows
+    for src, key in enumerate(seen.order):  # the loop appends
+        ls, rs = divmod(key, width)
+        here = key - rs  # the key of (ls, 0): right moves alone
+        append = rows[src].append
+        partners = partners_of[rs]
 
         # Left side: interleaving and joint moves.
         offered = set()  # the shared labels left offers here
         for l, d, el, ed in left_trans[ls]:
+            l = index[l]
+            d *= width  # the key of (d, 0)
             if l not in sync:
                 if ed >= 0:
-                    row.append((l, visit(d, rs), el, visit(ed, rs)))
+                    append((l, seen[d + rs], index[el], seen[ed * width + rs]))
                 else:
-                    row.append((l, visit(d, rs), -1, -1))
+                    append((l, seen[d + rs], -1, -1))
                 continue
             offered.add(l)
-            partners = right_by_label.get(l)
-            if not partners:
+            moves = partners.get(l)
+            if not moves:
                 if ed >= 0:
-                    row.append((el, visit(ed, rs), -1, -1))
+                    append((index[el], seen[ed * width + rs], -1, -1))
                 continue
-            for _, rd, rel, red in partners:
+            for _, rd, rel, red in moves:
                 if ed >= 0 and red >= 0:
-                    row.append((l, visit(d, rd), -1, -1))
+                    append((l, seen[d + rd], -1, -1))
                 elif ed >= 0:
-                    row.append((l, visit(d, rd), el, visit(ed, rs)))
+                    append((l, seen[d + rd], index[el], seen[ed * width + rs]))
                 elif red >= 0:
-                    row.append((l, visit(d, rd), rel, visit(ls, red)))
+                    append((l, seen[d + rd], rel, seen[here + red]))
                 else:
-                    row.append((l, visit(d, rd), -1, -1))
+                    append((l, seen[d + rd], -1, -1))
 
         # Right side: interleaving, plus exceptions for unmatched semisync.
         for r, d, el, ed in right_trans[rs]:
             if r not in sync:
                 if ed >= 0:
-                    row.append((r, visit(ls, d), el, visit(ls, ed)))
+                    append((r, seen[here + d], el, seen[here + ed]))
                 else:
-                    row.append((r, visit(ls, d), -1, -1))
+                    append((r, seen[here + d], -1, -1))
             elif r not in offered and ed >= 0:
-                row.append((el, visit(ls, ed), -1, -1))
+                append((el, seen[here + ed], -1, -1))
 
-    del left_trans, right_trans  # no longer read (peak memory)
-    return builder.labels, rows, init, builder._marked
+    marked = set()
+    if left.marked or right.marked:
+        marked = {s for s, key in enumerate(seen.order)
+                  if key // width in left.marked or key % width in right.marked}
+    return labels, rows, init, marked
 
 
 def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:

@@ -246,9 +246,11 @@ def test_state_limit_on_an_exception_target(semisync_left):
 
 
 def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
-    # parallel and _canonical build only acyclic containers: the
-    # collector is off while they run and left as it was found, also
-    # when the state limit raises.
+    # parallel, _product (which the direct check calls alone) and
+    # _canonical build only acyclic containers: the collector is off
+    # while they run and left as it was found, also when the state limit
+    # raises.  _product's call of _merged_table and _canonical's of Lts
+    # show the collector's state while each runs.
     chain = from_traces(tuple("a" for _ in range(9)))
     seen = []
 
@@ -258,7 +260,7 @@ def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(lts_module.LtsBuilder, "state", spy(lts_module.LtsBuilder.state))
+    monkeypatch.setattr(lts_module, "_merged_table", spy(lts_module._merged_table))
     monkeypatch.setattr(lts_module, "Lts", spy(lts_module.Lts))
     was_enabled = gc.isenabled()
     try:
@@ -266,11 +268,18 @@ def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
             (gc.enable if enabled else gc.disable)()
             seen.clear()
             assert parallel(chain, chain, {"a"}).n_states == 10
-            assert len(seen) == 11 and not any(seen)
+            assert seen == [False, False]
             assert gc.isenabled() is enabled
-            with pytest.raises(StateLimitExceeded):
-                parallel(chain, chain, set(), state_limit=3)
+            seen.clear()
+            assert len(lts_module._product(chain, chain, {"a"})[1]) == 10
+            assert seen == [False]
             assert gc.isenabled() is enabled
+            for build in (parallel, lts_module._product):
+                seen.clear()
+                with pytest.raises(StateLimitExceeded):
+                    build(chain, chain, set(), state_limit=3)
+                assert seen == [False]
+                assert gc.isenabled() is enabled
             seen.clear()
             lts_module._canonical(("tau", "a"), [[(1, 0, -1, -1)], []], 0, set())
             assert seen == [False]
