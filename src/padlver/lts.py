@@ -237,37 +237,50 @@ def build_lts(
     return builder.finish(initial)
 
 
+class _States(dict):
+    """States by key, numbered in discovery order, which makes every
+    construction reproducible.  Looking up an unseen key numbers it,
+    records its key and opens its row, so a state that is already known
+    costs one dict lookup and no call."""
+
+    def __init__(self, state_limit: int) -> None:
+        self.state_limit = state_limit
+        self.order: list[object] = []  # order[s]: state s's key
+        self.rows: list[list[Move]] = []  # rows[s]: state s's moves
+
+    def __missing__(self, key: object) -> int:
+        idx = len(self.order)
+        if idx >= self.state_limit:
+            # Rows keep duplicates, so this counts every transition added.
+            raise StateLimitExceeded(self.state_limit, idx, sum(map(len, self.rows)))
+        self[key] = idx
+        self.order.append(key)
+        self.rows.append([])
+        return idx
+
+
 class LtsBuilder:
     """Incremental builder over label strings, used by generate_lts and
-    build_lts (_product keys its states by int; see _States).
+    build_lts.
 
-    States are keyed by arbitrary hashable values and numbered in
-    discovery order, which makes every construction reproducible.
+    States are keyed by arbitrary hashable values, numbered by _States.
     ``rows[s]`` collects state s's transitions as Move tuples over
     ``labels``, which starts as tau alone and grows as add() and
     add_semisync() intern names; duplicates are dropped at finish().
     """
 
     def __init__(self, state_limit: int = DEFAULT_STATE_LIMIT):
-        self.state_limit = state_limit
+        self.index = _States(state_limit)  # state key -> state
+        self.rows = self.index.rows
         self.labels = [TAU]
-        self.rows: list[list[Move]] = []
-        self.index: dict[object, int] = {}  # state key -> state
-        self._label_index = {name: i for i, name in enumerate(self.labels)}
+        self._label_index = {TAU: 0}
         self._marked: set[int] = set()
 
     def state(self, key: object) -> tuple[int, bool]:
         """Intern a state key; returns (index, is_new)."""
-        idx = self.index.get(key)
-        if idx is not None:
-            return idx, False
-        idx = len(self.index)
-        if idx >= self.state_limit:
-            # Rows keep duplicates, so this counts every transition added.
-            raise StateLimitExceeded(self.state_limit, idx, sum(map(len, self.rows)))
-        self.index[key] = idx
-        self.rows.append([])
-        return idx, True
+        fresh = len(self.rows)
+        idx = self.index[key]
+        return idx, idx == fresh
 
     def label(self, name: str) -> int:
         idx = self._label_index.get(name)
@@ -326,27 +339,6 @@ def parallel(
     return _canonical(*_product(left, right, sync_set, state_limit))
 
 
-class _States(dict):
-    """_product's states by key, numbered in discovery order.  Looking
-    up an unseen key numbers it, opens its row and queues it, so a
-    target that is already known costs one dict lookup and no call."""
-
-    def __init__(self, state_limit: int) -> None:
-        self.state_limit = state_limit
-        self.order: list[int] = []  # order[s]: state s's key; the BFS queue
-        self.rows: list[list[Move]] = []
-
-    def __missing__(self, key: int) -> int:
-        idx = len(self.order)
-        if idx >= self.state_limit:
-            # Rows keep duplicates, so this counts every transition added.
-            raise StateLimitExceeded(self.state_limit, idx, sum(map(len, self.rows)))
-        self[key] = idx
-        self.order.append(key)
-        self.rows.append([])
-        return idx
-
-
 @_acyclic
 def _product(left: Lts, right: Lts, sync_set: Iterable[str],
              state_limit: int = DEFAULT_STATE_LIMIT):
@@ -383,7 +375,7 @@ def _product(left: Lts, right: Lts, sync_set: Iterable[str],
     seen = _States(state_limit)
     init = seen[left.initial * width + right.initial]
     left_trans, rows = left.trans, seen.rows
-    for src, key in enumerate(seen.order):  # the loop appends
+    for src, key in enumerate(seen.order):  # the BFS queue; the loop appends
         ls, rs = divmod(key, width)
         here = key - rs  # the key of (ls, 0): right moves alone
         append = rows[src].append
