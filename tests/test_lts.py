@@ -220,29 +220,27 @@ def test_parallel_commutative_up_to_strong_bisim():
 
 def test_state_limit():
     # The error counts the states numbered and the moves appended before
-    # the refused state.  Explored in order, (0,0) -> (1,0), (0,1);
+    # the refused state.  Two chains explore (0,0) -> (1,0), (0,1);
     # (1,0) -> (2,0), (1,1); (0,1) -> (1,1), (0,2): limit 3 refuses
-    # (2,0) after two moves, limit 5 refuses (0,2) after five.
+    # (2,0) after two moves, limit 5 refuses (0,2) after five.  The
+    # sender's x is shared and the silent side never offers it, so the
+    # product takes x's exception target, the third state, which limit 2
+    # refuses after the one move on a, whichever side sends.
     chain = from_traces(tuple("a" for _ in range(9)))
-    for limit, states, transitions in ((3, 3, 2), (5, 5, 5)):
-        with pytest.raises(StateLimitExceeded) as err:
-            parallel(chain, chain, set(), state_limit=limit)
-        assert (err.value.limit, err.value.states_seen, err.value.transitions_seen) == (
-            limit, states, transitions)
-
-
-@pytest.mark.parametrize("semisync_left", [True, False])
-def test_state_limit_on_an_exception_target(semisync_left):
-    # x is shared and the silent side never offers it, so the product
-    # takes x's exception target, the third state, which is refused
-    # after the one move on a.
     sender = build_lts(4, 0, [(0, "a", 1), (0, "x", 2, "L.x_exception", 3)])
     silent = build_lts(1, 0, [])
-    pair = (sender, silent) if semisync_left else (silent, sender)
-    with pytest.raises(StateLimitExceeded) as err:
-        parallel(*pair, {"x"}, state_limit=2)
-    assert (err.value.limit, err.value.states_seen, err.value.transitions_seen) == (2, 2, 1)
-    assert parallel(*pair, {"x"}, state_limit=3).n_states == 3
+    for left, right, sync, limit, states, transitions in (
+        (chain, chain, set(), 3, 3, 2),
+        (chain, chain, set(), 5, 5, 5),
+        (sender, silent, {"x"}, 2, 2, 1),
+        (silent, sender, {"x"}, 2, 2, 1),
+    ):
+        with pytest.raises(StateLimitExceeded) as err:
+            parallel(left, right, sync, state_limit=limit)
+        assert (err.value.limit, err.value.states_seen, err.value.transitions_seen) == (
+            limit, states, transitions)
+    assert parallel(sender, silent, {"x"}, state_limit=3).n_states == 3
+    assert parallel(silent, sender, {"x"}, state_limit=3).n_states == 3
 
 
 def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
