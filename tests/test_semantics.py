@@ -107,14 +107,29 @@ def test_unknown_equation_rejected():
 
 
 def test_state_limit_reports_progress():
-    n = m.Var("n")
-    body = m.Prefix("tick", m.Invoke("E", (m.Binary("+", n, m.IntLit(1)),)))
-    with pytest.raises(StateLimitExceeded) as err:
-        generate_lts(
-            [eq("E", body, [m.Param("n", m.IntType(0, 500), m.IntLit(0))])], {},
-            state_limit=10,
-        )
-    assert err.value.states_seen == 10
+    # The error counts the states numbered and the moves appended before
+    # the refused state.  A tick chain refuses E(10) after nine ticks.
+    # E(n) = s . choice { cond(s.success) -> a . E(n + 1),
+    #                     cond(not s.success) -> b . E(n + 1) }
+    # numbers E(0), its two continuations, then E(1), whose semi-
+    # synchronous move interns its success continuation (state 4) and
+    # then its exception continuation: limit 5 refuses that one after
+    # three moves, since both are interned before the move is appended.
+    n, s = m.Var("n"), m.SuccessVar("s")
+    up = (m.Binary("+", n, m.IntLit(1)),)
+    tick = m.Prefix("tick", m.Invoke("E", up))
+    ssync = m.Prefix("s", m.Choice((
+        m.Branch(s, m.Prefix("a", m.Invoke("E", up))),
+        m.Branch(m.Unary("not", s), m.Prefix("b", m.Invoke("E", up))),
+    )))
+    for body, limit, states, transitions in ((tick, 10, 10, 9), (ssync, 5, 5, 3)):
+        with pytest.raises(StateLimitExceeded) as err:
+            generate_lts(
+                [eq("E", body, [m.Param("n", m.IntType(0, 500), m.IntLit(0))])], {},
+                ssync_actions={"s"}, state_limit=limit,
+            )
+        assert (err.value.limit, err.value.states_seen, err.value.transitions_seen) == (
+            limit, states, transitions)
 
 
 def test_generation_is_deterministic():
