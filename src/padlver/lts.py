@@ -8,13 +8,14 @@ is a plain tuple of four ints, (label, target, exc_label, exc_target),
 whose label fields index that table.  The operators below map those
 indices (hiding maps a label to tau, relabeling renames a table entry)
 and all end in one canonicalizing step, _canonical, so only build_lts
-and LtsBuilder, through which generate_lts builds too, read label
-strings from outside.  An operator that already builds over the final
-table, as parallel does, leaves that step only the sorting of its rows;
-parallel's exploration, _product, keys its states by int and reads its
-operands' rows in place.  One pass, restrict(), hides labels and
-resolves semi-synchronous moves; hide() and resolve() are its two
-special cases.
+and generate_lts, which intern label strings into tables of their own,
+read label strings from outside.  An operator that already builds over
+the final table, as parallel does, leaves that step only the sorting of
+its rows.  One state table, _States, numbers the states that
+generate_lts and parallel's exploration, _product, discover; _product
+keys its states by int and reads its operands' rows in place.  One
+pass, restrict(), hides labels and resolves semi-synchronous moves;
+hide() and resolve() are its two special cases.
 
 A transition is either normal (exc_label and exc_target are -1) or
 semi-synchronous (exc_target >= 0).  A semi-synchronous transition
@@ -78,7 +79,7 @@ class Lts:
     The constructor does not check this form; every construction ends
     in _canonical, the constructor's only caller, which establishes it
     or, where the caller's rows already have it, keeps them.  Code that
-    walks rows (the tau-SCC search, partition refinement, weak moves)
+    walks rows (the tau-SCC search, the weak rounds, weak moves)
     relies on the sorted order."""
 
     labels: tuple[str, ...]  # labels[0] is always tau
@@ -95,7 +96,8 @@ class Lts:
         return max(map(_EXC_TARGET, chain.from_iterable(self.trans)), default=-1) >= 0
 
     def transition_view(self) -> list[tuple[int, str, int, str | None, int | None]]:
-        """Label-resolved transitions, convenient for tests and debugging."""
+        """Label-resolved transitions, for tests, debugging and the DOT
+        output of ``padlver lts --dot-out``."""
         name = self.labels + (None,)  # a normal move's exc_label, -1, names None
         return [(s, name[l], d, name[el], ed if ed >= 0 else None)
                 for s, row in enumerate(self.trans) for l, d, el, ed in row]
@@ -224,17 +226,17 @@ def build_lts(
     entry for labels given as strings (AUT input, hand-built systems);
     the operators below map label indices instead.
     """
-    builder = LtsBuilder(n_states)
-    for s in range(n_states):
-        builder.state(s)
+    index = {TAU: 0}  # label -> its index; its keys are the label table
+    rows: list[list[Move]] = [[] for _ in range(n_states)]
     for item in transitions:
         if len(item) == 5:
-            builder.add_semisync(*item)
+            src, label, ok, exc_label, exc = item
+            rows[src].append((index.setdefault(label, len(index)), ok,
+                              index.setdefault(exc_label, len(index)), exc))
         else:
-            builder.add(*item)
-    for s in marked:
-        builder.mark(s)
-    return builder.finish(initial)
+            src, label, dst = item
+            rows[src].append((index.setdefault(label, len(index)), dst, -1, -1))
+    return _canonical(list(index), rows, initial, marked)
 
 
 class _States(dict):
@@ -257,50 +259,6 @@ class _States(dict):
         self.order.append(key)
         self.rows.append([])
         return idx
-
-
-class LtsBuilder:
-    """Incremental builder over label strings, used by generate_lts and
-    build_lts.
-
-    States are keyed by arbitrary hashable values, numbered by _States.
-    ``rows[s]`` collects state s's transitions as Move tuples over
-    ``labels``, which starts as tau alone and grows as add() and
-    add_semisync() intern names; duplicates are dropped at finish().
-    """
-
-    def __init__(self, state_limit: int = DEFAULT_STATE_LIMIT):
-        self.index = _States(state_limit)  # state key -> state
-        self.rows = self.index.rows
-        self.labels = [TAU]
-        self._label_index = {TAU: 0}
-        self._marked: set[int] = set()
-
-    def state(self, key: object) -> tuple[int, bool]:
-        """Intern a state key; returns (index, is_new)."""
-        fresh = len(self.rows)
-        idx = self.index[key]
-        return idx, idx == fresh
-
-    def label(self, name: str) -> int:
-        idx = self._label_index.get(name)
-        if idx is None:
-            idx = len(self.labels)
-            self.labels.append(name)
-            self._label_index[name] = idx
-        return idx
-
-    def mark(self, state: int) -> None:
-        self._marked.add(state)
-
-    def add(self, src: int, label: str, dst: int) -> None:
-        self.rows[src].append((self.label(label), dst, -1, -1))
-
-    def add_semisync(self, src: int, label: str, ok: int, exc_label: str, exc: int) -> None:
-        self.rows[src].append((self.label(label), ok, self.label(exc_label), exc))
-
-    def finish(self, initial: int) -> Lts:
-        return _canonical(self.labels, self.rows, initial, self._marked)
 
 
 # ---------------------------------------------------------------------------

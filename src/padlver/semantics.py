@@ -8,17 +8,19 @@ two positions that cannot be told apart by any future guard collapse
 into one state.
 
 Exploration is breadth-first, which fixes the state numbering, and
-bounded by a configurable state limit.
+bounded by a configurable state limit.  A state's key is its node's
+number and its live environment; the state table that parallel
+composition uses too (lts._States) numbers the keys, and its list of
+keys in discovery order is the BFS queue.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 
 from . import model as m
 from .diagnostics import SemanticsError
-from .lts import DEFAULT_STATE_LIMIT, Lts, LtsBuilder, exception_label
+from .lts import DEFAULT_STATE_LIMIT, TAU, Lts, _canonical, _States, exception_label
 
 Value = bool | int
 Env = tuple[tuple[str, Value], ...]
@@ -73,23 +75,22 @@ class _Program:
         self.equations = {eq.name: eq for eq in equations}
         if len(self.equations) != len(equations):
             raise SemanticsError("duplicate equation names")
+        self.nodes: list[m.ProcessBody] = []  # nodes[i]: the body numbered i
         self.node_id: dict[int, int] = {}
         self.live: dict[int, frozenset[str]] = {}
-        counter = 0
         for eq in equations:
-            counter = self._number(eq.body, counter)
+            self._number(eq.body)
         for eq in equations:
             self._liveness(eq.body)
 
-    def _number(self, body: m.ProcessBody, counter: int) -> int:
-        self.node_id[id(body)] = counter
-        counter += 1
+    def _number(self, body: m.ProcessBody) -> None:
+        self.node_id[id(body)] = len(self.nodes)
+        self.nodes.append(body)
         if isinstance(body, m.Prefix):
-            counter = self._number(body.cont, counter)
+            self._number(body.cont)
         elif isinstance(body, m.Choice):
             for branch in body.branches:
-                counter = self._number(branch.body, counter)
-        return counter
+                self._number(branch.body)
 
     def _liveness(self, body: m.ProcessBody) -> frozenset[str]:
         key = id(body)
@@ -178,7 +179,8 @@ def generate_lts(
             env[p.name] = v
         return env
 
-    def resolve(body: m.ProcessBody, env: dict[str, Value]) -> tuple[m.ProcessBody, Env]:
+    def resolve(body: m.ProcessBody, env: dict[str, Value]) -> tuple[int, Env]:
+        """The state key of body under env: its node and live environment."""
         trail: set[tuple[int, Env]] = set()
         while isinstance(body, m.Invoke):
             snapshot = (program.node_id[id(body)], tuple(sorted(env.items())))
@@ -195,40 +197,33 @@ def generate_lts(
             body = target.body
         live = program.live[id(body)]
         frozen = tuple(sorted((k, v) for k, v in env.items() if k in live))
-        return body, frozen
+        return program.node_id[id(body)], frozen
 
-    builder = LtsBuilder(state_limit)
-    node_of: dict[int, tuple[m.ProcessBody, Env]] = {}
-    queue: deque[int] = deque()
+    seen = _States(state_limit)
+    rows = seen.rows
+    label_index = {TAU: 0}  # label -> its index; its keys are the label table
 
-    def intern(body: m.ProcessBody, env_items: Env) -> int:
-        key = (program.node_id[id(body)], env_items)
-        idx, new = builder.state(key)
-        if new:
-            node_of[idx] = (body, env_items)
-            if mark_when is not None and mark_when(dict(env_items)):
-                builder.mark(idx)
-            queue.append(idx)
-        return idx
+    def label(name: str) -> int:
+        return label_index.setdefault(name, len(label_index))
 
-    init = intern(*resolve(first.body, bind(first, args)))
+    init = seen[resolve(first.body, bind(first, args))]
 
     def emit(src: int, body: m.ProcessBody, env: dict[str, Value]) -> None:
         if isinstance(body, m.Stop):
             return
         if isinstance(body, m.Prefix):
-            label = dotted(body.action)
+            name = dotted(body.action)
             if body.action in ssync:
                 skey = _success_key(body.action)
                 ok_env = dict(env)
                 ok_env[skey] = True
                 exc_env = dict(env)
                 exc_env[skey] = False
-                ok = intern(*resolve(body.cont, ok_env))
-                exc = intern(*resolve(body.cont, exc_env))
-                builder.add_semisync(src, label, ok, exception_label(label), exc)
+                ok = seen[resolve(body.cont, ok_env)]
+                exc = seen[resolve(body.cont, exc_env)]
+                rows[src].append((label(name), ok, label(exception_label(name)), exc))
             else:
-                builder.add(src, label, intern(*resolve(body.cont, dict(env))))
+                rows[src].append((label(name), seen[resolve(body.cont, dict(env))], -1, -1))
             return
         if isinstance(body, m.Choice):
             for branch in body.branches:
@@ -238,9 +233,13 @@ def generate_lts(
             return
         raise SemanticsError(f"unexpected body node {body!r}")  # pragma: no cover
 
-    while queue:
-        src = queue.popleft()
-        body, env_items = node_of[src]
-        emit(src, body, dict(env_items))
+    try:  # emit holds its own cell: clearing it breaks the cycle
+        for src, (node, env_items) in enumerate(seen.order):  # the BFS queue
+            emit(src, program.nodes[node], dict(env_items))
+    finally:
+        del emit
 
-    return builder.finish(init)
+    marked = set()
+    if mark_when is not None:
+        marked = {s for s, (_, env_items) in enumerate(seen.order) if mark_when(dict(env_items))}
+    return _canonical(list(label_index), rows, init, marked)
