@@ -127,15 +127,6 @@ def or_rewrite(
             return acc
         raise AssertionError(body)
 
-    changed = True
-    while changed:
-        changed = False
-        for name, eq in by_name.items():
-            new = walk_reads(eq.body, frozenset())
-            if new != reads[name]:
-                reads[name] = new
-                changed = True
-
     specialized: dict[tuple[str, tuple[tuple[str, int], ...]], str] = {}
     result: list[m.BehaviorEquation] = []
     taken = set(by_name)
@@ -205,7 +196,18 @@ def or_rewrite(
             return m.Prefix(f"{body.action}_{j}", rewrite(body.cont, fi), loc=body.loc)
         raise AssertionError(body)
 
-    specialize(equations[0].name, {}, equations[0].loc)
+    try:  # the walkers hold their own cells: clearing them breaks the cycles
+        changed = True
+        while changed:
+            changed = False
+            for name, eq in by_name.items():
+                new = walk_reads(eq.body, frozenset())
+                if new != reads[name]:
+                    reads[name] = new
+                    changed = True
+        specialize(equations[0].name, {}, equations[0].loc)
+    finally:
+        del walk_reads, specialize, rewrite
     return tuple(result), fresh
 
 

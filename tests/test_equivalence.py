@@ -19,6 +19,7 @@ from conftest import (
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
 from padlver import equivalence, strong_bisim_check, weak_bisim_check
 from padlver.diagnostics import StateLimitExceeded
+from padlver.elaborate import aei_semantics
 from padlver.equivalence import (
     MAX_FORMULA_ROUNDS,
     And,
@@ -36,7 +37,7 @@ from padlver.equivalence import (
     branching_quotient,
     eval_formula,
 )
-from padlver.topology import verify_deadlock_by_reduction
+from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
 
 
 # -- saturation ----------------------------------------------------------------
@@ -478,6 +479,30 @@ def test_a_distinct_weak_check_leaves_no_reference_cycle():
     try:
         assert weak_bisim_check(l1, l2).formula is not None
         assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_generation_and_or_rewriting_leave_no_reference_cycle():
+    # generate_lts's emit and or_rewrite's walkers recurse through their
+    # own cells: they must not keep a call's state table or rewritten
+    # equations alive until the cyclic GC runs.  metered_clients has an
+    # or-interaction to rewrite; cruise_control is semi-synchronous.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("metered_clients", "cruise_control"):
+            arch = load_arch(name)
+            assert gc.collect() == 0
+            for aei in arch.real_aeis:
+                aei_semantics(arch, aei)
+            assert gc.collect() == 0
+            verify_deadlock_by_reduction(arch, "weak")
+            assert gc.collect() == 0
+            verify_deadlock_direct(load_arch(name))
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
