@@ -35,13 +35,11 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import count, groupby, islice, repeat
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from itertools import count, repeat
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .diagnostics import StateLimitExceeded
 from .lts import (
-    _LABEL,
-    _TARGET,
     TAU,
     Lts,
     Move,
@@ -352,25 +350,13 @@ def _refine(
 ) -> tuple[list[int], list[list[int]]]:
     """Signature-based refinement to the coarsest strong bisimulation,
     or, given a pair of states, only until a round separates them (see
-    _rounds).  A state's signature is its (label, set of target
-    blocks) pairs in label order, which rows being sorted makes
-    canonical."""
-    # Each row's label groups, flattened over all states: a state's
-    # groups are the next n_groups[s] entries of labels and targets.
-    labels: list[int] = []
-    targets: list[tuple[int, ...]] = []
-    n_groups: list[int] = []
-    for ts in lts.trans:
-        k = 0
-        for label, group in groupby(ts, _LABEL):
-            labels.append(label)
-            targets.append(tuple(map(_TARGET, group)))
-            k += 1
-        n_groups.append(k)
+    _rounds).  A state's signature is the set of its (label, target
+    block) pairs, each encoded as block * width + label over the label
+    table's width, as in _weak_rounds."""
+    width = len(lts.labels)
 
-    def signatures(parts: list[int]) -> Iterator[tuple]:
-        pairs = zip(labels, map(frozenset, map(map, repeat(parts.__getitem__), targets)))
-        return map(tuple, map(islice, repeat(pairs), n_groups))
+    def signatures(parts: list[int]) -> list[frozenset[int]]:
+        return [frozenset([parts[d] * width + l for l, d, _, _ in ts]) for ts in lts.trans]
 
     return _rounds(lts.n_states, signatures, keep, pair)
 
