@@ -505,10 +505,10 @@ def build_name_sets(arch: ElabArchitecture, aei: str, context: tuple[str, ...]) 
     return NameSets(tuple(sorted(phi.items())), frozenset(oali), frozenset(phi.values()) | oali)
 
 
-def sync_set(arch: ElabArchitecture, left: str, right: str) -> frozenset[str]:
-    """Pairwise synchronization set: composite names of external
-    families touching both bundles."""
-    return frozenset(f.composite for f in arch.families if left in f.owners and right in f.owners)
+def families_of(arch: ElabArchitecture, aei: str) -> frozenset[str]:
+    """Composite names of the families that `aei` owns an end of; a step
+    adding `aei` to a composition synchronizes on those shared with it."""
+    return frozenset(f.composite for f in arch.families if aei in f.owners)
 
 
 def h_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -> frozenset[str]:
@@ -659,16 +659,15 @@ def _reduction_plan(
     (after members[k] is composed): the names later steps synchronize
     on, `future`, and whether the accumulator may be quotiented.
 
-    future is the union of sync_set(i, j) over composed parts i and
-    later parts j: the names of families with an owner on each side,
-    the intersection of the prefix and suffix unions of each part's
-    families.  The quotient is barred while a later part has a
-    semi-synchronous move on a name in future: the exception rule of
-    parallel tests that the other side offers nothing on the name, a
-    negative premise that branching bisimilarity does not preserve."""
+    future is the names of families with an owner among the composed
+    parts and an owner among the later parts, the intersection of the
+    prefix and suffix unions of each part's families (families_of).
+    The quotient is barred while a later part has a semi-synchronous
+    move on a name in future: the exception rule of parallel tests that
+    the other side offers nothing on the name, a negative premise that
+    branching bisimilarity does not preserve."""
     n = len(members)
-    families = [frozenset(f.composite for f in arch.families if aei in f.owners)
-                for aei in members]
+    families = [families_of(arch, aei) for aei in members]
     # Suffix unions: the families and the semi-synchronous names of the
     # parts after k.
     later = [frozenset()] * n
@@ -694,8 +693,8 @@ def composite_semantics(
     members: tuple[str, ...] = (),
 ) -> Lts:
     """Left-associated parallel chain over (AEI, semantics) parts: each
-    part synchronizes with the parts before it on the union of their
-    pairwise synchronization sets.  Callers build the parts, choosing
+    part synchronizes with the parts before it on the families it
+    shares with them (families_of).  Callers build the parts, choosing
     each member's closure and buffers; a part is taken from the
     iterable only once the parts before it are composed.
 
@@ -712,12 +711,14 @@ def composite_semantics(
     plan = None if keep is None else _reduction_plan(arch, members)
     expected = iter(members)
     names: list[str] = []
+    composed: frozenset[str] = frozenset()  # the families of the parts in acc
     acc: Lts | None = None
     for name, lts in parts:
         if plan is not None and next(expected, None) != name:
             raise ValueError(f"part {name!r} out of the order of {members}")
-        sync = set().union(*(sync_set(arch, prev, name) for prev in names))
-        acc = lts if acc is None else parallel(acc, lts, sync, state_limit)
+        families = families_of(arch, name)
+        acc = lts if acc is None else parallel(acc, lts, families & composed, state_limit)
+        composed |= families
         names.append(name)
         if plan is not None and 1 < len(names) < len(members):
             future, may_quotient = plan[len(names) - 1]

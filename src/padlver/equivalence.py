@@ -11,17 +11,17 @@ Both steps keep every state weakly bisimilar to its image, so either is
 sound for every weak check.  The quotient has no tau cycle, so weak
 signature rounds on it, each state's weak (label, block) moves taken
 from its tau successors' signatures in tau order, are the rounds of
-signature-based refinement on its saturation, round for round
-(_weak_rounds).  saturate builds the saturated system itself, as the
-plain reference they are tested against.
+signature-based refinement on its saturation, round for round.  One
+loop, _rounds, runs every strong and weak refinement over the
+signatures that _strong_signatures or _weak_signatures computes.
+saturate builds the saturated system itself, the plain reference.
 
 A check answers one question, about the two initial states, and stops
 once it is settled: a weak check whose initial states share a
 branching block answers "equivalent" before it builds the quotient,
 and refinement stops at the end of the first round that separates
-them.  A verdict
-is that answer, the distinguishing formula below, and the number of
-blocks of the partition that decided it.
+them.  A verdict is that answer, the distinguishing formula below, and
+the number of blocks of the partition that decided it.
 
 On inequivalence a formula of the weak Hennessy-Milner fragment
 (tt, negation, conjunction, weak diamond) is produced from the
@@ -33,7 +33,7 @@ for the states it visits.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, Hashable, Iterable, Sequence
@@ -168,62 +168,61 @@ def eval_formula(lts: Lts, formula: WeakFormula, state: int | None = None) -> bo
 # Saturation
 # ---------------------------------------------------------------------------
 
+# Above every tau move (label 0) and below every other move.
+_VISIBLE = (1,)
+
 
 def _tau_sccs(lts: Lts) -> tuple[list[int], int]:
-    """Strongly connected components of the tau steps (Tarjan).
+    """Strongly connected components of the tau steps: one iterative
+    depth-first search with Tarjan's low-link test (as
+    topology._bridges), which resumes each open state's iterator over
+    its tau steps.  A state with an index but no component yet is on
+    Tarjan's stack.
 
     Returns (component of each state, number of components).
     Components are numbered in completion order, so every component a
     tau step leads to from component c is numbered at most c.  Rows are
-    sorted, so each state's tau steps are a prefix of its row."""
-    n = lts.n_states
+    sorted, so each state's tau steps are the moves of its row below
+    _VISIBLE."""
+    trans = lts.trans
+    n = len(trans)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     comp = [-1] * n
     stack: list[int] = []
-    counter = 0
+    order = count()
     n_comps = 0
-
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = next(order)
+        stack.append(root)
+        row = trans[root]
+        work = [(root, iter(row[:bisect_left(row, _VISIBLE)]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            ts = lts.trans[v]
-            while pi < len(ts):
-                l, w, _, _ = ts[pi]
-                pi += 1
-                if l != 0:
-                    break
+            v, taus = work[-1]
+            for _, w, _, _ in taus:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = next(order)
+                    stack.append(w)
+                    row = trans[w]
+                    work.append((w, iter(row[:bisect_left(row, _VISIBLE)])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp, n_comps
 
 
@@ -262,11 +261,11 @@ def saturate(lts: Lts, max_transitions: int | None = None) -> Lts:
     construction; exceeding it raises StateLimitExceeded, and the
     budget is counted, state by state, before the system is built.
 
-    No check and no quotient calls it: they refine by _weak_rounds and
-    build formulas from _weak_moves.  It is kept as the plain reference
-    for that path: the tests compare weak checks with strong checks of
-    saturated systems, and the weak rounds and moves with refining and
-    reading its rows.
+    No check and no quotient calls it: they refine by _weak_signatures
+    and build formulas from _weak_moves.  It is kept as the plain
+    reference for that path: the tests compare weak checks with strong
+    checks of saturated systems, and the weak rounds and moves with
+    refining and reading its rows.
     """
     _require_resolved(lts, "saturate")
     closures = _tau_closures(lts)
@@ -315,12 +314,16 @@ def _quotient(lts: Lts, block: Sequence[int], n_blocks: int) -> Lts:
 # Partition refinement
 # ---------------------------------------------------------------------------
 
+# A signature function: each state's signature under a partition, in
+# state order (_strong_signatures, _weak_signatures).
+Signatures = Callable[[list[int]], Iterable[Hashable]]
+
 
 def _rounds(
-    n: int, signatures: Callable[[list[int]], Iterable[Hashable]], keep: int,
-    pair: tuple[int, int] | None,
+    n: int, signatures: Signatures, keep: int, pair: tuple[int, int] | None,
 ) -> tuple[list[int], list[list[int]]]:
-    """Signature rounds over n states from the single-block partition:
+    """Signature rounds over n states from the single-block partition
+    (Blom & Orzan 2003), the one loop of strong and weak refinement:
     a round splits each block by its states' signatures under the last
     partition, signatures(parts) in state order, and numbers the new
     blocks in order of first occurrence over the states.  Runs until a
@@ -345,20 +348,17 @@ def _rounds(
         n_blocks = len(fresh)
 
 
-def _refine(
-    lts: Lts, keep: int = 0, pair: tuple[int, int] | None = None
-) -> tuple[list[int], list[list[int]]]:
-    """Signature-based refinement to the coarsest strong bisimulation,
-    or, given a pair of states, only until a round separates them (see
-    _rounds).  A state's signature is the set of its (label, target
-    block) pairs, each encoded as block * width + label over the label
-    table's width, as in _weak_rounds."""
+def _strong_signatures(lts: Lts) -> Signatures:
+    """The signature function of strong bisimilarity for _rounds: a
+    state's signature is the set of its (label, target block) pairs,
+    each encoded as block * width + label over the label table's width,
+    as in _weak_signatures."""
     width = len(lts.labels)
 
     def signatures(parts: list[int]) -> list[frozenset[int]]:
         return [frozenset([parts[d] * width + l for l, d, _, _ in ts]) for ts in lts.trans]
 
-    return _rounds(lts.n_states, signatures, keep, pair)
+    return signatures
 
 
 # States whose visible steps a weak round adds to their signatures
@@ -366,12 +366,10 @@ def _refine(
 _CHUNK = 1024
 
 
-def _weak_rounds(
-    lts: Lts, keep: int = 0, pair: tuple[int, int] | None = None,
-    budget: int | None = None,
-) -> tuple[list[int], list[list[int]]]:
-    """The rounds of _refine(saturate(lts), keep, pair), for a
-    branching quotient, without saturating.
+def _weak_signatures(lts: Lts, budget: int | None = None) -> Signatures:
+    """The signature function whose rounds (_rounds) on a branching
+    quotient are those of _strong_signatures(saturate(lts)), without
+    saturating.
 
     A state's signature is the set of its weak moves' (label, block)
     pairs, the same partition of the states as the label groups of its
@@ -382,9 +380,8 @@ def _weak_rounds(
     the signatures.  Every tau step of a branching quotient leads to a
     lower-numbered state (see branching_quotient), so in state order a
     tau successor's reached blocks and signature are ready before its
-    predecessors need them.  An
-    entry is encoded as block * width + label over the label table's
-    width.
+    predecessors need them.  An entry is encoded as block * width +
+    label over the label table's width.
 
     Each entry stands for at least one saturated transition, so a
     round whose entries exceed the saturation budget raises
@@ -432,7 +429,7 @@ def _weak_rounds(
                 raise StateLimitExceeded(budget, n, entries, "saturation budget")
         return list(map(frozenset, sig))
 
-    return _rounds(n, signatures, keep, pair)
+    return signatures
 
 
 def _weak_moves(lts: Lts) -> Callable[[int], set[tuple[int, int]]]:
@@ -608,16 +605,15 @@ def _disjoint_union(l1: Lts, l2: Lts) -> tuple[Lts, int, int]:
 
 
 def _verdict(
-    refined: Lts, p: int, q: int,
-    refine: Callable[..., tuple[list[int], list[list[int]]]],
+    refined: Lts, p: int, q: int, signatures: Signatures,
     moves: Callable[[int], Iterable[tuple[int, int]]] | None = None,
 ) -> EquivalenceVerdict:
-    """The verdict both checks end in: refine `refined` (by `refine`,
-    _refine or _weak_rounds), whose states p and q stand for the
-    initial states, until p and q separate or the partition is stable.
-    `moves` gives the moves a formula is built from (see
-    _distinguish)."""
-    final, rounds = refine(refined, keep=MAX_FORMULA_ROUNDS + 1, pair=(p, q))
+    """The verdict both checks end in: the rounds of `signatures` over
+    `refined` (its _strong_signatures or _weak_signatures), whose
+    states p and q stand for the initial states, until p and q separate
+    or the partition is stable.  `moves` gives the moves a formula is
+    built from (see _distinguish)."""
+    final, rounds = _rounds(refined.n_states, signatures, MAX_FORMULA_ROUNDS + 1, (p, q))
     verdict = EquivalenceVerdict(final[p] == final[q], None, max(final) + 1)
     if not verdict.equivalent and rounds[-1][p] != rounds[-1][q]:
         verdict.formula = _distinguish(refined, rounds, p, q, moves)
@@ -633,7 +629,7 @@ def weak_bisim_check(
     holding at l1's initial state and failing at l2's, or None when the
     two separate only after MAX_FORMULA_ROUNDS refinement rounds.  The
     saturation budget bounds the signature entries of one weak round
-    (see _weak_rounds).
+    (see _weak_signatures).
     """
     for lts in (l1, l2):
         _require_resolved(lts, "weak_bisim_check")
@@ -647,11 +643,8 @@ def weak_bisim_check(
     if block[i1] == block[i2]:
         return EquivalenceVerdict(True, None, n_blocks)
     reduced = _quotient(union, block, n_blocks)
-
-    def refine(lts: Lts, keep: int, pair: tuple[int, int]) -> tuple[list[int], list[list[int]]]:
-        return _weak_rounds(lts, keep, pair, saturation_budget)
-
-    return _verdict(reduced, block[i1], block[i2], refine, _weak_moves(reduced))
+    return _verdict(reduced, block[i1], block[i2], _weak_signatures(reduced, saturation_budget),
+                    _weak_moves(reduced))
 
 
 def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
@@ -659,7 +652,7 @@ def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
     for lts in (l1, l2):
         _require_resolved(lts, "strong_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
-    return _verdict(union, i1, i2, _refine)
+    return _verdict(union, i1, i2, _strong_signatures(union))
 
 
 def minimize(lts: Lts) -> Lts:
@@ -670,7 +663,7 @@ def minimize(lts: Lts) -> Lts:
     dropped, and unreachable blocks are pruned."""
     _require_resolved(lts, "minimize")
     reduced, block = branching_quotient(lts)
-    final, _ = _weak_rounds(reduced)
+    final, _ = _rounds(reduced.n_states, _weak_signatures(reduced), 0, None)
     return renumber_bfs(_quotient(lts, [final[b] for b in block], max(final) + 1))
 
 

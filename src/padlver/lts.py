@@ -83,7 +83,6 @@ class Lts:
     relies on the sorted order."""
 
     labels: tuple[str, ...]  # labels[0] is always tau
-    n_states: int
     initial: int
     trans: tuple[tuple[Move, ...], ...]
     marked: frozenset[int] = field(default_factory=frozenset)
@@ -91,6 +90,10 @@ class Lts:
     def __post_init__(self) -> None:
         assert self.labels and self.labels[0] == TAU
         assert 0 <= self.initial < self.n_states
+
+    @property
+    def n_states(self) -> int:
+        return len(self.trans)
 
     def has_semisync(self) -> bool:
         return max(map(_EXC_TARGET, chain.from_iterable(self.trans)), default=-1) >= 0
@@ -154,7 +157,7 @@ def _canonical(
     every row is sorted and free of duplicates, so the rows are kept as
     they are (the disjoint union of two canonical systems)."""
     if ordered:
-        return Lts(tuple(names), len(rows), initial, tuple(map(tuple, rows)), frozenset(marked))
+        return Lts(tuple(names), initial, tuple(map(tuple, rows)), frozenset(marked))
     flat = chain.from_iterable
     used = set(map(_LABEL, flat(rows)))
     used_exc = set(map(_EXC_LABEL, flat(rows)))
@@ -162,7 +165,7 @@ def _canonical(
     if exc_names is None:
         if _is_table(names) and len(used.union(used_exc, (0,))) == len(names):
             trans = tuple(map(tuple, map(sorted, map(set, rows))))
-            return Lts(tuple(names), len(rows), initial, trans, frozenset(marked))
+            return Lts(tuple(names), initial, trans, frozenset(marked))
         exc_names = names
     in_use = {names[i] for i in used} | {exc_names[i] for i in used_exc}
     in_use.discard(TAU)
@@ -178,7 +181,7 @@ def _canonical(
         map(_EXC_TARGET, flat(rows)),
     )
     trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
-    return Lts(labels, len(rows), initial, trans, frozenset(marked))
+    return Lts(labels, initial, trans, frozenset(marked))
 
 
 def _is_table(names: Sequence[str]) -> bool:

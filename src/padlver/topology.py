@@ -55,8 +55,8 @@ from .elaborate import (
     aei_semantics,
     build_name_sets,
     composite_semantics,
+    families_of,
     h_set,
-    sync_set,
 )
 from .equivalence import EquivalenceVerdict, weak_bisim_check
 from .lts import (
@@ -418,7 +418,7 @@ def _whole_product(arch: ElabArchitecture, state_limit: int):
         return lts.labels, lts.trans, lts.initial, lts.marked
     head = composite_semantics(arch, islice(parts, len(first)), state_limit)
     _, tail = next(parts)
-    sync = set().union(*(sync_set(arch, prev, last) for prev in first))
+    sync = families_of(arch, last) & frozenset().union(*(families_of(arch, aei) for aei in first))
     return _product(head, tail, sync, state_limit)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,38 @@ def naive_branching_blocks(lts: Lts) -> list[int]:
     number: dict[int, int] = {}
     return [number.setdefault(min(q for q in range(n) if (p, q) in related), len(number))
             for p in range(n)]
+
+
+def is_branching_bisimulation(lts: Lts, block: Sequence[int]) -> bool:
+    """Whether the partition of lts's states into blocks is a branching
+    bisimulation (Groote & Vaandrager 1990), checked in one pass over
+    the states rather than computed.  A move p -a-> p' of a member p of
+    block B is inert when a is tau and p' is in B; every other move must
+    be answered from every member q of B by some q -tau*-> q'' -a-> q'
+    with q'' in B and q' in the block of p'.  So every member of B must
+    offer, from the states in B that its tau steps reach, each
+    (label, block) pair of a non-inert move of some member."""
+    needed: dict[int, set[tuple[int, int]]] = {}
+    for p, row in enumerate(lts.trans):
+        b = block[p]
+        needed.setdefault(b, set()).update(
+            (l, block[d]) for l, d, _, _ in row if l or block[d] != b)
+    for q in range(lts.n_states):
+        b = block[q]
+        offered: set[tuple[int, int]] = set()
+        seen = {q}
+        work = [q]
+        while work:
+            x = work.pop()
+            for l, d, _, _ in lts.trans[x]:
+                if block[x] == b:
+                    offered.add((l, block[d]))
+                if not l and d not in seen:
+                    seen.add(d)
+                    work.append(d)
+        if not needed[b] <= offered:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from padlver.elaborate import (
     or_rewrite,
     queue_lts,
     semisync_names,
-    sync_set,
 )
 from padlver.lts import resolve
 
@@ -561,11 +560,12 @@ def test_composite_takes_each_part_after_composing_the_ones_before(monkeypatch):
     assert n >= 3
     assert seen == [0] + list(range(n - 1))
     assert len(calls) == n - 1
-    # the last part synchronizes with every part before it
-    expected = set()
-    for aei, _ in built[:-1]:
-        expected |= sync_set(arch, aei, built[-1][0])
-    assert calls[-1] == expected
+    # the last part synchronizes with every part before it: on each
+    # family with an end owned by it and one owned by an earlier part
+    last = built[-1][0]
+    expected = {f.composite for f in arch.families for aei, _ in built[:-1]
+                if aei in f.owners and last in f.owners}
+    assert expected and calls[-1] == expected
     assert composed.n_states > 0
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FIXTURES,
     from_traces,
+    is_branching_bisimulation,
     load_arch,
     naive_branching_blocks,
     naive_weak_bisim,
@@ -17,7 +19,7 @@ from conftest import (
     tau_pad,
 )
 from padlver import build_lts, hide, minimize, parallel, relabel, saturate
-from padlver import equivalence, strong_bisim_check, weak_bisim_check
+from padlver import equivalence, strong_bisim_check, topology, weak_bisim_check
 from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import aei_semantics
 from padlver.equivalence import (
@@ -26,18 +28,30 @@ from padlver.equivalence import (
     Dia,
     EquivalenceVerdict,
     Tt,
+    _branching_blocks,
     _branching_partition,
     _disjoint_union,
     _distinguish,
     _quotient,
-    _refine,
+    _rounds,
+    _strong_signatures,
     _tau_sccs,
     _weak_moves,
-    _weak_rounds,
+    _weak_signatures,
     branching_quotient,
     eval_formula,
 )
 from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
+
+
+def refine(lts, keep=0, pair=None):
+    """Strong refinement of lts: the rounds of its strong signatures."""
+    return _rounds(lts.n_states, _strong_signatures(lts), keep, pair)
+
+
+def weak_rounds(lts, keep=0, pair=None, budget=None):
+    """The weak rounds of a branching quotient."""
+    return _rounds(lts.n_states, _weak_signatures(lts, budget), keep, pair)
 
 
 # -- saturation ----------------------------------------------------------------
@@ -104,11 +118,11 @@ def test_no_tau_step_inside_a_strong_block_once_tau_cycles_collapse(rng, max_sta
     # bisimilar states: such a step needs an endless tau path inside
     # one block, which in a finite system is a tau cycle.  So this pins
     # that _tau_sccs and _quotient leave no tau cycle, seen through
-    # _refine; no weak-check code relies on it any more.
+    # strong refinement; no weak-check code relies on it any more.
     lts = random_lts(rng, max_states=max_states, tau_bias=0.7)
     comp, n_comps = _tau_sccs(lts)
     collapsed = _quotient(lts, comp, n_comps)
-    parts, _ = _refine(collapsed)
+    parts, _ = refine(collapsed)
     inside = [(s, d) for s, ts in enumerate(collapsed.trans) for l, d, _, _ in ts
               if l == 0 and parts[s] == parts[d]]
     assert inside == []
@@ -136,7 +150,7 @@ def test_branching_partition_matches_the_naive_fixpoint(rng, max_states):
 @settings(max_examples=500, deadline=None)
 @given(st.randoms(use_true_random=False), st.floats(0.3, 0.9), st.integers(1, 14))
 def test_every_tau_step_of_the_branching_quotient_descends(rng, tau_bias, max_states):
-    # _weak_rounds walks the quotient in state order and needs every
+    # _weak_signatures walks the quotient in state order and needs every
     # tau successor to come first
     reduced, _ = branching_quotient(random_lts(rng, max_states=max_states, tau_bias=tau_bias))
     assert not [(s, d) for s, ts in enumerate(reduced.trans) for l, d, _, _ in ts
@@ -371,7 +385,7 @@ def full_refinement(check, l1, l2):
     if check is weak_bisim_check:
         reduced, block = branching_quotient(union)
         refined, p, q = saturate(reduced), block[p], block[q]
-    _, rounds = _refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    _, rounds = refine(refined, keep=MAX_FORMULA_ROUNDS + 1)
     return refined, p, q, rounds
 
 
@@ -415,13 +429,70 @@ def test_late_separations_keep_the_formulas_of_the_full_refinement(check, pair):
     assert_agrees_with_full_refinement(check, *pair)
 
 
+# -- certificates: the branching blocks are a branching bisimulation -----------
+
+
+def assert_branching_certificate(union, i1, i2):
+    """The union's branching blocks pass the one-pass transfer check,
+    and merging two of them, the initial states' when they differ,
+    fails it: no partition coarser than the coarsest branching
+    bisimulation is one.  Returns the blocks."""
+    block, n_blocks = _branching_blocks(union)
+    assert is_branching_bisimulation(union, block)
+    if n_blocks > 1:
+        kept, gone = (block[i1], block[i2]) if block[i1] != block[i2] else (0, 1)
+        assert not is_branching_bisimulation(union, [kept if b == gone else b for b in block])
+    return block
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_the_branching_blocks_of_every_fixture_weak_check_are_a_bisimulation(
+        monkeypatch, capacity):
+    real = topology.weak_bisim_check
+    checks = []
+
+    def recording(l1, l2, *args, **kwargs):
+        verdict = real(l1, l2, *args, **kwargs)
+        checks.append((l1, l2, verdict))
+        return verdict
+
+    monkeypatch.setattr(topology, "weak_bisim_check", recording)
+    for path in sorted(FIXTURES.glob("*.padl")):
+        verify_deadlock_by_reduction(load_arch(path.stem, capacity))
+    assert checks
+    for l1, l2, verdict in checks:
+        union, i1, i2 = _disjoint_union(l1, l2)
+        block = assert_branching_certificate(union, i1, i2)
+        if block[i1] == block[i2]:
+            assert verdict.equivalent
+
+
+@settings(max_examples=300, deadline=None)
+@given(lts_pairs())
+def test_the_branching_blocks_of_random_unions_are_a_bisimulation(pair):
+    assert_branching_certificate(*_disjoint_union(*pair))
+
+
+def test_a_partition_that_is_no_branching_bisimulation_is_found():
+    # a.b + a.c: the two a-successors differ, the two ends do not
+    lts = from_traces(("a", "b"), ("a", "c"))
+    block, n_blocks = _branching_blocks(lts)
+    assert n_blocks == 4 and is_branching_bisimulation(lts, block)
+    # tau.a against a: the tau step is inert only inside one block
+    padded = from_traces(("tau", "a"))
+    assert is_branching_bisimulation(padded, [0, 0, 1])
+    assert not is_branching_bisimulation(padded, [0, 1, 1])
+    assert not is_branching_bisimulation(padded, [0, 1, 0])
+    assert not is_branching_bisimulation(lts, [0, 1, 2, 1, 2])
+
+
 def test_a_pair_the_branching_quotient_merges_is_never_saturated(monkeypatch):
     # No check saturates: a merged pair starts no weak round, and a
     # distinct pair does.
     def refuse(*args):
         raise AssertionError("weak rounds")
 
-    monkeypatch.setattr(equivalence, "_weak_rounds", refuse)
+    monkeypatch.setattr(equivalence, "_rounds", refuse)
     assert weak_bisim_check(from_traces(("a", "tau")), from_traces(("a",))).equivalent
     with pytest.raises(AssertionError, match="weak rounds"):
         weak_bisim_check(from_traces(("a",)), from_traces(("b",)))
@@ -450,22 +521,21 @@ def test_a_merged_pair_builds_no_quotient(monkeypatch):
 @pytest.mark.parametrize("check", [weak_bisim_check, strong_bisim_check])
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_refinement_stops_at_the_round_that_separates_the_pair(monkeypatch, check, k):
-    # the weak check refines by weak rounds, the strong one by _refine
-    name = "_weak_rounds" if check is weak_bisim_check else "_refine"
-    real = getattr(equivalence, name)
+    # both checks refine by the one round loop, over weak or strong signatures
+    real = equivalence._rounds
     histories = []
 
-    def recording(lts, keep=0, pair=None, *budget):
-        parts, rounds = real(lts, keep, pair, *budget)
-        histories.append((lts, rounds))
+    def recording(n, signatures, keep, pair):
+        parts, rounds = real(n, signatures, keep, pair)
+        histories.append((n, signatures, rounds))
         return parts, rounds
 
-    monkeypatch.setattr(equivalence, name, recording)
+    monkeypatch.setattr(equivalence, "_rounds", recording)
     assert not check(*alternating_pair(k)).equivalent
-    [(refined, rounds)] = histories
+    [(n, signatures, rounds)] = histories
     # round 0, then one round each up to the separating round k + 1
     assert len(rounds) == k + 2
-    _, full = real(refined, keep=MAX_FORMULA_ROUNDS + 1)
+    _, full = real(n, signatures, MAX_FORMULA_ROUNDS + 1, None)
     assert len(full) > len(rounds) and full[:len(rounds)] == rounds
 
 
@@ -520,8 +590,8 @@ def test_weak_rounds_are_the_rounds_of_the_saturated_refinement(rng, tau_bias, m
     saturated = saturate(reduced)
     keep = MAX_FORMULA_ROUNDS + 1
     pair = (rng.randrange(reduced.n_states), rng.randrange(reduced.n_states))
-    assert _weak_rounds(reduced, keep) == _refine(saturated, keep)
-    assert _weak_rounds(reduced, keep, pair) == _refine(saturated, keep, pair)
+    assert weak_rounds(reduced, keep) == refine(saturated, keep)
+    assert weak_rounds(reduced, keep, pair) == refine(saturated, keep, pair)
     moves = _weak_moves(reduced)
     for s, ts in enumerate(saturated.trans):
         assert moves(s) == {(l, d) for l, d, _, _ in ts}
@@ -529,7 +599,7 @@ def test_weak_rounds_are_the_rounds_of_the_saturated_refinement(rng, tau_bias, m
     budget = rng.randrange(2 * sum(map(len, saturated.trans)) + 1)
     for args in ((keep, None, budget), (keep, pair, budget)):
         try:
-            _weak_rounds(reduced, *args)
+            weak_rounds(reduced, *args)
         except StateLimitExceeded as exc:
             assert str(exc).startswith(f"saturation budget {budget} exceeded (")
             with pytest.raises(StateLimitExceeded):
