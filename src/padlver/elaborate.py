@@ -27,10 +27,9 @@ marked so capacity saturation can be reported.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field, replace
 from itertools import count
-from typing import Iterable
+from typing import Callable
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, SemanticsError, Severity
@@ -75,6 +74,9 @@ def or_rewrite(
     """Rewrite every occurrence of an or-interaction with two or more
     attachments into a choice over indexed fresh uni-interactions.
 
+    attach_counts holds every interaction the AET declares.  A fresh
+    name skips those, the behavior's actions and earlier fresh names.
+
     dep_pairs maps each dependent output to the input it depends on.
     Every other occurrence chooses an index and records it; a dependent
     output takes the index its input recorded.  Equations are
@@ -95,10 +97,7 @@ def or_rewrite(
         else:
             plans[name] = OrPlan("choose", count, name)
 
-    fresh = {
-        name: [f"{name}_{j}" for j in range(1, plan.count + 1)]
-        for name, plan in plans.items()
-    }
+    fresh: dict[str, list[str]] = {}
     if not plans:
         return equations, fresh
 
@@ -106,6 +105,7 @@ def or_rewrite(
 
     # Which recorded families an equation may read before re-recording them.
     reads: dict[str, frozenset[str]] = {name: frozenset() for name in by_name}
+    actions: set[str] = set()  # every action of the behavior
 
     def walk_reads(body: m.ProcessBody, written: frozenset[str]) -> frozenset[str]:
         if isinstance(body, m.Stop):
@@ -113,6 +113,7 @@ def or_rewrite(
         if isinstance(body, m.Invoke):
             return reads.get(body.equation, frozenset()) - written
         if isinstance(body, m.Prefix):
+            actions.add(body.action)
             plan = plans.get(body.action)
             if plan is not None and plan.kind == "choose":
                 return walk_reads(body.cont, written | {plan.family})
@@ -143,10 +144,7 @@ def or_rewrite(
         if key in specialized:
             return specialized[key]
         if key_fi:
-            new_name = name + "_" + "_".join(f"{f}_{j}" for f, j in key_fi)
-            while new_name in taken:
-                new_name += "_"
-            taken.add(new_name)
+            new_name = _unused(name + "_" + "_".join(f"{f}_{j}" for f, j in key_fi), taken)
         else:
             new_name = name
         specialized[key] = new_name
@@ -175,12 +173,10 @@ def or_rewrite(
                 return replace(body, cont=rewrite(body.cont, fi))
             if plan.kind == "choose":
                 branches = []
-                for j in range(1, plan.count + 1):
+                for j, copy in enumerate(fresh[body.action], 1):
                     nxt = dict(fi)
                     nxt[plan.family] = j
-                    branches.append(
-                        m.Branch(None, m.Prefix(f"{body.action}_{j}", rewrite(body.cont, nxt)))
-                    )
+                    branches.append(m.Branch(None, m.Prefix(copy, rewrite(body.cont, nxt))))
                 return m.Choice(tuple(branches), loc=body.loc)
             # dep_out
             j = fi.get(plan.family)
@@ -193,7 +189,7 @@ def or_rewrite(
                         body.loc,
                     )]
                 )
-            return m.Prefix(f"{body.action}_{j}", rewrite(body.cont, fi), loc=body.loc)
+            return m.Prefix(fresh[body.action][j - 1], rewrite(body.cont, fi), loc=body.loc)
         raise AssertionError(body)
 
     try:  # the walkers hold their own cells: clearing them breaks the cycles
@@ -205,10 +201,22 @@ def or_rewrite(
                 if new != reads[name]:
                     reads[name] = new
                     changed = True
+        # Named once walk_reads has seen every action.
+        used = set(attach_counts) | actions
+        for name, plan in plans.items():
+            fresh[name] = [_unused(f"{name}_{j}", used) for j in range(1, plan.count + 1)]
         specialize(equations[0].name, {}, equations[0].loc)
     finally:
         del walk_reads, specialize, rewrite
     return tuple(result), fresh
+
+
+def _unused(name: str, taken: set[str]) -> str:
+    """name, underscores appended until taken lacks it; taken gains it."""
+    while name in taken:
+        name += "_"
+    taken.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
     aeis: dict[str, ElabAei] = {}
     # Attachments, rewritten in place as interactions are renamed/rewired,
     # and each endpoint's attachment positions in ascending order.  Every
-    # rewrite moves all of an endpoint's attachments to fresh endpoints
+    # rewrite moves all of an endpoint's attachments to new endpoints
     # (OR copies, queue ends) one each, so `rewire` keeps both current in
     # constant time per attachment.
     attachments: list[tuple[tuple[str, str], tuple[str, str]]] = [
@@ -335,7 +343,7 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
     def rewire(k: int, old: tuple[str, str], new: tuple[str, str]) -> None:
         src, dst = attachments[k]
         attachments[k] = (new, dst) if src == old else (src, new)
-        insort(positions.setdefault(new, []), k)
+        positions[new] = [k]
 
     for inst in d.instances:
         aet = arch.aets[inst.aet]
@@ -686,49 +694,36 @@ def _reduction_plan(
 
 def composite_semantics(
     arch: ElabArchitecture,
-    parts: Iterable[tuple[str, Lts]],
+    members: tuple[str, ...],
+    part: Callable[[str], Lts],
+    keep: frozenset[str],
     state_limit: int = DEFAULT_STATE_LIMIT,
-    *,
-    keep: frozenset[str] | None = None,
-    members: tuple[str, ...] = (),
 ) -> Lts:
-    """Left-associated parallel chain over (AEI, semantics) parts: each
-    part synchronizes with the parts before it on the families it
-    shares with them (families_of).  Callers build the parts, choosing
-    each member's closure and buffers; a part is taken from the
-    iterable only once the parts before it are composed.
+    """The members' parts, part(aei) for each, composed left to right
+    and restricted to keep: resolve(hide(chain, keep_only=keep)) up to
+    weak bisimilarity.  Each part synchronizes with the parts before it
+    on the families it shares with them (families_of), and is built
+    only once the parts before it are composed.  The caller's part
+    chooses each member's closure and buffers.
 
-    Given keep, the set of names to leave visible, and members, the
-    parts' AEIs in order, the result is resolve(hide(chain,
-    keep_only=keep)) up to weak bisimilarity, and the chain is
-    minimized as it grows: after every step but the last, the
-    accumulator is restricted to keep and the names later steps
+    The chain is minimized as it grows: after every step but the last,
+    the accumulator is restricted to keep and the names later steps
     synchronize on (restrict), then quotiented by branching
     bisimilarity where _reduction_plan allows and no semi-synchronous
-    move is left.  The architectural check always passes keep; only the
-    direct oracle (topology._whole_product, and _whole_system, which
-    behavioral conformity uses) composes the plain product."""
-    plan = None if keep is None else _reduction_plan(arch, members)
-    expected = iter(members)
-    names: list[str] = []
-    composed: frozenset[str] = frozenset()  # the families of the parts in acc
-    acc: Lts | None = None
-    for name, lts in parts:
-        if plan is not None and next(expected, None) != name:
-            raise ValueError(f"part {name!r} out of the order of {members}")
-        families = families_of(arch, name)
-        acc = lts if acc is None else parallel(acc, lts, families & composed, state_limit)
+    move is left.  The architectural check is the one caller; the
+    direct oracle explores the plain product (topology._whole_product)."""
+    if not members:
+        raise ValueError("no members to compose")
+    plan = _reduction_plan(arch, members)
+    acc = part(members[0])
+    composed = families_of(arch, members[0])  # the families of the parts in acc
+    for k in range(1, len(members)):
+        families = families_of(arch, members[k])
+        acc = parallel(acc, part(members[k]), families & composed, state_limit)
         composed |= families
-        names.append(name)
-        if plan is not None and 1 < len(names) < len(members):
-            future, may_quotient = plan[len(names) - 1]
+        if k < len(members) - 1:
+            future, may_quotient = plan[k]
             acc = restrict(acc, keep, future)
             if may_quotient and not acc.has_semisync():
                 acc, _ = branching_quotient(acc)
-    if acc is None:
-        raise ValueError("no parts to compose")
-    if plan is None:
-        return acc
-    if len(names) != len(members):
-        raise ValueError(f"parts {names} are not all of {members}")
     return restrict(acc, keep)

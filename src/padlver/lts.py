@@ -66,6 +66,8 @@ _EXC_TARGET = itemgetter(3)
 _LABEL_TARGET = itemgetter(0, 1)
 
 Rows = Sequence[Sequence[Move]]  # rows[s]: state s's moves
+# A system as _product explores it: (labels, rows, initial, marked).
+Raw = tuple[Sequence[str], Rows, int, "frozenset[int] | set[int]"]
 
 
 @dataclass(frozen=True)
@@ -297,15 +299,18 @@ def parallel(
     that only one side offers, or a label whose moves cannot be
     reached), and drops it.
     """
-    return _canonical(*_product(left, right, sync_set, state_limit))
+    fields = (left.labels, left.trans, left.initial, left.marked)
+    return _canonical(*_product(fields, right, sync_set, state_limit))
 
 
 @_acyclic
-def _product(left: Lts, right: Lts, sync_set: Iterable[str],
-             state_limit: int = DEFAULT_STATE_LIMIT):
+def _product(left: Raw, right: Lts, sync_set: Iterable[str],
+             state_limit: int = DEFAULT_STATE_LIMIT) -> Raw:
     """parallel's exploration, before _canonical: the product's label
     table, its rows (unsorted, with duplicates, semi-synchronous moves
-    unresolved), its initial state and its marked states.
+    unresolved), its initial state and its marked states.  left is in
+    that raw form too (parallel passes an Lts's fields), so products
+    chain without _canonical; its labels need not all fire.
 
     The pair of left state ls and right state rs is keyed by the int
     ls * right.n_states + rs, and states are numbered and explored in
@@ -317,10 +322,11 @@ def _product(left: Lts, right: Lts, sync_set: Iterable[str],
     if bad:
         raise ValueError(f"sync set may not contain tau or exception labels: {sorted(bad)}")
 
+    left_labels, left_trans, left_initial, left_marked = left
     # Over one table a joint move's label is the same index on both sides.
-    labels = _merged_table(left.labels, right.labels)
+    labels = _merged_table(left_labels, right.labels)
     position = {name: i for i, name in enumerate(labels)}
-    index = [position[name] for name in left.labels]
+    index = [position[name] for name in left_labels]
     index.append(-1)  # keeps a normal move's exc_label at -1
     right_trans = _reindexed(right, position)
     sync = frozenset(position[name] for name in sync_set if name in position)
@@ -334,8 +340,8 @@ def _product(left: Lts, right: Lts, sync_set: Iterable[str],
 
     width = right.n_states
     seen = _States(state_limit)
-    init = seen[left.initial * width + right.initial]
-    left_trans, rows = left.trans, seen.rows
+    init = seen[left_initial * width + right.initial]
+    rows = seen.rows
     for src, key in enumerate(seen.order):  # the BFS queue; the loop appends
         ls, rs = divmod(key, width)
         here = key - rs  # the key of (ls, 0): right moves alone
@@ -380,9 +386,9 @@ def _product(left: Lts, right: Lts, sync_set: Iterable[str],
                 append((el, seen[here + ed], -1, -1))
 
     marked = set()
-    if left.marked or right.marked:
+    if left_marked or right.marked:
         marked = {s for s, key in enumerate(seen.order)
-                  if key // width in left.marked or key % width in right.marked}
+                  if key // width in left_marked or key % width in right.marked}
     return labels, rows, init, marked
 
 

@@ -28,11 +28,10 @@ conditions on every cyclic union, and only then transfers the verdict
 from a single AEI to the whole architecture; the direct one explores
 the full composite state space and is used as the cross-validation
 oracle.  When the compositional conditions fail, no verdict is claimed.
-The direct driver composes every AEI but the last as
-composite_semantics does, then searches the last product's rows as
-they are explored, neither sorted nor resolved; its state count is
-every state explored, exception continuations that resolution would
-leave unreachable included.
+The direct driver explores the whole product one raw _product step
+per AEI and searches its rows as they are explored, neither sorted nor
+resolved; its state count is every state explored, exception
+continuations that resolution would leave unreachable included.
 The compositional driver checks once per twin class: AEIs whose swap
 maps the architecture onto itself share their isolation check and
 their equivalent compatibility outcomes.
@@ -45,7 +44,6 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 from . import model as m
 from .diagnostics import StateLimitExceeded
@@ -64,6 +62,7 @@ from .lts import (
     EXCEPTION_SUFFIX,
     TAU,
     Lts,
+    Raw,
     _canonical,
     _deadlocks,
     _product,
@@ -334,12 +333,10 @@ def _check(
     context = arch.real_aeis
     others = set(members) - {member}
     keep = build_name_sets(arch, member, context).visible - h_set(arch, member, others)
-    parts = (
-        (aei, aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
-                            buffers_for=members, state_limit=state_limit))
-        for aei in members
-    )
-    lhs = composite_semantics(arch, parts, state_limit, keep=keep, members=members)
+    def part(aei: str) -> Lts:
+        return aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
+                             buffers_for=members, state_limit=state_limit)
+    lhs = composite_semantics(arch, members, part, keep, state_limit)
     rhs = aei_alone(arch, member, state_limit)
     verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
     if len(members) == 2:  # a compatibility check names the center and its partner
@@ -403,23 +400,22 @@ def aei_deadlock_free(
     return not find_deadlocks(aei_alone(arch, aei, state_limit), notion)
 
 
-def _whole_product(arch: ElabArchitecture, state_limit: int):
-    """All AEIs with all their buffers, partially closed: the plain
-    product chain of composite_semantics, its last step left as
-    _product's raw rows (a lone AEI's semantics as its own rows)."""
-    *first, last = everyone = arch.real_aeis
-    parts = (
-        (aei, aei_semantics(arch, aei, context=everyone, closure="pc", buffers_for=everyone,
-                            state_limit=state_limit))
-        for aei in everyone
-    )
-    if not first:
-        ((_, lts),) = parts
-        return lts.labels, lts.trans, lts.initial, lts.marked
-    head = composite_semantics(arch, islice(parts, len(first)), state_limit)
-    _, tail = next(parts)
-    sync = families_of(arch, last) & frozenset().union(*(families_of(arch, aei) for aei in first))
-    return _product(head, tail, sync, state_limit)
+def _whole_product(arch: ElabArchitecture, state_limit: int) -> Raw:
+    """All AEIs with all their buffers, partially closed, as _product's
+    raw rows: one _product step per AEI in real_aeis order, from the
+    one-state system without moves, each synchronizing on the families
+    the AEI shares with those before it, and none sorted or resolved.
+    An AEI's semantics is built only once those before it are composed."""
+    everyone = arch.real_aeis
+    acc: Raw = ((TAU,), ((),), 0, frozenset())
+    composed: frozenset[str] = frozenset()  # the families of the AEIs in acc
+    for aei in everyone:
+        part = aei_semantics(arch, aei, context=everyone, closure="pc", buffers_for=everyone,
+                             state_limit=state_limit)
+        families = families_of(arch, aei)
+        acc = _product(acc, part, families & composed, state_limit)
+        composed |= families
+    return acc
 
 
 def _whole_system(arch: ElabArchitecture, state_limit: int) -> Lts:
@@ -452,9 +448,9 @@ def verify_deadlock_direct(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> DirectResult:
     """Whole-system model check: all AEIs with all their buffers,
-    partially closed, searched for (weak) deadlocks.  The last product
-    is searched as it was explored, unsorted and unresolved, by the
-    search that find_deadlocks and shortest_trace run on _whole_system."""
+    partially closed, searched for (weak) deadlocks.  _whole_product's
+    rows are searched as they were explored, unsorted and unresolved, by
+    the search that find_deadlocks and shortest_trace run on _whole_system."""
     started = time.perf_counter()
     try:
         labels, rows, initial, marked = _whole_product(arch, state_limit)

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import pytest
 
 from padlver import elaborate, parse, validate
 from padlver import model as m
-from padlver.elaborate import ElabArchitecture
-from padlver.lts import Lts, build_lts, exception_label, reachable_states
+from padlver.elaborate import ElabArchitecture, families_of
+from padlver.lts import (
+    DEFAULT_STATE_LIMIT,
+    Lts,
+    build_lts,
+    exception_label,
+    parallel,
+    reachable_states,
+)
 from padlver.topology import ReductionResult
 from padlver.validate import ValidatedArchitecture
 
@@ -43,6 +50,23 @@ def e_set(arch: ElabArchitecture, aei: str, others: set[str] | frozenset[str]) -
                 if decl.synchronicity is m.Synchronicity.SSYNC:
                     out.add(exception_label(f"{x}.{inter}"))
     return frozenset(out)
+
+
+def plain_product(arch: ElabArchitecture, parts: Iterable[tuple[str, Lts]],
+                  state_limit: int = DEFAULT_STATE_LIMIT) -> Lts:
+    """The plain product of (AEI, semantics) parts: a left fold of
+    parallel, each part synchronizing with the parts before it on the
+    families it shares with them, and each taken from parts only once
+    the parts before it are composed.  Neither minimized nor resolved:
+    the reference for the checks' minimized compositions and for the
+    direct oracle's raw products."""
+    acc = None
+    composed: frozenset[str] = frozenset()  # the families of the parts in acc
+    for aei, lts in parts:
+        families = families_of(arch, aei)
+        acc = lts if acc is None else parallel(acc, lts, families & composed, state_limit)
+        composed |= families
+    return acc
 
 
 def all_conditions_hold(reduction: ReductionResult) -> bool:

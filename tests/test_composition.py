@@ -1,10 +1,10 @@
 """Minimized composition against the plain product.
 
 The architectural check composes its members through
-composite_semantics with a kept set, which minimizes a cycle while
-composing it; a compatibility check is its two-member case.  Every
-interoperability check and both directions of every star pair are
-recomputed here as the plain left-associated product, hidden down to
+composite_semantics, which minimizes a cycle while composing it; a
+compatibility check is its two-member case.  Every interoperability
+check and both directions of every star pair are recomputed here as
+the plain left-associated product (plain_product), hidden down to
 the member's visible set, its shared queue names and exceptions hidden,
 resolved.  Both must be weakly bisimilar, so that they give the same
 verdict, and have the same saturation flag, and a distinguishing
@@ -24,14 +24,13 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, e_set, load_arch
+from conftest import FIXTURES, e_set, load_arch, plain_product
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import validate
 from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import (
     aei_semantics,
     build_name_sets,
-    composite_semantics,
     elaborate,
     h_set,
 )
@@ -55,7 +54,7 @@ def plain_lhs(arch, cycle, member, state_limit):
                             buffers_for=cycle, state_limit=state_limit))
         for aei in cycle
     ]
-    lhs = composite_semantics(arch, parts, state_limit)
+    lhs = plain_product(arch, parts, state_limit)
     lhs = hide(lhs, keep_only=build_name_sets(arch, member, context).visible)
     others = set(cycle) - {member}
     hidden = h_set(arch, member, others) | e_set(arch, member, others)
@@ -205,7 +204,7 @@ def star_context_lhs(arch, center, partner, state_limit):
               if center in (att.from_aei, att.to_aei)
               for aei in (att.from_aei, att.to_aei)} - {center}
     star = (center,) + tuple(aei for aei in arch.real_aeis if aei in border)
-    lhs = composite_semantics(arch, (
+    lhs = plain_product(arch, (
         (center, aei_semantics(arch, center, context=arch.real_aeis, closure="pc",
                                buffers_for=(partner,), state_limit=state_limit)),
         (partner, aei_semantics(arch, partner, context=star, closure="tc",

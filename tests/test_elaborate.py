@@ -13,6 +13,7 @@ from conftest import (
     e_set,
     fixture_source,
     load_arch,
+    plain_product,
     star_source,
     visible_labels,
 )
@@ -254,7 +255,7 @@ END
         "E.announce#OAQ_1.arrive#OAQ_2.arrive#OAQ_3.arrive"
     )
     # the whole system still verifies
-    full = resolve(composite_semantics(
+    full = resolve(plain_product(
         arch, parts_of(arch, arch.real_aeis, "pc", buffers_for=arch.real_aeis)))
     from padlver import find_deadlocks
     assert not find_deadlocks(full)
@@ -392,17 +393,17 @@ def test_tc_hides_the_originally_asynchronous_names():
     assert visible_labels(tc).isdisjoint(sets.oali)
 
 
-def test_singleton_composite_equals_aei_semantics():
+def test_singleton_composite_is_its_part_resolved():
     arch = load_arch("client_server_async")
-    single = composite_semantics(arch, parts_of(arch, ("S",), "pc", buffers_for=arch.real_aeis))
-    direct = aei_semantics(arch, "S", closure="pc", buffers_for=arch.real_aeis)
-    assert single == direct
+    part = aei_semantics(arch, "C_1", closure="pc", buffers_for=arch.real_aeis)
+    assert part.has_semisync()
+    keep = build_name_sets(arch, "C_1", arch.real_aeis).visible
+    assert composite_semantics(arch, ("C_1",), lambda aei: part, keep) == resolve(part)
 
 
 def test_totally_closed_composite_visibility():
     arch = load_arch("client_server_async")
-    lts = composite_semantics(arch, parts_of(arch, arch.real_aeis, "tc",
-                                             buffers_for=arch.real_aeis))
+    lts = plain_product(arch, parts_of(arch, arch.real_aeis, "tc", buffers_for=arch.real_aeis))
     allowed = set()
     for aei in arch.real_aeis:
         allowed |= set(build_name_sets(arch, aei, arch.real_aeis).phi_map().values())
@@ -413,7 +414,7 @@ def test_totally_closed_composite_visibility():
 def test_whole_sync_composite_matches_the_displayed_term():
     # build the composed client-server term by hand with the kernel
     # operators, with the exact relabelings and synchronization sets of
-    # the worked example, and compare against composite_semantics
+    # the worked example, and compare against the plain product
     from padlver.lts import parallel, relabel
     from padlver.semantics import generate_lts
 
@@ -441,7 +442,7 @@ def test_whole_sync_composite_matches_the_displayed_term():
         )
     manual = parallel(parallel(server, clients[1], {n[1], n[2]}),
                       clients[2], {n[3], n[4]})
-    composed = composite_semantics(arch, parts_of(arch, arch.real_aeis, "open"))
+    composed = plain_product(arch, parts_of(arch, arch.real_aeis, "open"))
     assert manual == composed
 
 
@@ -539,7 +540,8 @@ def test_semantics_request_validation():
 
 def test_composite_takes_each_part_after_composing_the_ones_before(monkeypatch):
     arch = load_arch("cruise_control")
-    built = parts_of(arch, arch.real_aeis, "pc", buffers_for=arch.real_aeis)
+    members = arch.real_aeis
+    built = dict(parts_of(arch, members, "pc", buffers_for=members))
     calls = []
     real_parallel = elaborate_module.parallel
 
@@ -550,51 +552,22 @@ def test_composite_takes_each_part_after_composing_the_ones_before(monkeypatch):
     monkeypatch.setattr(elaborate_module, "parallel", counting_parallel)
     seen = []
 
-    def lazily():
-        for part in built:
-            seen.append(len(calls))
-            yield part
+    def part(aei):
+        seen.append((aei, len(calls)))
+        return built[aei]
 
-    composed = composite_semantics(arch, lazily())
-    n = len(built)
+    composed = composite_semantics(arch, members, part, frozenset())
+    n = len(members)
     assert n >= 3
-    assert seen == [0] + list(range(n - 1))
+    assert seen == list(zip(members, [0] + list(range(n - 1))))
     assert len(calls) == n - 1
     # the last part synchronizes with every part before it: on each
     # family with an end owned by it and one owned by an earlier part
-    last = built[-1][0]
-    expected = {f.composite for f in arch.families for aei, _ in built[:-1]
+    last = members[-1]
+    expected = {f.composite for f in arch.families for aei in members[:-1]
                 if aei in f.owners and last in f.owners}
     assert expected and calls[-1] == expected
-    assert composed.n_states > 0
-
-
-def test_a_minimized_composite_takes_its_parts_in_order_and_lazily(monkeypatch):
-    arch = load_arch("cruise_control")
-    built = parts_of(arch, arch.real_aeis, "tc", buffers_for=arch.real_aeis)
-    calls = []
-    real_parallel = elaborate_module.parallel
-
-    def counting_parallel(*args, **kwargs):
-        calls.append(args[2])
-        return real_parallel(*args, **kwargs)
-
-    monkeypatch.setattr(elaborate_module, "parallel", counting_parallel)
-    seen = []
-
-    def lazily(parts):
-        for part in parts:
-            seen.append(len(calls))
-            yield part
-
-    members = arch.real_aeis
-    composed = composite_semantics(arch, lazily(built), keep=frozenset(), members=members)
-    assert seen == [0] + list(range(len(built) - 1))
     assert not composed.has_semisync() and composed.labels == ("tau",)
-    with pytest.raises(ValueError, match="order"):
-        composite_semantics(arch, built[::-1], keep=frozenset(), members=members)
-    with pytest.raises(ValueError, match="not all"):
-        composite_semantics(arch, built[:-1], keep=frozenset(), members=members)
 
 
 def test_declared_semisync_names_cover_every_built_part():
@@ -619,8 +592,8 @@ def test_declared_semisync_names_cover_every_built_part():
 
 def test_composite_of_no_parts_is_an_error():
     arch = load_arch("client_server_sync")
-    with pytest.raises(ValueError):
-        composite_semantics(arch, iter(()))
+    with pytest.raises(ValueError, match="no members"):
+        composite_semantics(arch, (), lambda aei: aei_semantics(arch, aei), frozenset())
 
 
 def test_capacity_sublts_for_queues():

@@ -56,6 +56,11 @@ def labels_of(lts):
 # -- parallel -----------------------------------------------------------------
 
 
+def fields(lts):
+    """lts in the raw form _product takes and returns."""
+    return lts.labels, lts.trans, lts.initial, lts.marked
+
+
 def test_forced_synchronization_then_deadlock():
     a = from_traces(("a",))
     joint = parallel(a, a, {"a"})
@@ -269,13 +274,13 @@ def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
             assert seen == [False, False]
             assert gc.isenabled() is enabled
             seen.clear()
-            assert len(lts_module._product(chain, chain, {"a"})[1]) == 10
+            assert len(lts_module._product(fields(chain), chain, {"a"})[1]) == 10
             assert seen == [False]
             assert gc.isenabled() is enabled
-            for build in (parallel, lts_module._product):
+            for build, left in ((parallel, chain), (lts_module._product, fields(chain))):
                 seen.clear()
                 with pytest.raises(StateLimitExceeded):
-                    build(chain, chain, set(), state_limit=3)
+                    build(left, chain, set(), state_limit=3)
                 assert seen == [False]
                 assert gc.isenabled() is enabled
             seen.clear()
@@ -763,7 +768,7 @@ def assert_search_matches_resolved(raw, targets):
        st.frozensets(st.integers(0, 24), max_size=3))
 def test_row_search_over_a_raw_product_matches_the_resolved_system(left, right, sync, rng,
                                                                    targets):
-    labels, rows, initial, marked = lts_module._product(left, right, sync)
+    labels, rows, initial, marked = lts_module._product(fields(left), right, sync)
     for raw_rows in (rows, scrambled(rows, rng)):
         assert_search_matches_resolved((labels, raw_rows, initial, marked), targets)
 
@@ -774,7 +779,7 @@ def test_a_state_only_an_exception_reaches_counts_but_is_never_a_deadlock():
     # generated and counted, dead, and unreachable once resolved.
     left = build_lts(3, 0, [(0, "s", 1, "L.s_exception", 2), (1, "a", 1)])
     right = build_lts(2, 0, [(0, "s", 1), (1, "b", 1)])
-    raw = lts_module._product(left, right, {"s"})
+    raw = lts_module._product(fields(left), right, {"s"})
     labels, rows, initial, marked = raw
     built = resolve(lts_module._canonical(*raw))
     assert len(rows) == built.n_states == 3
@@ -783,6 +788,38 @@ def test_a_state_only_an_exception_reaches_counts_but_is_never_a_deadlock():
     for notion in ("weak", "strict"):
         assert stranded not in lts_module._deadlocks(rows, initial, notion)
     assert_search_matches_resolved(raw, frozenset({stranded}))
+
+
+# The direct oracle chains _product from the one-state system without
+# moves, and sorts no step.  That renumbers the states and may repeat
+# moves, but it builds the system the fold of parallel builds.
+
+UNIT = ((TAU,), ((),), 0, frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lts_over(LEFT_NAMES, LEFT_EXCEPTIONS), lts_over(RIGHT_NAMES, RIGHT_EXCEPTIONS),
+       lts_over(LEFT_NAMES, RIGHT_EXCEPTIONS), st.frozensets(st.sampled_from(("c", "s", "t", "u"))),
+       st.frozensets(st.sampled_from(("a", "b", "c", "s", "t", "u"))))
+def test_chained_raw_products_build_the_fold_of_parallel(a, b, c, sync_ab, sync_c):
+    raw = lts_module._product(UNIT, a, ())
+    raw = lts_module._product(raw, b, sync_ab)
+    labels, rows, initial, marked = raw = lts_module._product(raw, c, sync_c)
+    chained = lts_module._canonical(*raw)
+    folded = parallel(parallel(a, b, sync_ab), c, sync_c)
+    assert chained.labels == folded.labels
+    assert (chained.n_states, len(chained.marked)) == (folded.n_states, len(folded.marked))
+    assert sum(map(len, chained.trans)) == sum(map(len, folded.trans))
+    # write_aut keeps each exception move as a move of its own.
+    assert strong_bisim_check(read_aut(write_aut(chained)), read_aut(write_aut(folded))).equivalent
+    resolved = resolve(folded)
+    for notion in ("weak", "strict"):
+        dead = lts_module._deadlocks(rows, initial, notion)
+        expected = find_deadlocks(resolved, notion)
+        assert len(dead) == len(expected)
+        if dead:
+            trace = lts_module._trace(labels, rows, initial, dead)
+            assert len(trace) == len(shortest_trace(resolved, expected))
 
 
 def ref_union(l1, l2):

@@ -13,13 +13,14 @@ from conftest import (
     fixture_source,
     load_arch,
     naive_cyclic_unions,
+    plain_product,
 )
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import parse, topology, validate
 from padlver.diagnostics import StateLimitExceeded
-from padlver.elaborate import elaborate
-from padlver.equivalence import eval_formula
-from padlver.lts import DEFAULT_STATE_LIMIT, find_deadlocks, shortest_trace
+from padlver.elaborate import aei_semantics, elaborate
+from padlver.equivalence import eval_formula, strong_bisim_check
+from padlver.lts import DEFAULT_STATE_LIMIT, find_deadlocks, resolve, shortest_trace
 from padlver.topology import (
     AbstractFlowGraph,
     build_flow_graph,
@@ -460,8 +461,9 @@ def test_each_cached_semantics_is_resolved_once(monkeypatch):
 
 
 def test_each_check_and_direct_run_composes_once(monkeypatch):
-    # Compatibility, interoperability and the direct route all build
-    # their left-hand side through the one composition routine.
+    # Compatibility and interoperability build their left-hand side
+    # through the one composition routine, once per check; the direct
+    # route explores raw products and never calls it.
     calls: Counter = Counter()
 
     def counted(name):
@@ -483,7 +485,34 @@ def test_each_check_and_direct_run_composes_once(monkeypatch):
     )
     calls.clear()
     assert verify_deadlock_direct(arch).status == "deadlock_free"
-    assert calls == {"composite_semantics": 1}
+    assert not calls
+
+
+def test_the_direct_route_builds_no_system_before_its_search(monkeypatch):
+    # Every step of the direct route is one raw _product: once the AEIs'
+    # semantics are built (and memoized), a run calls no parallel,
+    # _canonical or composite_semantics.
+    arch = load_arch("cruise_control")
+    first = verify_deadlock_direct(arch, "strict")
+    calls: Counter = Counter()
+    lts_module = importlib.import_module("padlver.lts")
+    elaborate_module = importlib.import_module("padlver.elaborate")
+    for module, name in ((lts_module, "parallel"), (lts_module, "_canonical"),
+                         (elaborate_module, "parallel"), (topology, "parallel"),
+                         (topology, "_canonical"), (topology, "composite_semantics")):
+        real = getattr(module, name)
+
+        def wrapper(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    again = verify_deadlock_direct(arch, "strict")
+    assert not calls
+    assert (again.status, again.trace, again.states, again.saturated) == (
+        first.status, first.trace, first.states, first.saturated)
+    topology._whole_system(arch, DEFAULT_STATE_LIMIT)
+    assert calls["_canonical"] > 0  # the counters see the built system
 
 
 def test_mutant_direct_confirms_failed_check():
@@ -509,7 +538,7 @@ def test_strict_notion_finds_the_same_deadlock_here():
     assert verify_deadlock_direct(arch, notion="strict").status == "deadlock"
 
 
-# The direct oracle searches the last product's raw rows; it must give
+# The direct oracle searches the whole product's raw rows; it must give
 # exactly what the search gives on the whole system built, sorted and
 # resolved (_whole_system), at every limit and under both notions.
 
@@ -570,6 +599,118 @@ def test_direct_oracle_matches_the_built_whole_system_on_harness_draws():
     assert statuses["deadlock"] >= 20 and statuses["deadlock_free"] >= 20
 
 
+# The direct route chains raw products and sorts no step; the fold of
+# parallel that it replaced must build the same whole system up to the
+# numbering of its states, and give the same verdicts.
+
+
+def whole_fold(arch, state_limit):
+    """The whole system as a left fold of parallel, resolved."""
+    everyone = arch.real_aeis
+    return resolve(plain_product(arch, (
+        (aei, aei_semantics(arch, aei, context=everyone, closure="pc", buffers_for=everyone,
+                            state_limit=state_limit))
+        for aei in everyone
+    ), state_limit))
+
+
+def assert_whole_system_is_the_fold(arch, state_limit) -> str:
+    """Compare _whole_system and verify_deadlock_direct with the fold;
+    returns the weak direct status."""
+    try:
+        fold = whole_fold(arch, state_limit)
+    except StateLimitExceeded:
+        with pytest.raises(StateLimitExceeded):
+            topology._whole_system(arch, state_limit)
+        assert verify_deadlock_direct(arch, "weak", state_limit).status == "inconclusive"
+        return "inconclusive"
+    whole = topology._whole_system(arch, state_limit)
+    assert whole.labels == fold.labels
+    assert (whole.n_states, len(whole.marked)) == (fold.n_states, len(fold.marked))
+    assert sum(map(len, whole.trans)) == sum(map(len, fold.trans))
+    assert strong_bisim_check(whole, fold).equivalent
+    for notion in ("strict", "weak"):
+        direct = verify_deadlock_direct(arch, notion, state_limit)
+        dead = find_deadlocks(fold, notion)
+        assert direct.status == ("deadlock" if dead else "deadlock_free")
+        assert (direct.states, direct.saturated) == (fold.n_states, bool(fold.marked))
+        if dead:
+            assert len(direct.trace) == len(shortest_trace(fold, dead))
+    return direct.status
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_whole_system_is_the_fold_of_parallel_on_fixtures(capacity):
+    statuses = Counter(assert_whole_system_is_the_fold(load_arch(p.stem, capacity),
+                                                       DEFAULT_STATE_LIMIT)
+                       for p in sorted(FIXTURES.glob("*.padl")))
+    assert statuses["deadlock"] and statuses["deadlock_free"]
+
+
+def test_whole_system_is_the_fold_of_parallel_on_harness_draws():
+    rng = random.Random(4242)
+    statuses = Counter()
+    for i in range(200):
+        description = random_architecture(rng, _SYNCS if i % 2 else _SSYNC_HEAVY)
+        arch = elaborate(validate(description), rng.randint(1, 2))
+        statuses[assert_whole_system_is_the_fold(arch, 100_000)] += 1
+    assert statuses["deadlock"] >= 20 and statuses["deadlock_free"] >= 20
+
+
+# A server whose OR-interaction receive_request has two attachments,
+# beside a UNI-interaction that its first copy's name would take.  Each
+# one-shot client's request must stay its own interaction, so the
+# looping client cannot stand in for either, and the server deadlocks
+# once both one-shot clients are done.
+OR_COLLISION = """ARCHI_TYPE Collide(void)
+  ARCHI_BEHAVIOR
+    ARCHI_ELEM_TYPE Server_Type(void)
+      BEHAVIOR
+        Server(void; void) = receive_request . receive_request_1 . Server()
+      INPUT_INTERACTIONS  SYNC OR receive_request; SYNC UNI receive_request_1
+      OUTPUT_INTERACTIONS void
+    ARCHI_ELEM_TYPE Once_Type(void)
+      BEHAVIOR
+        Once(void; void) = send_request . stop
+      INPUT_INTERACTIONS  void
+      OUTPUT_INTERACTIONS SYNC UNI send_request
+    ARCHI_ELEM_TYPE Loop_Type(void)
+      BEHAVIOR
+        Loop(void; void) = send_request . Loop()
+      INPUT_INTERACTIONS  void
+      OUTPUT_INTERACTIONS SYNC UNI send_request
+  ARCHI_TOPOLOGY
+    ARCHI_ELEM_INSTANCES
+      S : Server_Type(); C_1 : Once_Type(); C_2 : Once_Type(); C_3 : Loop_Type()
+    ARCHI_INTERACTIONS void
+    ARCHI_ATTACHMENTS
+      FROM C_1.send_request TO S.receive_request;
+      FROM C_2.send_request TO S.receive_request;
+      FROM C_3.send_request TO S.receive_request_1
+END
+"""
+
+
+def test_or_copies_never_take_a_declared_name():
+    colliding = elaborate(validate(parse(OR_COLLISION)), 1)
+    renamed = elaborate(validate(parse(OR_COLLISION.replace("receive_request_1", "other_in"))), 1)
+    server = colliding.aeis["S"].interactions
+    assert sorted(server) == ["receive_request_1", "receive_request_1_", "receive_request_2"]
+    assert len({f.composite for f in colliding.families}) == 3
+    # Spelled either way, the architecture deadlocks, on the same trace
+    # up to the names of the server's interactions.
+    rename = {"S.receive_request_1_": "S.receive_request_1", "S.receive_request_1": "S.other_in"}
+    results = []
+    for arch in (colliding, renamed):
+        reduction = verify_deadlock_by_reduction(arch)
+        direct = verify_deadlock_direct(arch)
+        results.append((reduction.status, direct.status, direct.states, [
+            "#".join(rename.get(end, end) for end in label.split("#")) if arch is colliding
+            else label for label in direct.trace]))
+    assert results[0] == results[1]
+    assert results[0][:2] == ("conditions_failed", "deadlock")
+
+
 def test_reports_are_deterministic():
     from padlver.report import VerificationReport
 
@@ -591,13 +732,9 @@ def test_star_reduction_target():
     # closed star with the center partially closed, after hiding all the
     # shared queue names and exceptions, is weakly bisimilar to the
     # center alone without buffers
-    from padlver.elaborate import (
-        aei_semantics,
-        composite_semantics,
-        h_set,
-    )
+    from padlver.elaborate import h_set
     from padlver.equivalence import weak_bisim_check
-    from padlver.lts import hide, resolve
+    from padlver.lts import hide
 
     for name, center, border in [
         ("client_server_sync", "S", ("C_1", "C_2")),
@@ -607,7 +744,7 @@ def test_star_reduction_target():
         for partner in border:
             assert check_compatibility(arch, center, partner).equivalent
         star = (center,) + border
-        lhs = composite_semantics(arch, [
+        lhs = plain_product(arch, [
             (aei, aei_semantics(arch, aei, context=star, closure="pc" if aei == center else "tc",
                                 buffers_for=star))
             for aei in star
