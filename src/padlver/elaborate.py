@@ -283,8 +283,11 @@ class ElabArchitecture:
     real_aeis: tuple[str, ...]
     families: tuple[Family, ...]
     source: ValidatedArchitecture
-    # Read and written only by aei_semantics, keyed by normalized request
-    # (see there), and by aei_alone, keyed ("resolved", AEI, state limit).
+    # Read and written only by aei_semantics and aei_alone.  Keys: a
+    # normalized request (see aei_semantics); ("generated", AEI, state limit),
+    # the AEI's generated behavior relabeled to its internal families;
+    # ("queue", queue, state limit), the queue relabeled to its family;
+    # and ("resolved", AEI, state limit), aei_alone's system.
     _semantics: dict[tuple, Lts] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -566,13 +569,16 @@ def aei_semantics(
 ) -> Lts:
     """Semantics of a single AEI: or-rewritten behavior, selected
     buffers composed in cascade order (input queues on the left, output
-    queues on the right), relabeled to composite names, then closed.
+    queues on the right), relabeled to composite names and closed in
+    one pass (hide with rename).
 
     Each request is built once per architecture and the result shared
     (an Lts is immutable).  A request is the AEI, the context as a set,
     the closure, the queues that buffers_for selects and the state
     limit, so a smaller limit raises as it would on a first build; a
-    build that raises is not kept.  A SemanticsError from the AEI's
+    build that raises is not kept.  The AEI's generated behavior and
+    each queue are kept too, per state limit, so every request for the
+    AEI generates each of them once.  A SemanticsError from the AEI's
     behavior (a value outside its declared range) names the AEI."""
     if context is None:
         context = arch.real_aeis
@@ -599,16 +605,15 @@ def aei_semantics(
     if cached is not None:
         return cached
 
-    ssync = frozenset(
-        name
-        for name, inter in elab.interactions.items()
-        if inter.synchronicity is m.Synchronicity.SSYNC
-    )
-    try:
-        acc = generate_lts(elab.equations, arch.source.actuals[aei], prefix=aei,
-                           ssync_actions=ssync, state_limit=state_limit)
-    except SemanticsError as exc:
-        raise SemanticsError(f"AEI '{aei}': {exc}") from None
+    def generated() -> Lts:
+        ssync = frozenset(name for name, inter in elab.interactions.items()
+                          if inter.synchronicity is m.Synchronicity.SSYNC)
+        try:
+            lts = generate_lts(elab.equations, arch.source.actuals[aei], prefix=aei,
+                               ssync_actions=ssync, state_limit=state_limit)
+        except SemanticsError as exc:
+            raise SemanticsError(f"AEI '{aei}': {exc}") from None
+        return relabel(lts, internal_map)
 
     # The AEI's internal families: its own side and each queue's inner
     # end are relabeled to the family's name, the one they synchronize on.
@@ -621,27 +626,36 @@ def aei_semantics(
                     internal_map[f"{x}.{inter}"] = f.composite
                 else:
                     queue_end[x] = (f"{x}.{inter}", f.composite)
-    if internal_map:
-        acc = relabel(acc, internal_map)
 
+    acc = _kept(arch, ("generated", aei, state_limit), generated)
     for queue_name in queues:
         inner, family = queue_end[queue_name]
-        q = relabel(queue_lts(arch, queue_name, state_limit), {inner: family})
+        q = _kept(arch, ("queue", queue_name, state_limit),
+                  lambda: relabel(queue_lts(arch, queue_name, state_limit), {inner: family}))
         if arch.aeis[queue_name].queue.kind == "IAQ":
             acc = parallel(q, acc, {family}, state_limit)
         else:
             acc = parallel(acc, q, {family}, state_limit)
 
+    # Renamed to composite names and closed in one pass.
     sets = build_name_sets(arch, aei, context)
     phi = sets.phi_map()
-    if phi:
+    if closure == "open":
         acc = relabel(acc, phi)
-    if closure == "pc":
-        acc = hide(acc, keep_only=sets.visible)
-    elif closure == "tc":
-        acc = hide(acc, keep_only=sets.visible - sets.oali)
+    else:
+        keep = sets.visible if closure == "pc" else sets.visible - sets.oali
+        acc = hide(acc, keep_only=keep, rename=phi)
     arch._semantics[key] = acc
     return acc
+
+
+def _kept(arch: ElabArchitecture, key: tuple, build: Callable[[], Lts]) -> Lts:
+    """arch's memo entry for key, built on a miss; a build that raises
+    is not kept."""
+    lts = arch._semantics.get(key)
+    if lts is None:
+        lts = arch._semantics[key] = build()
+    return lts
 
 
 def aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
@@ -650,14 +664,10 @@ def aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
     isolation check searches.  Resolved once per architecture and kept
     in its semantics memo, beside the unresolved request that
     compositions use."""
-    key = ("resolved", aei, state_limit)
-    lts = arch._semantics.get(key)
-    if lts is None:
-        lts = arch._semantics[key] = resolve(
-            aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
-                          state_limit=state_limit)
-        )
-    return lts
+    return _kept(arch, ("resolved", aei, state_limit), lambda: resolve(
+        aei_semantics(arch, aei, context=arch.real_aeis, closure="pc", buffers_for=(),
+                      state_limit=state_limit)
+    ))
 
 
 def _reduction_plan(

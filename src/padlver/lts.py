@@ -14,8 +14,9 @@ the final table, as parallel does, leaves that step only the sorting of
 its rows.  One state table, _States, numbers the states that
 generate_lts and parallel's exploration, _product, discover; _product
 keys its states by int and reads its operands' rows in place.  One
-pass, restrict(), hides labels and resolves semi-synchronous moves;
-hide() and resolve() are its two special cases.
+pass, restrict(), renames labels, hides them and resolves
+semi-synchronous moves; relabel(), hide() and resolve() are its three
+special cases.
 
 A transition is either normal (exc_label and exc_target are -1) or
 semi-synchronous (exc_target >= 0).  A semi-synchronous transition
@@ -117,7 +118,11 @@ def _acyclic(build):
     """Run `build` with the cyclic garbage collector paused.  What the
     builders below make is acyclic and freed by reference counting, so
     the collections a large build triggers reclaim nothing, and the
-    full ones land wherever the allocation count falls."""
+    full ones land wherever the allocation count falls.  The two
+    deadlock drivers in topology run under it as a whole, since all
+    they build is acyclic too: otherwise the first collections after a
+    build traverse every row it made.  A cycle made while paused lives
+    until a collection after the call returns."""
 
     @functools.wraps(build)
     def paused(*args, **kwargs):
@@ -392,16 +397,8 @@ def _product(left: Raw, right: Lts, sync_set: Iterable[str],
     return labels, rows, init, marked
 
 
-def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
-    """Injective relabeling.  tau may not be mapped.
-
-    Exception pairing is preserved on transition labels: mapping x to y
-    implicitly maps x_exception to y_exception unless overridden.  The
-    exception-name metadata of semi-synchronous transitions is left
-    untouched: the name an exception will take is fixed once and for
-    all by the interaction it belongs to, while synchronization names
-    change with every composition context.
-    """
+def _renamed(labels: Sequence[str], mapping: dict[str, str]) -> list[str]:
+    """labels under relabel's renaming, checked as relabel states."""
     if TAU in mapping:
         raise ValueError("tau cannot be relabeled")
     targets = list(mapping.values())
@@ -417,21 +414,21 @@ def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
                 return exception_label(mapping[base])
         return name
 
-    mapped = [apply(name) for name in lts.labels]
+    mapped = [apply(name) for name in labels]
     collisions: dict[str, str] = {}
-    for orig, new in zip(lts.labels, mapped):
+    for orig, new in zip(labels, mapped):
         if new in collisions and collisions[new] != orig:
             raise ValueError(f"relabeling collides on '{new}'")
         collisions[new] = orig
-    if mapped == list(lts.labels):
-        return lts
-    return _canonical(mapped, lts.trans, lts.initial, lts.marked, exc_names=lts.labels)
+    return mapped
 
 
 def restrict(
     lts: Lts,
     keep: Iterable[str],
-    pending: set[str] | frozenset[str] = frozenset(),
+    pending: Iterable[str] = frozenset(),
+    *,
+    rename: dict[str, str] | None = None,
 ) -> Lts:
     """The one hiding and resolving pass: labels outside keep and
     pending become tau, and every semi-synchronous move whose label is
@@ -441,13 +438,17 @@ def restrict(
     they stay visible, and their semi-synchronous moves keep their
     exception targets.  No later composition can raise an exception on
     any other name, so resolving those moves now is what resolving at
-    the end would do.  Returns lts itself when no label is hidden and
-    no move is resolved."""
-    visible = set(keep).union(pending)
-    names = [name if name in visible else TAU for name in lts.labels]
+    the end would do.  rename, when given, renames the labels first, as
+    relabel does, and keep and pending name labels after it.  Returns
+    lts itself when no label is renamed or hidden and no move is
+    resolved."""
+    labels = lts.labels if rename is None else _renamed(lts.labels, rename)
+    pending = set(pending)
+    visible = pending.union(keep)
+    names = [name if name in visible else TAU for name in labels]
     rows = lts.trans
-    if lts.has_semisync():
-        settled = [name not in pending for name in lts.labels]
+    settled = [name not in pending for name in labels]
+    if any(settled) and lts.has_semisync():
         # Tuples, so that an unchanged system compares equal to lts.trans;
         # a move that stays is shared, not copied (peak memory).
         rows = tuple([
@@ -458,16 +459,34 @@ def restrict(
     if names == list(lts.labels) and rows == lts.trans:
         return lts
     # Exception names stay: a pending move raises its exception under
-    # its own name even when that name is hidden as a label.
+    # its own name even when that name is hidden or renamed as a label.
     return _canonical(names, rows, lts.initial, lts.marked, exc_names=lts.labels)
 
 
-def hide(lts: Lts, keep_only: set[str] | frozenset[str]) -> Lts:
+def relabel(lts: Lts, mapping: dict[str, str]) -> Lts:
+    """Injective relabeling.  tau may not be mapped.
+
+    Exception pairing is preserved on transition labels: mapping x to y
+    implicitly maps x_exception to y_exception unless overridden.  The
+    exception-name metadata of semi-synchronous transitions is left
+    untouched: the name an exception will take is fixed once and for
+    all by the interaction it belongs to, while synchronization names
+    change with every composition context.  restrict's third special
+    case: every renamed label stays visible and pending.
+    """
+    return restrict(lts, (), _renamed(lts.labels, mapping), rename=mapping)
+
+
+def hide(
+    lts: Lts, keep_only: set[str] | frozenset[str], rename: dict[str, str] | None = None
+) -> Lts:
     """Hiding: every label outside keep_only becomes tau.  A
     semi-synchronous move whose label is hidden can no longer raise an
     exception in any context, so it degrades to a tau move to its
-    success target."""
-    return restrict(lts, keep_only, keep_only)
+    success target.  rename, when given, relabels first in the same
+    pass: hide(lts, keep_only, rename) is hide(relabel(lts, rename),
+    keep_only)."""
+    return restrict(lts, keep_only, keep_only, rename=rename)
 
 
 def resolve(lts: Lts) -> Lts:

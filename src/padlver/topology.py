@@ -63,6 +63,7 @@ from .lts import (
     TAU,
     Lts,
     Raw,
+    _acyclic,
     _canonical,
     _deadlocks,
     _product,
@@ -442,6 +443,7 @@ class DirectResult:
     detail: str | None = None
 
 
+@_acyclic
 def verify_deadlock_direct(
     arch: ElabArchitecture,
     notion: str = "weak",
@@ -570,6 +572,7 @@ def _evaluate(
     return result
 
 
+@_acyclic
 def verify_deadlock_by_reduction(
     arch: ElabArchitecture,
     notion: str = "weak",

@@ -30,7 +30,7 @@ from padlver.elaborate import (
     queue_lts,
     semisync_names,
 )
-from padlver.lts import resolve
+from padlver.lts import hide, relabel, resolve
 
 # The package re-exports the function elaborate under the module's name.
 elaborate_module = importlib.import_module("padlver.elaborate")
@@ -607,6 +607,29 @@ def test_capacity_sublts_for_queues():
     assert {t for t in v1 if not (t[1].endswith("arrive") and t[0] == q1.n_states - 1)} <= v3
 
 
+def test_one_pass_closing_equals_relabel_then_hide():
+    # aei_semantics renames to composite names and closes in one pass;
+    # the reference relabels and then hides.  Opened relative to the
+    # AEI alone, phi is empty, which leaves the system before renaming.
+    semisync = 0
+    for path in sorted(FIXTURES.glob("*.padl")):
+        arch = load_arch(path.stem)
+        for aei in arch.real_aeis:
+            sets = build_name_sets(arch, aei, arch.real_aeis)
+            for buffers in ((), arch.real_aeis):
+                acc = aei_semantics(arch, aei, context=(aei,), closure="open",
+                                    buffers_for=buffers)
+                renamed = relabel(acc, sets.phi_map())
+                semisync += acc.has_semisync()
+                for closure, keep in (("pc", sets.visible), ("tc", sets.visible - sets.oali)):
+                    closed = aei_semantics(arch, aei, closure=closure, buffers_for=buffers)
+                    expected = hide(renamed, keep)
+                    assert (closed.labels, closed.trans, closed.initial, closed.marked) == (
+                        expected.labels, expected.trans, expected.initial, expected.marked
+                    ), (path.stem, aei, closure, buffers)
+    assert semisync > 0
+
+
 # -- the per-architecture memo ------------------------------------------------------
 
 
@@ -643,7 +666,8 @@ def test_a_different_limit_closure_or_buffer_set_builds_anew(generated):
         aei_semantics(arch, "S", closure="tc", buffers_for=(), state_limit=1000),
         aei_semantics(arch, "S", closure="pc", buffers_for=("C_1",), state_limit=1000),
     ]
-    assert generated["S"] == 4
+    # the behavior is generated once per state limit and kept
+    assert generated["S"] == 2
     assert all(v is not base for v in variants)
     # the new limit builds the same system; tc and the buffer do not
     assert variants[0] == base

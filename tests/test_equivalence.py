@@ -41,6 +41,7 @@ from padlver.equivalence import (
     branching_quotient,
     eval_formula,
 )
+from padlver.lts import DEFAULT_STATE_LIMIT
 from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
 
 
@@ -557,22 +558,26 @@ def test_a_distinct_weak_check_leaves_no_reference_cycle():
 def test_generation_and_or_rewriting_leave_no_reference_cycle():
     # generate_lts's emit and or_rewrite's walkers recurse through their
     # own cells: they must not keep a call's state table or rewritten
-    # equations alive until the cyclic GC runs.  metered_clients has an
-    # or-interaction to rewrite; cruise_control is semi-synchronous.
+    # equations alive until the cyclic GC runs.  The drivers run with
+    # the collector paused, so a cycle made inside one would live until
+    # it returns: after each run on either route, at capacities 1-3 and
+    # at a limit that some checks and direct runs hit, none is left.
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for name in ("metered_clients", "cruise_control"):
-            arch = load_arch(name)
-            assert gc.collect() == 0
-            for aei in arch.real_aeis:
-                aei_semantics(arch, aei)
-            assert gc.collect() == 0
-            verify_deadlock_by_reduction(arch, "weak")
-            assert gc.collect() == 0
-            verify_deadlock_direct(load_arch(name))
-            assert gc.collect() == 0
+        for path in sorted(FIXTURES.glob("*.padl")):
+            for capacity, limit in ((1, DEFAULT_STATE_LIMIT), (2, DEFAULT_STATE_LIMIT),
+                                    (3, DEFAULT_STATE_LIMIT), (2, 10)):
+                arch = load_arch(path.stem, capacity)
+                assert gc.collect() == 0
+                for aei in arch.real_aeis:
+                    aei_semantics(arch, aei)
+                assert gc.collect() == 0
+                verify_deadlock_by_reduction(arch, "weak", limit)
+                assert gc.collect() == 0, (path.stem, capacity, limit)
+                verify_deadlock_direct(load_arch(path.stem, capacity), state_limit=limit)
+                assert gc.collect() == 0, (path.stem, capacity, limit)
     finally:
         if enabled:
             gc.enable()

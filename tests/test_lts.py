@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     from_traces,
+    load_arch,
     random_lts,
     random_semisync_lts,
     reachable_part,
@@ -19,6 +20,7 @@ from conftest import (
 )
 from padlver import build_lts, find_deadlocks, hide, parallel, read_aut, relabel, resolve, write_aut
 from padlver import lts as lts_module
+from padlver import topology
 from padlver.diagnostics import StateLimitExceeded
 from padlver.equivalence import (
     _disjoint_union,
@@ -28,6 +30,7 @@ from padlver.equivalence import (
     strong_bisim_check,
 )
 from padlver.lts import (
+    DEFAULT_STATE_LIMIT,
     TAU,
     is_exception,
     reachable_states,
@@ -35,6 +38,7 @@ from padlver.lts import (
     restrict,
     shortest_trace,
 )
+from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
 
 
 def test_constructed_systems_match_golden_digest():
@@ -250,10 +254,11 @@ def test_state_limit():
 
 def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
     # parallel, _product (which the direct check calls alone) and
-    # _canonical build only acyclic containers: the collector is off
-    # while they run and left as it was found, also when the state limit
-    # raises.  _product's call of _merged_table and _canonical's of Lts
-    # show the collector's state while each runs.
+    # _canonical build only acyclic containers, and so do the two
+    # deadlock drivers: the collector is off while they run and left as
+    # it was found, also when the state limit raises.  _product's call
+    # of _merged_table, _canonical's of Lts and each driver's of its
+    # result type show the collector's state while each runs.
     chain = from_traces(tuple("a" for _ in range(9)))
     seen = []
 
@@ -265,6 +270,8 @@ def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
 
     monkeypatch.setattr(lts_module, "_merged_table", spy(lts_module._merged_table))
     monkeypatch.setattr(lts_module, "Lts", spy(lts_module.Lts))
+    for result in ("DirectResult", "ReductionResult"):
+        monkeypatch.setattr(topology, result, spy(getattr(topology, result)))
     was_enabled = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -287,6 +294,21 @@ def test_builders_pause_the_cyclic_gc_and_restore_it(monkeypatch):
             lts_module._canonical(("tau", "a"), [[(1, 0, -1, -1)], []], 0, set())
             assert seen == [False]
             assert gc.isenabled() is enabled
+            # At limit 10 a compatibility check and the direct
+            # exploration of client_server_async raise.
+            for limit, status in ((DEFAULT_STATE_LIMIT, "deadlock_free"), (10, "inconclusive")):
+                seen.clear()
+                reduction = verify_deadlock_by_reduction(load_arch("client_server_async"),
+                                                         state_limit=limit)
+                assert reduction.status == status
+                assert any(c.detail for c in reduction.conditions) is (limit == 10)
+                assert len(seen) > 1 and not any(seen)
+                assert gc.isenabled() is enabled
+                seen.clear()
+                assert verify_deadlock_direct(load_arch("client_server_async"),
+                                              state_limit=limit).status == status
+                assert len(seen) > 1 and not any(seen)
+                assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
 
@@ -367,11 +389,16 @@ def test_relabel_identity_and_inverse():
 
 
 def test_relabel_requires_injectivity():
+    # hide's renaming is relabel's, checked the same way
     lts = from_traces(("a", "b"))
-    with pytest.raises(ValueError):
-        relabel(lts, {"a": "z", "b": "z"})
-    with pytest.raises(ValueError):
-        relabel(lts, {"a": "b"})  # collides with the existing label b
+    for rename in (lambda mapping: relabel(lts, mapping),
+                   lambda mapping: hide(lts, {"z"}, rename=mapping)):
+        with pytest.raises(ValueError, match="tau cannot"):
+            rename({TAU: "z"})
+        with pytest.raises(ValueError, match="injective"):
+            rename({"a": "z", "b": "z"})
+        with pytest.raises(ValueError, match="collides"):
+            rename({"a": "b"})  # collides with the existing label b
 
 
 def test_relabel_moves_exception_labels_of_transitions():
@@ -662,6 +689,9 @@ def test_integer_core_matches_string_reference(spec, names, pending, mapping, bu
     assert_matches(hide(lts, keep_only=names), ref_hide(lts, lambda x: x not in names))
     if len(set(mapping.values())) == len(mapping):  # injective maps only
         assert_matches(relabel(lts, mapping), ref_relabel(lts, mapping))
+        renamed = relabel(lts, mapping)
+        assert_matches(hide(lts, keep_only=names, rename=mapping),
+                       ref_hide(renamed, lambda x: x not in names))
     assert_matches(resolve(lts), ref_resolve(lts))
     assert_matches(renumber_bfs(lts), ref_renumber(lts))
 

@@ -414,32 +414,30 @@ def test_a_check_that_hits_the_limit_is_not_retried(interop_calls):
 
 
 def test_reduction_generates_each_aei_request_once(monkeypatch):
-    # The isolation check and every check's right-hand side ask for the
-    # same pc-wob semantics; only the first request may generate it.
+    # Every request for an AEI (the isolation check, each check's parts
+    # and right-hand side, the direct route's bundle) starts from the
+    # same generated behavior and queues: each AEI and each queue is
+    # generated exactly once per architecture.  client_server_async has
+    # queues.
     elaborate_module = importlib.import_module("padlver.elaborate")
-    generate, semantics = elaborate_module.generate_lts, elaborate_module.aei_semantics
-    requests: list[tuple] = []
+    generate = elaborate_module.generate_lts
     generated: Counter = Counter()
 
-    def aei_semantics(arch, aei, **request):
-        requests.append((aei, tuple(sorted(request.items()))))
-        try:
-            return semantics(arch, aei, **request)
-        finally:
-            requests.pop()
-
     def generate_lts(*args, **kwargs):
-        if requests and kwargs["prefix"] == requests[-1][0]:
-            generated[requests[-1]] += 1
+        generated[kwargs["prefix"]] += 1
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(elaborate_module, "generate_lts", generate_lts)
-    for module in (elaborate_module, topology):
-        monkeypatch.setattr(module, "aei_semantics", aei_semantics)
-    reduction = verify_deadlock_by_reduction(load_arch("cycle_dying_member"))
-    assert reduction.status == "conditions_failed"
-    assert len(generated) > 5
-    assert set(generated.values()) == {1}
+    arch = load_arch("cycle_dying_member")
+    assert verify_deadlock_by_reduction(arch).status == "conditions_failed"
+    assert generated == Counter(dict.fromkeys(arch.aeis, 1))
+    generated.clear()
+    arch = load_arch("client_server_async")
+    assert verify_deadlock_by_reduction(arch).status == "deadlock_free"
+    assert generated and set(generated.values()) == {1}
+    assert verify_deadlock_direct(arch).status == "deadlock_free"
+    assert generated == Counter(dict.fromkeys(arch.aeis, 1))
+    assert any(aei.is_queue for aei in arch.aeis.values())
 
 
 def test_each_cached_semantics_is_resolved_once(monkeypatch):
