@@ -20,7 +20,6 @@ from .elaborate import (
 from .equivalence import (
     EquivalenceVerdict,
     eval_formula,
-    minimize,
     saturate,
     strong_bisim_check,
     weak_bisim_check,
@@ -74,7 +73,6 @@ __all__ = [
     "eval_formula",
     "find_deadlocks",
     "hide",
-    "minimize",
     "or_rewrite",
     "parallel",
     "parse",

@@ -716,9 +716,11 @@ def composite_semantics(
     only once the parts before it are composed.  The caller's part
     chooses each member's closure and buffers.
 
-    The chain is minimized as it grows: after every step but the last,
-    the accumulator is restricted to keep and the names later steps
-    synchronize on (restrict), then quotiented by branching
+    The chain is minimized as it grows: every step is one parallel call
+    that restricts its product in the same canonical pass, to keep and
+    the names later steps synchronize on (`future`) after every step
+    but the last and to keep alone after the last.  After every step
+    but the last, the accumulator is then quotiented by branching
     bisimilarity where _reduction_plan allows and no semi-synchronous
     move is left.  The architectural check is the one caller; the
     direct oracle explores the plain product (topology._whole_product)."""
@@ -727,13 +729,15 @@ def composite_semantics(
     plan = _reduction_plan(arch, members)
     acc = part(members[0])
     composed = families_of(arch, members[0])  # the families of the parts in acc
-    for k in range(1, len(members)):
+    last = len(members) - 1
+    for k in range(1, last + 1):
         families = families_of(arch, members[k])
-        acc = parallel(acc, part(members[k]), families & composed, state_limit)
+        sync = families & composed
         composed |= families
-        if k < len(members) - 1:
-            future, may_quotient = plan[k]
-            acc = restrict(acc, keep, future)
-            if may_quotient and not acc.has_semisync():
-                acc, _ = branching_quotient(acc)
-    return restrict(acc, keep)
+        if k == last:
+            return parallel(acc, part(members[k]), sync, state_limit, keep=keep)
+        future, may_quotient = plan[k]
+        acc = parallel(acc, part(members[k]), sync, state_limit, keep=keep, pending=future)
+        if may_quotient and not acc.has_semisync():
+            acc, _ = branching_quotient(acc)
+    return restrict(acc, keep)  # a single member

@@ -47,7 +47,6 @@ from .lts import (
     _merged_table,
     _reindexed,
     _require_resolved,
-    renumber_bfs,
 )
 
 
@@ -481,8 +480,13 @@ def _branching_partition(rows: Sequence[Sequence[Move]], width: int) -> list[int
     Rows may hold duplicates and need no order.
     After the first round a round recomputes only states that moved to
     a new block, their predecessors, and the inert tau predecessors of
-    any state whose signature changed.  Blocks are numbered in order of
-    first occurrence over the states."""
+    any state whose signature changed.  When only some members of a
+    block change, the unchanged rest keeps it; when all do, the largest
+    group of equal new signatures keeps it (Hopcroft's "process the
+    smaller half"), so along a chain most states stay put and dirty no
+    predecessor.  Which group keeps a block never changes the result:
+    the partition is the coarsest one, and blocks are numbered in order
+    of first occurrence over the states."""
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
     tau_preds: list[list[int]] = [[] for _ in range(n)]
@@ -528,9 +532,9 @@ def _branching_partition(rows: Sequence[Sequence[Move]], width: int) -> list[int
             groups: dict[frozenset[int], list[int]] = {}
             for s in states:
                 groups.setdefault(sig[s], []).append(s)
-            members = iter(groups.values())
-            if len(states) == size[b]:
-                next(members)  # the first group keeps the block
+            members = list(groups.values())
+            if len(states) == size[b]:  # the largest group keeps the block
+                members.remove(max(members, key=len))
             for group in members:
                 size[b] -= len(group)
                 new = len(size)
@@ -568,7 +572,7 @@ def branching_quotient(lts: Lts) -> tuple[Lts, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Checking and minimization
+# Checking
 # ---------------------------------------------------------------------------
 
 
@@ -653,18 +657,6 @@ def strong_bisim_check(l1: Lts, l2: Lts) -> EquivalenceVerdict:
         _require_resolved(lts, "strong_bisim_check")
     union, i1, i2 = _disjoint_union(l1, l2)
     return _verdict(union, i1, i2, _strong_signatures(union))
-
-
-def minimize(lts: Lts) -> Lts:
-    """Quotient under weak bisimilarity.
-
-    The result is weakly bisimilar to the input; transitions are the
-    block images of the original ones with intra-block tau steps
-    dropped, and unreachable blocks are pruned."""
-    _require_resolved(lts, "minimize")
-    reduced, block = branching_quotient(lts)
-    final, _ = _rounds(reduced.n_states, _weak_signatures(reduced), 0, None)
-    return renumber_bfs(_quotient(lts, [final[b] for b in block], max(final) + 1))
 
 
 # ---------------------------------------------------------------------------

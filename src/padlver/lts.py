@@ -16,7 +16,9 @@ generate_lts and parallel's exploration, _product, discover; _product
 keys its states by int and reads its operands' rows in place.  One
 pass, restrict(), renames labels, hides them and resolves
 semi-synchronous moves; relabel(), hide() and resolve() are its three
-special cases.
+special cases.  A composition step given keep and pending names runs
+that pass inside parallel, so its product is explored, hidden,
+resolved and sorted through one _canonical call.
 
 A transition is either normal (exc_label and exc_target are -1) or
 semi-synchronous (exc_target >= 0).  A semi-synchronous transition
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -61,7 +63,6 @@ def exception_label(label: str) -> str:
 Move = tuple[int, int, int, int]
 
 _LABEL = itemgetter(0)
-_TARGET = itemgetter(1)
 _EXC_LABEL = itemgetter(2)
 _EXC_TARGET = itemgetter(3)
 _LABEL_TARGET = itemgetter(0, 1)
@@ -154,7 +155,8 @@ def _canonical(
     when omitted); both tables may repeat a name and may hold unused
     ones, and a name mapped to tau makes its transitions tau steps.
     Unused names are dropped, the rest sorted after tau, the indices
-    remapped by name, and each row deduplicated and sorted.
+    remapped by name, and each row deduplicated and sorted, all in one
+    comprehension per row.
 
     What the caller's rows already satisfy is skipped.  When ``names``
     alone is the final table, tau and then distinct names in sorted
@@ -181,13 +183,8 @@ def _canonical(
     remap = [position.get(name, -1) for name in names]
     # The trailing -1 keeps exc_label -1 (a normal transition) at -1.
     remap_exc = [position.get(name, -1) for name in exc_names] + [-1]
-    moves = zip(
-        map(remap.__getitem__, map(_LABEL, flat(rows))),
-        map(_TARGET, flat(rows)),
-        map(remap_exc.__getitem__, map(_EXC_LABEL, flat(rows))),
-        map(_EXC_TARGET, flat(rows)),
-    )
-    trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
+    trans = tuple([tuple(sorted({(remap[l], d, remap_exc[el], ed) for l, d, el, ed in row}))
+                   for row in rows])
     return Lts(labels, initial, trans, frozenset(marked))
 
 
@@ -282,6 +279,9 @@ def parallel(
     right: Lts,
     sync_set: set[str] | frozenset[str],
     state_limit: int = DEFAULT_STATE_LIMIT,
+    *,
+    keep: Iterable[str] | None = None,
+    pending: Iterable[str] = (),
 ) -> Lts:
     """Parallel composition forcing synchronization on sync_set: the
     canonical form of _product.
@@ -303,9 +303,17 @@ def parallel(
     some label of that table never fires in the product (a sync name
     that only one side offers, or a label whose moves cannot be
     reached), and drops it.
-    """
+
+    keep, when given, restricts the product in the same _canonical
+    call: parallel(l, r, s, keep=k, pending=p) is restrict(parallel(l,
+    r, s), k, p), so a composition step is explored, hidden and
+    resolved in one canonical pass."""
     fields = (left.labels, left.trans, left.initial, left.marked)
-    return _canonical(*_product(fields, right, sync_set, state_limit))
+    labels, rows, initial, marked = _product(fields, right, sync_set, state_limit)
+    if keep is None:
+        return _canonical(labels, rows, initial, marked)
+    names, rows = _hidden(labels, rows, keep, pending)
+    return _canonical(names, rows, initial, marked, exc_names=labels)
 
 
 @_acyclic
@@ -423,6 +431,28 @@ def _renamed(labels: Sequence[str], mapping: dict[str, str]) -> list[str]:
     return mapped
 
 
+def _hidden(
+    labels: Sequence[str], rows: Rows, keep: Iterable[str], pending: Iterable[str]
+) -> tuple[list[str], Rows]:
+    """restrict's pass over a label table and its rows: the table with
+    every label outside keep and pending mapped to tau, and the rows
+    with every semi-synchronous move whose label is not pending
+    resolved to its success target (rows itself when none is)."""
+    pending = set(pending)
+    visible = pending.union(keep)
+    names = [name if name in visible else TAU for name in labels]
+    settled = [name not in pending for name in labels]
+    if any(settled) and max(map(_EXC_TARGET, chain.from_iterable(rows)), default=-1) >= 0:
+        # Tuples, so that an unchanged system compares equal to its rows;
+        # a move that stays is shared, not copied (peak memory).
+        rows = tuple([
+            tuple([(move[0], move[1], -1, -1) if move[3] >= 0 and settled[move[0]] else move
+                   for move in row])
+            for row in rows
+        ])
+    return names, rows
+
+
 def restrict(
     lts: Lts,
     keep: Iterable[str],
@@ -441,21 +471,10 @@ def restrict(
     the end would do.  rename, when given, renames the labels first, as
     relabel does, and keep and pending name labels after it.  Returns
     lts itself when no label is renamed or hidden and no move is
-    resolved."""
+    resolved.  A composition step restricts inside parallel instead,
+    in the product's one canonical pass."""
     labels = lts.labels if rename is None else _renamed(lts.labels, rename)
-    pending = set(pending)
-    visible = pending.union(keep)
-    names = [name if name in visible else TAU for name in labels]
-    rows = lts.trans
-    settled = [name not in pending for name in labels]
-    if any(settled) and lts.has_semisync():
-        # Tuples, so that an unchanged system compares equal to lts.trans;
-        # a move that stays is shared, not copied (peak memory).
-        rows = tuple([
-            tuple([(move[0], move[1], -1, -1) if move[3] >= 0 and settled[move[0]] else move
-                   for move in row])
-            for row in rows
-        ])
+    names, rows = _hidden(labels, lts.trans, keep, pending)
     if names == list(lts.labels) and rows == lts.trans:
         return lts
     # Exception names stay: a pending move raises its exception under
@@ -497,22 +516,8 @@ def resolve(lts: Lts) -> Lts:
 
 
 # ---------------------------------------------------------------------------
-# Reachability and deadlocks
+# Deadlocks
 # ---------------------------------------------------------------------------
-
-
-def reachable_states(lts: Lts) -> list[int]:
-    """States reachable from the initial state, in BFS order."""
-    seen = [False] * lts.n_states
-    seen[lts.initial] = True
-    order = [lts.initial]
-    for s in order:  # the loop appends
-        for _, d, _, ed in lts.trans[s]:
-            for dst in (d, ed) if ed >= 0 else (d,):
-                if not seen[dst]:
-                    seen[dst] = True
-                    order.append(dst)
-    return order
 
 
 def _require_resolved(lts: Lts, op: str) -> None:
@@ -687,23 +692,3 @@ def _aut_transition(line: str) -> tuple[int, str, int]:
         except ValueError:
             pass
     raise ValueError(f"malformed AUT transition: {line!r}")
-
-
-# ---------------------------------------------------------------------------
-# Renumbering
-# ---------------------------------------------------------------------------
-
-
-def renumber_bfs(lts: Lts) -> Lts:
-    """Renumber states in breadth-first discovery order and drop
-    unreachable ones; transitions keep their labels."""
-    order = reachable_states(lts)
-    # remap[-1] stays -1, so a normal transition's exc_target maps to -1.
-    remap = [-1] * (lts.n_states + 1)
-    for new, old in enumerate(order):
-        remap[old] = new
-    rows = [
-        [(l, remap[d], el, remap[ed]) for l, d, el, ed in lts.trans[old]] for old in order
-    ]
-    marked = frozenset(remap[s] for s in lts.marked if remap[s] >= 0)
-    return _canonical(lts.labels, rows, 0, marked)

@@ -9,13 +9,15 @@ import pytest
 from padlver import elaborate, parse, validate
 from padlver import model as m
 from padlver.elaborate import ElabArchitecture, families_of
+from padlver.equivalence import _quotient, _rounds, _weak_signatures, branching_quotient
 from padlver.lts import (
     DEFAULT_STATE_LIMIT,
     Lts,
+    _canonical,
+    _require_resolved,
     build_lts,
     exception_label,
     parallel,
-    reachable_states,
 )
 from padlver.topology import ReductionResult
 from padlver.validate import ValidatedArchitecture
@@ -67,6 +69,47 @@ def plain_product(arch: ElabArchitecture, parts: Iterable[tuple[str, Lts]],
         acc = lts if acc is None else parallel(acc, lts, families & composed, state_limit)
         composed |= families
     return acc
+
+
+def reachable_states(lts: Lts) -> list[int]:
+    """States reachable from the initial state, in BFS order."""
+    seen = [False] * lts.n_states
+    seen[lts.initial] = True
+    order = [lts.initial]
+    for s in order:  # the loop appends
+        for _, d, _, ed in lts.trans[s]:
+            for dst in (d, ed) if ed >= 0 else (d,):
+                if not seen[dst]:
+                    seen[dst] = True
+                    order.append(dst)
+    return order
+
+
+def renumber_bfs(lts: Lts) -> Lts:
+    """Renumber states in breadth-first discovery order and drop
+    unreachable ones; transitions keep their labels."""
+    order = reachable_states(lts)
+    # remap[-1] stays -1, so a normal transition's exc_target maps to -1.
+    remap = [-1] * (lts.n_states + 1)
+    for new, old in enumerate(order):
+        remap[old] = new
+    rows = [
+        [(l, remap[d], el, remap[ed]) for l, d, el, ed in lts.trans[old]] for old in order
+    ]
+    marked = frozenset(remap[s] for s in lts.marked if remap[s] >= 0)
+    return _canonical(lts.labels, rows, 0, marked)
+
+
+def minimize(lts: Lts) -> Lts:
+    """Quotient under weak bisimilarity.
+
+    The result is weakly bisimilar to the input; transitions are the
+    block images of the original ones with intra-block tau steps
+    dropped, and unreachable blocks are pruned."""
+    _require_resolved(lts, "minimize")
+    reduced, block = branching_quotient(lts)
+    final, _ = _rounds(reduced.n_states, _weak_signatures(reduced), 0, None)
+    return renumber_bfs(_quotient(lts, [final[b] for b in block], max(final) + 1))
 
 
 def all_conditions_hold(reduction: ReductionResult) -> bool:

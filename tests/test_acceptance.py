@@ -14,6 +14,7 @@ from conftest import (
     all_conditions_hold,
     fixture_source,
     load_arch,
+    minimize,
     naive_weak_bisim,
     prefix_lts,
     random_lts,
@@ -22,7 +23,6 @@ from conftest import (
 )
 from padlver import (
     hide,
-    minimize,
     parallel,
     parse,
     pretty_print,

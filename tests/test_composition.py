@@ -108,22 +108,23 @@ def compare_every_check(arch, state_limit, kind="interoperability") -> int:
 @pytest.fixture
 def steps(monkeypatch):
     """Steps of minimized compositions: {"steps": n, "quotiented": n}.
-    composite_semantics passes restrict the pending names after every
-    step but the last, and only there."""
+    composite_semantics passes parallel the pending names after every
+    step but the last, and only there; the queue cascades of
+    aei_semantics pass none."""
     counts = {"steps": 0, "quotiented": 0}
     real_quotient = elaborate_module.branching_quotient
-    real_restrict = elaborate_module.restrict
+    real_parallel = elaborate_module.parallel
 
     def quotient(lts):
         counts["quotiented"] += 1
         return real_quotient(lts)
 
-    def restrict(lts, keep, *pending):
-        counts["steps"] += len(pending)
-        return real_restrict(lts, keep, *pending)
+    def parallel(*args, **kwargs):
+        counts["steps"] += "pending" in kwargs
+        return real_parallel(*args, **kwargs)
 
     monkeypatch.setattr(elaborate_module, "branching_quotient", quotient)
-    monkeypatch.setattr(elaborate_module, "restrict", restrict)
+    monkeypatch.setattr(elaborate_module, "parallel", parallel)
     return counts
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import random
 
 import pytest
@@ -12,13 +13,15 @@ from conftest import (
     from_traces,
     is_branching_bisimulation,
     load_arch,
+    minimize,
     naive_branching_blocks,
     naive_weak_bisim,
     prefix_lts,
     random_lts,
     tau_pad,
 )
-from padlver import build_lts, hide, minimize, parallel, relabel, saturate
+from test_topology import ring_source
+from padlver import build_lts, elaborate, hide, parallel, parse, relabel, saturate, validate
 from padlver import equivalence, strong_bisim_check, topology, weak_bisim_check
 from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import aei_semantics
@@ -146,6 +149,57 @@ def test_branching_partition_matches_the_naive_fixpoint(rng, max_states):
     assert not [s for s, ts in enumerate(reduced.trans) for l, d, _, _ in ts
                 if l == 0 and d == s]
     assert naive_weak_bisim(lts, reduced)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(0.2, 0.8), st.integers(15, 40))
+def test_branching_partition_matches_the_naive_fixpoint_on_larger_draws(rng, tau_bias,
+                                                                        max_states):
+    # More states per block than above, so more blocks split into
+    # several groups of different sizes, the largest of which keeps
+    # the block.
+    lts = random_lts(rng, max_states=max_states, tau_bias=tau_bias)
+    comp, n_comps = _tau_sccs(lts)
+    collapsed = _quotient(lts, comp, n_comps)
+    parts = _branching_partition(collapsed.trans, len(collapsed.labels))
+    assert is_branching_bisimulation(collapsed, parts)
+    assert parts == naive_branching_blocks(collapsed)
+
+
+def ring_accumulators(monkeypatch, n):
+    """The accumulators that composite_semantics quotients while the
+    reduction checks a ring of n, as handed to branching_quotient."""
+    elaborate_module = importlib.import_module("padlver.elaborate")
+    real = elaborate_module.branching_quotient
+    seen = []
+
+    def recording(lts):
+        seen.append(lts)
+        return real(lts)
+
+    monkeypatch.setattr(elaborate_module, "branching_quotient", recording)
+    assert verify_deadlock_by_reduction(elaborate(validate(parse(ring_source(n))), 1)).status == (
+        "deadlock_free")
+    return seen
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_branching_partition_matches_the_naive_fixpoint_on_ring_accumulators(monkeypatch, n):
+    # Along a ring's chain-shaped accumulators every member of a block
+    # often changes at once, where the largest group keeps the block.
+    # The naive fixpoint is cubic, so it checks every accumulator whose
+    # collapse has at most 100 states and the largest of each ring; the
+    # transfer check covers them all.
+    accumulators = ring_accumulators(monkeypatch, n)
+    assert len(accumulators) == n - 2
+    largest = max(accumulators, key=lambda lts: lts.n_states)
+    for lts in accumulators:
+        comp, n_comps = _tau_sccs(lts)
+        collapsed = _quotient(lts, comp, n_comps)
+        parts = _branching_partition(collapsed.trans, len(collapsed.labels))
+        assert is_branching_bisimulation(collapsed, parts)
+        if collapsed.n_states <= 100 or lts is largest:
+            assert parts == naive_branching_blocks(collapsed)
 
 
 @settings(max_examples=500, deadline=None)

@@ -4,6 +4,8 @@ import gc
 import random
 import subprocess
 import sys
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,12 @@ from hypothesis import strategies as st
 from conftest import (
     from_traces,
     load_arch,
+    minimize,
     random_lts,
     random_semisync_lts,
     reachable_part,
+    reachable_states,
+    renumber_bfs,
     visible_labels,
 )
 from padlver import build_lts, find_deadlocks, hide, parallel, read_aut, relabel, resolve, write_aut
@@ -25,7 +30,6 @@ from padlver.diagnostics import StateLimitExceeded
 from padlver.equivalence import (
     _disjoint_union,
     branching_quotient,
-    minimize,
     saturate,
     strong_bisim_check,
 )
@@ -33,8 +37,6 @@ from padlver.lts import (
     DEFAULT_STATE_LIMIT,
     TAU,
     is_exception,
-    reachable_states,
-    renumber_bfs,
     restrict,
     shortest_trace,
 )
@@ -389,10 +391,11 @@ def test_relabel_identity_and_inverse():
 
 
 def test_relabel_requires_injectivity():
-    # hide's renaming is relabel's, checked the same way
+    # hide's and restrict's renaming is relabel's, checked the same way
     lts = from_traces(("a", "b"))
     for rename in (lambda mapping: relabel(lts, mapping),
-                   lambda mapping: hide(lts, {"z"}, rename=mapping)):
+                   lambda mapping: hide(lts, {"z"}, rename=mapping),
+                   lambda mapping: restrict(lts, {"z"}, rename=mapping)):
         with pytest.raises(ValueError, match="tau cannot"):
             rename({TAU: "z"})
         with pytest.raises(ValueError, match="injective"):
@@ -713,6 +716,54 @@ def test_integer_core_matches_string_reference(spec, names, pending, mapping, bu
             budget, n, over)
 
 
+def four_map_canonical(names, rows, initial, marked, exc_names=None):
+    """_canonical's remap path as it was before each row was built in one
+    comprehension: four chained maps over all the rows' moves, zipped
+    and cut back into rows.  The reference for the new path."""
+    flat = chain.from_iterable
+    exc_names = names if exc_names is None else exc_names
+    used = set(map(itemgetter(0), flat(rows)))
+    used_exc = set(map(itemgetter(2), flat(rows))) - {-1}
+    in_use = ({names[i] for i in used} | {exc_names[i] for i in used_exc}) - {TAU}
+    labels = (TAU,) + tuple(sorted(in_use))
+    position = {name: i for i, name in enumerate(labels)}
+    remap = [position.get(name, -1) for name in names]
+    remap_exc = [position.get(name, -1) for name in exc_names] + [-1]
+    moves = zip(
+        map(remap.__getitem__, map(itemgetter(0), flat(rows))),
+        map(itemgetter(1), flat(rows)),
+        map(remap_exc.__getitem__, map(itemgetter(2), flat(rows))),
+        map(itemgetter(3), flat(rows)),
+    )
+    trans = tuple(tuple(sorted(set(islice(moves, len(row))))) for row in rows)
+    return labels, initial, trans, frozenset(marked)
+
+
+@st.composite
+def raw_tables(draw):
+    """A label table and an exception table (None: the label table),
+    either of which may repeat a name, hold tau anywhere and hold unused
+    names, with rows over them, unsorted and with duplicates."""
+    pool = (TAU, "a", "b", "c", "a_exception", "c_exception")
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    exc_names = draw(st.none() | st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    label = st.integers(0, len(names) - 1)
+    exc = st.integers(0, len(names if exc_names is None else exc_names) - 1)
+    move = st.tuples(label, state, st.just(-1), st.just(-1)) | st.tuples(label, state, exc, state)
+    rows = draw(st.lists(st.lists(move, max_size=5), min_size=n, max_size=n))
+    return names, rows, draw(state), draw(st.frozensets(state, max_size=2)), exc_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables())
+def test_the_one_comprehension_remap_matches_the_four_map_reference(spec):
+    names, rows, initial, marked, exc_names = spec
+    lts = lts_module._canonical(names, rows, initial, marked, exc_names)
+    assert_matches(lts, four_map_canonical(names, rows, initial, marked, exc_names))
+
+
 # -- operands with different label tables ----------------------------------------
 #
 # parallel builds its product over the operands' merged table and
@@ -755,6 +806,46 @@ def test_parallel_drops_a_sync_name_only_one_side_offers():
     product = parallel(left, right, {"u"})
     assert product.labels == (TAU, "a", "b")
     assert_canonical(product)
+
+
+# -- a composition step restricted in its one canonical pass ---------------------
+#
+# composite_semantics hands each step's keep and pending names to
+# parallel, which hides and resolves the explored product in the same
+# _canonical call.  That must be exactly the plain product restricted
+# afterwards, also when a semi-synchronous move is resolved or keeps its
+# exception, when a sync name only one side offers never fires, and when
+# keep or pending holds exception labels.
+
+NAMES_AND_EXCEPTIONS = tuple(sorted(set(LEFT_NAMES + RIGHT_NAMES + LEFT_EXCEPTIONS
+                                        + RIGHT_EXCEPTIONS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lts_over(LEFT_NAMES, LEFT_EXCEPTIONS), lts_over(RIGHT_NAMES, RIGHT_EXCEPTIONS),
+       st.frozensets(st.sampled_from(("c", "s", "t", "u"))),
+       st.frozensets(st.sampled_from(NAMES_AND_EXCEPTIONS)),
+       st.frozensets(st.sampled_from(NAMES_AND_EXCEPTIONS)))
+def test_a_restricted_product_is_the_product_restricted(left, right, sync, keep, pending):
+    for a, b in ((left, right), (right, left)):
+        restricted = parallel(a, b, sync, keep=keep, pending=pending)
+        assert restricted == restrict(parallel(a, b, sync), keep, pending)
+        assert parallel(a, b, sync, keep=keep) == restrict(parallel(a, b, sync), keep)
+        assert_canonical(restricted)
+
+
+def test_a_restricted_product_resolves_what_no_later_step_tests():
+    # s is pending, so its joint move keeps its exception; x is
+    # settled, so its move resolves and x_exception, which fires
+    # nowhere else, leaves the table; u, which only the left side
+    # offers, never fires.
+    left = build_lts(4, 0, [(0, "s", 1, "s_exception", 2), (0, "x", 3, "x_exception", 2),
+                            (0, "u", 3)])
+    right = build_lts(2, 0, [(0, "s", 1)])
+    restricted = parallel(left, right, {"s", "u"}, keep={"x"}, pending={"s"})
+    assert restricted == restrict(parallel(left, right, {"s", "u"}), {"x"}, {"s"})
+    assert restricted.labels == (TAU, "s", "s_exception", "x")
+    assert restricted.transition_view() == [(0, "s", 1, "s_exception", 2), (0, "x", 3, None, None)]
 
 
 # -- the search over a product's raw rows ------------------------------------------

@@ -381,10 +381,9 @@ def test_ring_checks_its_cycle_once(interop_calls):
     assert by_id["2a"].outcomes[0] is by_id["2c"].outcomes[0]
 
 
-def test_ring_of_12_composes_in_products_linear_in_its_size(monkeypatch):
-    # The plain product of the cycle doubles with every member (2^12
-    # states here); composed while minimized, no product exceeds 10 N.
-    n = 12
+def ring_product_sizes(monkeypatch, n: int) -> list[int]:
+    """The states of every product the reduction of a ring of n builds,
+    after checking that it reduces to deadlock-free."""
     sizes = []
     elaborate_module = importlib.import_module("padlver.elaborate")
     real = elaborate_module.parallel
@@ -397,6 +396,22 @@ def test_ring_of_12_composes_in_products_linear_in_its_size(monkeypatch):
     monkeypatch.setattr(elaborate_module, "parallel", counted)
     arch = elaborate(validate(parse(ring_source(n))), 1)
     assert verify_deadlock_by_reduction(arch).status == "deadlock_free"
+    return sizes
+
+
+def test_ring_of_12_composes_in_products_linear_in_its_size(monkeypatch):
+    # The plain product of the cycle doubles with every member (2^12
+    # states here); composed while minimized, no product exceeds 10 N.
+    n = 12
+    sizes = ring_product_sizes(monkeypatch, n)
+    assert sizes and max(sizes) <= 10 * n
+
+
+def test_ring_of_64_composes_in_products_linear_in_its_size(monkeypatch):
+    # The same bound at the size where each quotient's refinement, not
+    # the products, used to dominate (2^64 states unminimized).
+    n = 64
+    sizes = ring_product_sizes(monkeypatch, n)
     assert sizes and max(sizes) <= 10 * n
 
 
