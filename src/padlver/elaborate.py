@@ -672,18 +672,20 @@ def aei_alone(arch: ElabArchitecture, aei: str, state_limit: int) -> Lts:
 
 def _reduction_plan(
     arch: ElabArchitecture, members: tuple[str, ...]
-) -> list[tuple[frozenset[str], bool]]:
-    """For each step k of a composition of the parts named by members
-    (after members[k] is composed): the names later steps synchronize
-    on, `future`, and whether the accumulator may be quotiented.
+) -> list[tuple[frozenset[str], frozenset[str], bool]]:
+    """One step for each part after the first of a composition of the
+    parts named by members, in order: the names the step synchronizes
+    on, `sync`; the names later steps synchronize on, `future`; and
+    whether the accumulator may be quotiented after the step.
 
-    future is the names of families with an owner among the composed
-    parts and an owner among the later parts, the intersection of the
-    prefix and suffix unions of each part's families (families_of).
-    The quotient is barred while a later part has a semi-synchronous
-    move on a name in future: the exception rule of parallel tests that
-    the other side offers nothing on the name, a negative premise that
-    branching bisimilarity does not preserve."""
+    sync is the part's families (families_of) shared with the parts
+    before it.  future is the names of families with an owner among
+    the parts composed so far and an owner among the later parts, so
+    the last step's is empty.  The quotient is barred while a later
+    part has a semi-synchronous move on a name in future: the
+    exception rule of parallel tests that the other side offers
+    nothing on the name, a negative premise that branching
+    bisimilarity does not preserve."""
     n = len(members)
     families = [families_of(arch, aei) for aei in members]
     # Suffix unions: the families and the semi-synchronous names of the
@@ -694,11 +696,12 @@ def _reduction_plan(
         later[k] = later[k + 1] | families[k + 1]
         later_semisync[k] = later_semisync[k + 1] | semisync_names(arch, members[k + 1])
     plan = []
-    composed: frozenset[str] = frozenset()
-    for k in range(n):
+    composed = families[0]  # the families of the parts composed so far
+    for k in range(1, n):
+        sync = families[k] & composed
         composed |= families[k]
         future = composed & later[k]
-        plan.append((future, future.isdisjoint(later_semisync[k])))
+        plan.append((sync, future, future.isdisjoint(later_semisync[k])))
     return plan
 
 
@@ -716,28 +719,20 @@ def composite_semantics(
     only once the parts before it are composed.  The caller's part
     chooses each member's closure and buffers.
 
-    The chain is minimized as it grows: every step is one parallel call
-    that restricts its product in the same canonical pass, to keep and
-    the names later steps synchronize on (`future`) after every step
-    but the last and to keep alone after the last.  After every step
-    but the last, the accumulator is then quotiented by branching
-    bisimilarity where _reduction_plan allows and no semi-synchronous
-    move is left.  The architectural check is the one caller; the
-    direct oracle explores the plain product (topology._whole_product)."""
+    The chain is minimized as it grows: each step of _reduction_plan is
+    one parallel call that restricts its product in the same canonical
+    pass, to keep and the names later steps synchronize on (`future`,
+    empty at the last step).  After every step but the last, the
+    accumulator is then quotiented by branching bisimilarity where the
+    plan allows and no semi-synchronous move is left.  The
+    architectural check is the one caller; the direct oracle explores
+    the plain product (topology._whole_product)."""
     if not members:
         raise ValueError("no members to compose")
     plan = _reduction_plan(arch, members)
     acc = part(members[0])
-    composed = families_of(arch, members[0])  # the families of the parts in acc
-    last = len(members) - 1
-    for k in range(1, last + 1):
-        families = families_of(arch, members[k])
-        sync = families & composed
-        composed |= families
-        if k == last:
-            return parallel(acc, part(members[k]), sync, state_limit, keep=keep)
-        future, may_quotient = plan[k]
+    for k, (sync, future, may_quotient) in enumerate(plan, 1):
         acc = parallel(acc, part(members[k]), sync, state_limit, keep=keep, pending=future)
-        if may_quotient and not acc.has_semisync():
+        if k < len(plan) and may_quotient and not acc.has_semisync():
             acc, _ = branching_quotient(acc)
-    return restrict(acc, keep)  # a single member
+    return acc if plan else restrict(acc, keep)  # a single member

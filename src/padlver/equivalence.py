@@ -325,7 +325,9 @@ def _rounds(
     (Blom & Orzan 2003), the one loop of strong and weak refinement:
     a round splits each block by its states' signatures under the last
     partition, signatures(parts) in state order, and numbers the new
-    blocks in order of first occurrence over the states.  Runs until a
+    blocks in the same pass, in order of first occurrence over the
+    states: a state's (block, signature) key takes the next number
+    when it is new.  Runs until a
     round splits no block or, given a pair of states, separates them.
 
     Returns the last partition and the partitions of the first `keep`
@@ -334,17 +336,13 @@ def _rounds(
     history = [parts][:keep]
     n_blocks = 1
     while True:
-        # first[s]: the first state with s's key; blocks are numbered
-        # in order of their first state.
-        fresh: dict[tuple[int, Hashable], int] = {}
-        first = list(map(fresh.setdefault, zip(parts, signatures(parts)), count()))
-        number = dict(zip(dict.fromkeys(first), count()))
-        parts = list(map(number.__getitem__, first))
+        blocks: dict[tuple[int, Hashable], int] = {}
+        parts = [blocks.setdefault(key, len(blocks)) for key in zip(parts, signatures(parts))]
         if len(history) < keep:
             history.append(parts)
-        if len(fresh) == n_blocks or pair is not None and parts[pair[0]] != parts[pair[1]]:
+        if len(blocks) == n_blocks or pair is not None and parts[pair[0]] != parts[pair[1]]:
             return parts, history
-        n_blocks = len(fresh)
+        n_blocks = len(blocks)
 
 
 def _strong_signatures(lts: Lts) -> Signatures:
@@ -360,11 +358,6 @@ def _strong_signatures(lts: Lts) -> Signatures:
     return signatures
 
 
-# States whose visible steps a weak round adds to their signatures
-# before it checks the saturation budget.
-_CHUNK = 1024
-
-
 def _weak_signatures(lts: Lts, budget: int | None = None) -> Signatures:
     """The signature function whose rounds (_rounds) on a branching
     quotient are those of _strong_signatures(saturate(lts)), without
@@ -376,33 +369,25 @@ def _weak_signatures(lts: Lts, budget: int | None = None) -> Signatures:
     it, (a, b) for every visible step to some x and every block b that
     tau* reaches from x, and the signatures of its tau successors.
     A round first takes the blocks tau* reaches from each state, then
-    the signatures.  Every tau step of a branching quotient leads to a
-    lower-numbered state (see branching_quotient), so in state order a
-    tau successor's reached blocks and signature are ready before its
+    each state's entries from its visible steps, then the signatures.
+    Every tau step of a branching quotient leads to a lower-numbered
+    state (see branching_quotient), so in state order a tau
+    successor's reached blocks and signature are ready before its
     predecessors need them.  An entry is encoded as block * width +
     label over the label table's width.
 
     Each entry stands for at least one saturated transition, so a
     round whose entries exceed the saturation budget raises
-    StateLimitExceeded only where saturate(lts, budget) would."""
+    StateLimitExceeded only where saturate(lts, budget) would.  The
+    budget is checked after each state, and the error counts the
+    round's entries up to that state."""
     n = lts.n_states
     width = len(lts.labels)
     # The states with tau steps, in state order, with their tau
-    # targets; every visible step as its source, label and target, by
-    # source.
+    # targets; each state's visible steps as (label, target).
     taus = [(s, [d for l, d, _, _ in ts if not l])
             for s, ts in enumerate(lts.trans) if ts and not ts[0][0]]
-    sources: list[int] = []
-    adders: list[Callable[[int], int]] = []
-    targets: list[int] = []
-    ends = [0]  # the visible steps of states lo..hi-1 are ends[lo]..ends[hi]-1
-    for s, ts in enumerate(lts.trans):
-        for l, d, _, _ in ts:
-            if l:
-                sources.append(s)
-                adders.append(l.__add__)
-                targets.append(d)
-        ends.append(len(sources))
+    steps = [[(l, d) for l, d, _, _ in ts if l] for ts in lts.trans]
 
     def signatures(parts: list[int]) -> list[frozenset[int]]:
         reach = [{b * width} for b in parts]
@@ -410,13 +395,10 @@ def _weak_signatures(lts: Lts, budget: int | None = None) -> Signatures:
             reach[s].update(*map(reach.__getitem__, succ))
         sig = [{b * width} for b in parts]
         entries = 0
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            steps = slice(ends[lo], ends[hi])
-            # each step s -label-> x adds (label, b) to sig[s] for each b in reach[x]
-            list(map(set.update, map(sig.__getitem__, sources[steps]),
-                     map(map, adders[steps], map(reach.__getitem__, targets[steps]))))
-            entries += sum(map(len, sig[lo:hi]))
+        for own, visible in zip(sig, steps):
+            for l, x in visible:
+                own.update(map(l.__add__, reach[x]))
+            entries += len(own)
             if budget is not None and entries > budget:
                 raise StateLimitExceeded(budget, n, entries, "saturation budget")
         for s, succ in taus:

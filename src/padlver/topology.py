@@ -77,6 +77,10 @@ from .lts import (
 )
 from .validate import ValidatedArchitecture
 
+# A weak check's saturation budget, in multiples of its state limit:
+# the signature entries one weak round may hold (equivalence._weak_signatures).
+SATURATION_BUDGET_FACTOR = 8
+
 
 # ---------------------------------------------------------------------------
 # Abstract flow graph
@@ -339,7 +343,8 @@ def _check(
                              buffers_for=members, state_limit=state_limit)
     lhs = composite_semantics(arch, members, part, keep, state_limit)
     rhs = aei_alone(arch, member, state_limit)
-    verdict = weak_bisim_check(lhs, rhs, saturation_budget=8 * state_limit)
+    verdict = weak_bisim_check(lhs, rhs,
+                               saturation_budget=SATURATION_BUDGET_FACTOR * state_limit)
     if len(members) == 2:  # a compatibility check names the center and its partner
         kind, subject, partner = "compatibility", (member,), next(iter(others))
     else:
@@ -701,9 +706,8 @@ def check_behavioral_conformity(
     variant = _whole_system(arch_variant, state_limit)
     original = _whole_system(arch_original, state_limit)
     lifted = extend_rename(variant.labels, rename)
-    verdict = weak_bisim_check(
-        relabel(variant, lifted), original, saturation_budget=8 * state_limit
-    )
+    verdict = weak_bisim_check(relabel(variant, lifted), original,
+                               saturation_budget=SATURATION_BUDGET_FACTOR * state_limit)
     return ConformityResult(
         conformant=verdict.equivalent,
         formula_text=None if verdict.formula is None else verdict.formula.render(),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, Loc, PadlError, SemanticsError, Severity
+from .lts import EXCEPTION_SUFFIX
 from .semantics import Value, eval_expr
 
 _RESERVED_INSTANCE = re.compile(r"^(IAQ|OAQ)_\d+$")
@@ -32,26 +33,19 @@ class ValidatedArchitecture:
     values (``actuals[aei][param]``, evaluated with the architectural
     defaults and checked against the AET's declared types, which
     generate_lts binds without evaluating again), and the lookup
-    tables built here.  Construction goes through validate()."""
+    tables validate() builds as it checks: AETs and AEIs by name and
+    each endpoint's attachments.  Construction goes through
+    validate()."""
 
     description: m.ArchiDescription
     warnings: list[Diagnostic]
     actuals: dict[str, dict[str, Value]]
-
-    def __post_init__(self) -> None:
-        d = self.description
-        self.aets: dict[str, m.AetDef] = {a.name: a for a in d.aets}
-        self.instances: dict[str, m.Instance] = {i.name: i for i in d.instances}
-        self.attachments_of: dict[tuple[str, str], list[m.Attachment]] = {}
-        for att in d.attachments:
-            self.attachments_of.setdefault(att.source, []).append(att)
-            self.attachments_of.setdefault(att.target, []).append(att)
+    aets: dict[str, m.AetDef]
+    instances: dict[str, m.Instance]
+    attachments_of: dict[tuple[str, str], list[m.Attachment]]  # by endpoint, in order
 
     def aet_of(self, aei: str) -> m.AetDef:
         return self.aets[self.instances[aei].aet]
-
-    def interaction(self, aei: str, name: str) -> m.InteractionDecl | None:
-        return self.aet_of(aei).interaction(name)
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +56,7 @@ _TYPE_WORDS = {"bool": "boolean", "int": "integer"}
 
 
 class _Checker:
-    def __init__(self, description: m.ArchiDescription):
-        self.d = description
+    def __init__(self) -> None:
         self.diags: list[Diagnostic] = []
 
     def error(self, code: str, message: str, loc: Loc) -> None:
@@ -138,7 +131,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     Returns a ValidatedArchitecture (possibly with warnings) or raises
     PadlError carrying every diagnostic found.
     """
-    ck = _Checker(description)
+    ck = _Checker()
     d = description
 
     # Architectural-type parameters form the constant environment of
@@ -216,7 +209,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     # Attachments: direction, distinct endpoints, multiplicity discipline.
     attached: set[tuple[str, str]] = set()
     seen_pairs: set[tuple[tuple[str, str], tuple[str, str]]] = set()
-    counts: dict[tuple[str, str], list[m.Attachment]] = {}
+    attachments_of: dict[tuple[str, str], list[m.Attachment]] = {}
     for att in d.attachments:
         ok = True
         for aei, inter in (att.source, att.target):
@@ -252,10 +245,10 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
         seen_pairs.add(key)
         attached.add(att.source)
         attached.add(att.target)
-        counts.setdefault(att.source, []).append(att)
-        counts.setdefault(att.target, []).append(att)
+        attachments_of.setdefault(att.source, []).append(att)
+        attachments_of.setdefault(att.target, []).append(att)
 
-    for endpoint, atts in counts.items():
+    for endpoint, atts in attachments_of.items():
         decl = interaction_of(*endpoint)
         if decl is None:
             continue
@@ -285,8 +278,8 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
                 continue
             i_ep = (inst.name, decl.dep_on)
             o_ep = (inst.name, decl.name)
-            i_atts = counts.get(i_ep, [])
-            o_atts = counts.get(o_ep, [])
+            i_atts = attachments_of.get(i_ep, [])
+            o_atts = attachments_of.get(o_ep, [])
             if len(i_atts) != len(o_atts):
                 ck.error(
                     "E_DEP_COUNT",
@@ -334,7 +327,8 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     errors = [x for x in ck.diags if x.severity is Severity.ERROR]
     if errors:
         raise PadlError(ck.diags)
-    return ValidatedArchitecture(description=d, warnings=ck.diags, actuals=aei_actuals)
+    return ValidatedArchitecture(description=d, warnings=ck.diags, actuals=aei_actuals,
+                                 aets=aets, instances=instances, attachments_of=attachments_of)
 
 
 def _validate_aet(ck: _Checker, aet: m.AetDef) -> list[tuple[m.Param, tuple[str, ...]]]:
@@ -347,10 +341,10 @@ def _validate_aet(ck: _Checker, aet: m.AetDef) -> list[tuple[m.Param, tuple[str,
         if decl.name in inter_by_name:
             ck.error("E_DUP_INTERACTION", f"duplicate interaction '{decl.name}' in AET '{aet.name}'", decl.loc)
         inter_by_name[decl.name] = decl
-        if decl.name.endswith("_exception"):
+        if decl.name.endswith(EXCEPTION_SUFFIX):
             ck.error(
                 "E_RESERVED_NAME",
-                f"interaction name '{decl.name}' uses the reserved '_exception' suffix",
+                f"interaction name '{decl.name}' uses the reserved '{EXCEPTION_SUFFIX}' suffix",
                 decl.loc,
             )
 

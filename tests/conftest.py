@@ -36,7 +36,7 @@ def load_arch(name: str, capacity: int = 2) -> ElabArchitecture:
 def attach_no(arch: ValidatedArchitecture, endpoint: tuple[str, str]) -> int:
     """Number of attachments involving an (aei, interaction) endpoint."""
     aei, inter = endpoint
-    if aei not in arch.instances or arch.interaction(aei, inter) is None:
+    if aei not in arch.instances or arch.aet_of(aei).interaction(inter) is None:
         raise ValueError(f"unknown endpoint {aei}.{inter}")
     return len(arch.attachments_of.get(endpoint, []))
 

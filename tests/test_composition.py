@@ -37,6 +37,7 @@ from padlver.elaborate import (
 from padlver.equivalence import eval_formula, weak_bisim_check
 from padlver.lts import hide, resolve, restrict
 from padlver.topology import (
+    SATURATION_BUDGET_FACTOR,
     build_flow_graph,
     check_compatibility,
     check_interoperability,
@@ -82,6 +83,7 @@ def compare_every_check(arch, state_limit, kind="interoperability") -> int:
     """Run the differential on every check of the kind on arch; returns
     the number of checks compared (a check over a limit is skipped)."""
     compared = 0
+    budget = SATURATION_BUDGET_FACTOR * state_limit
     for members, member in every_check(arch, kind):
         try:
             plain = plain_lhs(arch, members, member, state_limit)
@@ -89,7 +91,7 @@ def compare_every_check(arch, state_limit, kind="interoperability") -> int:
                 reduced = check_interoperability(arch, members, member, state_limit)
             else:
                 reduced = check_compatibility(arch, *members, state_limit)
-            same = weak_bisim_check(reduced.lhs, plain, saturation_budget=8 * state_limit)
+            same = weak_bisim_check(reduced.lhs, plain, saturation_budget=budget)
         except StateLimitExceeded:
             continue
         where = (arch.name, members, member)
@@ -219,12 +221,13 @@ def compare_with_the_star_context(arch, state_limit) -> int:
     """Check every compatibility check of arch against its star-context
     construction; returns the number compared."""
     compared = 0
+    budget = SATURATION_BUDGET_FACTOR * state_limit
     for (center, partner), _ in every_check(arch, "compatibility"):
         try:
             in_star = star_context_lhs(arch, center, partner, state_limit)
             outcome = check_compatibility(arch, center, partner, state_limit)
-            same = weak_bisim_check(outcome.lhs, in_star, saturation_budget=8 * state_limit)
-            verdict = weak_bisim_check(in_star, outcome.rhs, saturation_budget=8 * state_limit)
+            same = weak_bisim_check(outcome.lhs, in_star, saturation_budget=budget)
+            verdict = weak_bisim_check(in_star, outcome.rhs, saturation_budget=budget)
         except StateLimitExceeded:
             continue
         where = (arch.name, center, partner)

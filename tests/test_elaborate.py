@@ -17,14 +17,17 @@ from conftest import (
     star_source,
     visible_labels,
 )
+from test_composition import every_check
 from test_random_architectures import _SSYNC_HEAVY, random_architecture
 from padlver import PadlError, StateLimitExceeded, parse, validate
 from padlver import model as m
 from padlver.elaborate import (
+    _reduction_plan,
     aei_semantics,
     build_name_sets,
     composite_semantics,
     elaborate,
+    families_of,
     h_set,
     or_rewrite,
     queue_lts,
@@ -568,6 +571,24 @@ def test_composite_takes_each_part_after_composing_the_ones_before(monkeypatch):
                 if aei in f.owners and last in f.owners}
     assert expected and calls[-1] == expected
     assert not composed.has_semisync() and composed.labels == ("tau",)
+    assert calls == [sync for sync, _, _ in _reduction_plan(arch, members)]
+    # Every fixture check's plan: one step per later member, each
+    # synchronizing on the member's families shared with the members
+    # before it, and the last with no future.
+    planned = 0
+    for path in sorted(FIXTURES.glob("*.padl")):
+        for capacity in (1, 2, 3):
+            arch = load_arch(path.stem, capacity)
+            for kind in ("compatibility", "interoperability"):
+                for members, _ in every_check(arch, kind):
+                    plan = _reduction_plan(arch, members)
+                    assert len(plan) == len(members) - 1
+                    for k, (sync, _, _) in enumerate(plan, 1):
+                        earlier = frozenset().union(*(families_of(arch, aei) for aei in members[:k]))
+                        assert sync == families_of(arch, members[k]) & earlier
+                    assert plan[-1][1] == frozenset()
+                    planned += 1
+    assert planned > 0
 
 
 def test_declared_semisync_names_cover_every_built_part():

@@ -105,6 +105,17 @@ def test_saturation_budget_surfaces_as_resource_error():
     assert weak_bisim_check(chain, chain, saturation_budget=3).equivalent
 
 
+def test_weak_round_stops_at_the_first_state_past_the_budget():
+    # Over one block every state but the chain's end has two entries,
+    # (tau, 0) and (a, 0): the running count reads 2, 4, 6, and the
+    # round stops at 6, not at the whole round's 21.
+    chain = from_traces(tuple("a" for _ in range(10)))
+    with pytest.raises(StateLimitExceeded, match=r"^saturation budget 5 exceeded \(") as caught:
+        _weak_signatures(chain, 5)([0] * chain.n_states)
+    assert (caught.value.limit, caught.value.transitions_seen) == (5, 6)
+    assert caught.value.states_seen == chain.n_states
+
+
 def test_quotients_refuse_semisync_moves():
     # A state map keeps (label, target) only: the exception target of a
     # semi-synchronous move would be lost.
