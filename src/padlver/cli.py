@@ -64,9 +64,11 @@ def _read(path: str) -> str:
 def _load(path: str, capacity: int | None) -> ValidatedArchitecture | ElabArchitecture:
     """The architecture in the file at path, validated, and elaborated
     unless capacity is None; its diagnostics, from any stage, name the
-    file."""
+    file, and its validation warnings go to stderr as errors do."""
     try:
         arch = validate(parse(_read(path)))
+        for warning in arch.warnings:
+            print(warning.render(path), file=sys.stderr)
         return arch if capacity is None else elaborate(arch, capacity)
     except PadlError as err:
         err.filename = path

@@ -260,6 +260,7 @@ class ElabAei:
     equations: tuple[m.BehaviorEquation, ...]
     interactions: dict[str, "ElabInteraction"]
     queue: QueueInfo | None = None
+    queues: list[str] = field(default_factory=list)  # its implicit queues, in cascade order
 
     @property
     def is_queue(self) -> bool:
@@ -294,9 +295,7 @@ class ElabArchitecture:
 
     def bundle(self, aei: str) -> list[str]:
         """An AEI together with its implicit queue AEIs."""
-        return [aei] + [
-            q.name for q in self.aeis.values() if q.queue is not None and q.queue.owner == aei
-        ]
+        return [aei, *self.aeis[aei].queues]
 
 
 def _queue_aet_equations(capacity: int) -> tuple[m.BehaviorEquation, ...]:
@@ -440,12 +439,22 @@ def elaborate(arch: ValidatedArchitecture, capacity: int = 2) -> ElabArchitectur
                                           queue=QueueInfo(aei_name, kind, name, partner))
                     rewire(k, endpoint, (queue, outer))
                     inner.append((queue, inner_end))
+                    elab.queues.append(queue)
                 if inner:
                     add_family((*inner, endpoint) if incoming else (endpoint, *inner),
                                internal_owner=aei_name)
                 elab.interactions[name] = replace(
                     inter, synchronicity=converted, converted_from_async=True
                 )
+
+    # Each AEI's queues in cascade order: input queues before output
+    # queues, those of uni-interactions before those of and-interactions,
+    # each stage in creation order (the sort is stable).
+    for inst in d.instances:
+        elab = aeis[inst.name]
+        elab.queues.sort(key=lambda q: (
+            aeis[q].queue.kind == "OAQ",
+            elab.interactions[aeis[q].queue.interaction].multiplicity is m.Multiplicity.AND))
 
     # Group the remaining attachments into external families: one per
     # and-interaction (with all its partners), one per uni-uni pair.
@@ -588,18 +597,8 @@ def aei_semantics(
     if closure not in ("open", "pc", "tc"):
         raise ValueError(f"unknown closure {closure!r}")
 
-    def cascade_rank(queue_name: str) -> tuple[bool, bool]:
-        info = arch.aeis[queue_name].queue
-        inter = elab.interactions[info.interaction]
-        return (info.kind == "OAQ", inter.multiplicity is m.Multiplicity.AND)
-
-    # The bundle lists each kind's queues in creation order, which the
-    # stable sort keeps within each stage of the cascade.
     buffers = set(buffers_for)
-    queues = sorted(
-        (name for name in arch.bundle(aei)[1:] if arch.aeis[name].queue.partner in buffers),
-        key=cascade_rank,
-    )
+    queues = [q for q in elab.queues if arch.aeis[q].queue.partner in buffers]
     key = (aei, frozenset(context), closure, tuple(queues), state_limit)
     cached = arch._semantics.get(key)
     if cached is not None:

@@ -56,7 +56,7 @@ from .elaborate import (
     families_of,
     h_set,
 )
-from .equivalence import EquivalenceVerdict, weak_bisim_check
+from .equivalence import weak_bisim_check
 from .lts import (
     DEFAULT_STATE_LIMIT,
     EXCEPTION_SUFFIX,
@@ -304,7 +304,8 @@ def twin_classes(arch: ValidatedArchitecture) -> dict[str, str]:
 
 @dataclass
 class CheckOutcome:
-    """One compatibility/interoperability verdict with its evidence."""
+    """One compatibility/interoperability verdict.  The systems it
+    compared are not kept; _check_systems rebuilds them."""
 
     kind: str  # "compatibility" | "interoperability"
     subject: tuple[str, ...]
@@ -315,26 +316,16 @@ class CheckOutcome:
     rhs_states: int
     saturated: bool  # some bounded queue filled up while building the lhs
     time_ms: float
-    verdict: EquivalenceVerdict | None = field(default=None, repr=False)
-    lhs: Lts | None = field(default=None, repr=False)
-    rhs: Lts | None = field(default=None, repr=False)
 
 
-def _check(
-    arch: ElabArchitecture,
-    members: tuple[str, ...],
-    member: str,
-    state_limit: int,
-) -> CheckOutcome:
-    """The one architectural check: do the other members leave the
-    member's observable behavior unchanged?  Composes the members with
-    the buffers among them, the member partially closed and the others
-    totally closed, all relative to every AEI; restricts the result to
+def _check_systems(arch: ElabArchitecture, members: tuple[str, ...], member: str,
+                   state_limit: int) -> tuple[Lts, Lts]:
+    """The check's two systems, (lhs, rhs).  The lhs composes the
+    members with the buffers among them, the member partially closed and
+    the others totally closed, all relative to every AEI, restricted to
     the member's visible names less the queue names it shares with the
-    others; and compares that against the member alone without
-    buffers.  The composition is minimized as it grows (see
-    composite_semantics)."""
-    started = time.perf_counter()
+    others, and minimized as it grows (see composite_semantics).  The rhs
+    is the member alone without buffers."""
     context = arch.real_aeis
     others = set(members) - {member}
     keep = build_name_sets(arch, member, context).visible - h_set(arch, member, others)
@@ -342,11 +333,22 @@ def _check(
         return aei_semantics(arch, aei, context=context, closure="pc" if aei == member else "tc",
                              buffers_for=members, state_limit=state_limit)
     lhs = composite_semantics(arch, members, part, keep, state_limit)
-    rhs = aei_alone(arch, member, state_limit)
+    return lhs, aei_alone(arch, member, state_limit)
+
+
+def _check(arch: ElabArchitecture, members: tuple[str, ...], member: str,
+           state_limit: int) -> CheckOutcome:
+    """The one architectural check: do the other members leave the
+    member's observable behavior unchanged?  Compares the two systems
+    of _check_systems under weak bisimilarity and keeps the answer, the
+    formula rendered and the systems' sizes, not the systems."""
+    started = time.perf_counter()
+    lhs, rhs = _check_systems(arch, members, member, state_limit)
     verdict = weak_bisim_check(lhs, rhs,
                                saturation_budget=SATURATION_BUDGET_FACTOR * state_limit)
     if len(members) == 2:  # a compatibility check names the center and its partner
-        kind, subject, partner = "compatibility", (member,), next(iter(others))
+        (other,) = set(members) - {member}
+        kind, subject, partner = "compatibility", (member,), other
     else:
         kind, subject, partner = "interoperability", members, member
     return CheckOutcome(
@@ -359,9 +361,6 @@ def _check(
         rhs_states=rhs.n_states,
         saturated=bool(lhs.marked),
         time_ms=(time.perf_counter() - started) * 1000.0,
-        verdict=verdict,
-        lhs=lhs,
-        rhs=rhs,
     )
 
 
@@ -551,12 +550,13 @@ def _evaluate(
     A compatibility check's orbit is its AEIs' twin classes.  Checks
     in one orbit are equal up to renaming twins, so the first
     equivalent outcome of an orbit (kept in orbits) stands for the
-    rest: equivalence and the state counts carry over, the evidence
-    (formula, verdict, systems) is not copied.  A non-equivalent or
-    limited outcome is never shared, since its formula names the OR
-    copies of its own partner.  Interoperability checks are never
-    shared: swapping two members of a union reorders the composition,
-    and the reduced lhs_states depends on that order."""
+    rest: its copy names the twin's subject and partner and builds no
+    system (_check_systems is not called), and being equivalent it has
+    no formula.  A non-equivalent or limited outcome is never shared,
+    since its formula names the OR copies of its own partner.
+    Interoperability checks are never shared: swapping two members of
+    a union reorders the composition, and the reduced lhs_states
+    depends on that order."""
     kind, target, partner = key
     started = time.perf_counter()
     orbit = None
@@ -564,8 +564,7 @@ def _evaluate(
         orbit = (twin[target], twin[partner])
         first = orbits.get(orbit)
         if first is not None:
-            return replace(first, subject=(target,), partner=partner, formula_text=None,
-                           verdict=None, lhs=None, rhs=None,
+            return replace(first, subject=(target,), partner=partner,
                            time_ms=(time.perf_counter() - started) * 1000.0)
     check = check_compatibility if kind == "compatibility" else check_interoperability
     try:

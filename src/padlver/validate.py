@@ -207,7 +207,6 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
         return aet.interaction(name) if aet else None
 
     # Attachments: direction, distinct endpoints, multiplicity discipline.
-    attached: set[tuple[str, str]] = set()
     seen_pairs: set[tuple[tuple[str, str], tuple[str, str]]] = set()
     attachments_of: dict[tuple[str, str], list[m.Attachment]] = {}
     for att in d.attachments:
@@ -243,8 +242,6 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
             ck.error("E_DUP_ATTACH", f"duplicate attachment {att.from_aei}.{att.from_interaction} "
                      f"-> {att.to_aei}.{att.to_interaction}", att.loc)
         seen_pairs.add(key)
-        attached.add(att.source)
-        attached.add(att.target)
         attachments_of.setdefault(att.source, []).append(att)
         attachments_of.setdefault(att.target, []).append(att)
 
@@ -302,7 +299,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
     for aei, inter in d.archi_interactions:
         if aei not in instances or interaction_of(aei, inter) is None:
             ck.error("E_ARCHI_UNDEF", f"architectural interaction {aei}.{inter} is not declared", d.loc)
-        elif (aei, inter) in attached:
+        elif (aei, inter) in attachments_of:
             ck.error(
                 "E_ARCHI_ATTACHED",
                 f"architectural interaction {aei}.{inter} also occurs in an attachment",
@@ -316,7 +313,7 @@ def validate(description: m.ArchiDescription) -> ValidatedArchitecture:
             continue
         for decl in aet.interactions:
             ep = (inst.name, decl.name)
-            if ep not in attached and ep not in archi:
+            if ep not in attachments_of and ep not in archi:
                 ck.warn(
                     "W_UNATTACHED",
                     f"local interaction {inst.name}.{decl.name} is neither attached "

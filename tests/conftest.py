@@ -9,7 +9,14 @@ import pytest
 from padlver import elaborate, parse, validate
 from padlver import model as m
 from padlver.elaborate import ElabArchitecture, families_of
-from padlver.equivalence import _quotient, _rounds, _weak_signatures, branching_quotient
+from padlver.equivalence import (
+    EquivalenceVerdict,
+    _quotient,
+    _rounds,
+    _weak_signatures,
+    branching_quotient,
+    weak_bisim_check,
+)
 from padlver.lts import (
     DEFAULT_STATE_LIMIT,
     Lts,
@@ -19,7 +26,12 @@ from padlver.lts import (
     exception_label,
     parallel,
 )
-from padlver.topology import ReductionResult
+from padlver.topology import (
+    SATURATION_BUDGET_FACTOR,
+    CheckOutcome,
+    ReductionResult,
+    _check_systems,
+)
 from padlver.validate import ValidatedArchitecture
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -110,6 +122,25 @@ def minimize(lts: Lts) -> Lts:
     reduced, block = branching_quotient(lts)
     final, _ = _rounds(reduced.n_states, _weak_signatures(reduced), 0, None)
     return renumber_bfs(_quotient(lts, [final[b] for b in block], max(final) + 1))
+
+
+def check_evidence(arch: ElabArchitecture, outcome: CheckOutcome,
+                   state_limit: int = DEFAULT_STATE_LIMIT) -> tuple[Lts, Lts, EquivalenceVerdict]:
+    """The (lhs, rhs, verdict) behind an outcome of arch's checks at
+    state_limit: the systems rebuilt by _check_systems and compared as
+    the check compares them.  The outcome keeps none of them, so this
+    also asserts that they give the outcome's answer, lhs size and
+    rendered formula."""
+    if outcome.kind == "compatibility":
+        members, member = (outcome.subject[0], outcome.partner), outcome.subject[0]
+    else:
+        members, member = outcome.subject, outcome.partner
+    lhs, rhs = _check_systems(arch, members, member, state_limit)
+    verdict = weak_bisim_check(lhs, rhs, saturation_budget=SATURATION_BUDGET_FACTOR * state_limit)
+    formula = None if verdict.formula is None else verdict.formula.render()
+    assert (verdict.equivalent, lhs.n_states, formula) == (
+        outcome.equivalent, outcome.lhs_states, outcome.formula_text)
+    return lhs, rhs, verdict
 
 
 def all_conditions_hold(reduction: ReductionResult) -> bool:

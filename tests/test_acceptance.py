@@ -12,6 +12,7 @@ import time
 
 from conftest import (
     all_conditions_hold,
+    check_evidence,
     fixture_source,
     load_arch,
     minimize,
@@ -145,26 +146,28 @@ def test_acceptance_6_mutation_sensitivity():
     cases = []
 
     arch = load_arch("mutant_server_silent")
-    cases.append(("mutant_server_silent", check_compatibility(arch, "S", "C_1")))
+    cases.append(("mutant_server_silent", arch, check_compatibility(arch, "S", "C_1")))
     direct = verify_deadlock_direct(arch)
     assert direct.status == "deadlock", "the silent server must deadlock the system"
 
     arch = load_arch("mutant_detector_halt")
     cases.append(
-        ("mutant_detector_halt", check_interoperability(arch, ("S", "C", "D", "A"), "S"))
+        ("mutant_detector_halt", arch,
+         check_interoperability(arch, ("S", "C", "D", "A"), "S"))
     )
 
     arch = load_arch("mutant_panel_no_catch")
-    cases.append(("mutant_panel_no_catch", check_compatibility(arch, "S", "P")))
+    cases.append(("mutant_panel_no_catch", arch, check_compatibility(arch, "S", "P")))
     direct = verify_deadlock_direct(arch)
     assert direct.status == "deadlock", "the catchless panel must deadlock the system"
 
-    for name, outcome in cases:
+    for name, arch, outcome in cases:
         assert not outcome.equivalent, f"{name}: the check must fail"
-        formula = outcome.verdict.formula
+        lhs, rhs, verdict = check_evidence(arch, outcome)
+        formula = verdict.formula
         assert formula is not None
-        assert eval_formula(outcome.lhs, formula), f"{name}: formula must hold on the lhs"
-        assert not eval_formula(outcome.rhs, formula), f"{name}: formula must fail on the rhs"
+        assert eval_formula(lhs, formula), f"{name}: formula must hold on the lhs"
+        assert not eval_formula(rhs, formula), f"{name}: formula must fail on the rhs"
     report(6, "three mutants break the expected checks with model-checked "
               "distinguishing formulas; the direct check confirms the composable ones")
 

@@ -11,11 +11,14 @@ import pytest
 
 from conftest import FIXTURES, fixture_source, from_traces, load_arch, visible_labels
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
-from padlver import pretty_print
+from test_validate import minimal
+from padlver import elaborate, pretty_print, validate
 from padlver.cli import main
 from padlver.lts import DEFAULT_STATE_LIMIT, read_aut, write_aut
 from padlver.diagnostics import PadlError
 from padlver.parser import parse
+from padlver.report import VerificationReport
+from padlver.topology import verify_deadlock_by_reduction, verify_deadlock_direct
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,6 +101,29 @@ def test_semantics_error_names_file_and_aei(command, tmp_path, capsys):
     code, out, err = run(capsys, command[0], str(bad), *command[1:])
     assert (code, out) == (2, "")
     assert err == f"{bad}: error: AEI 'L': value 3 for 'n' of 'Node' is outside int(0..2)\n"
+
+
+def test_validation_warnings_reach_stderr(tmp_path, capsys):
+    # Every interaction is unattached: three W_UNATTACHED warnings,
+    # printed as errors are, while the report and exit code stay those
+    # of the API.
+    path = tmp_path / "loose.padl"
+    path.write_text(minimal(attachments="void"))
+    validated = validate(parse(path.read_text()))
+    expected = "".join(w.render(str(path)) + "\n" for w in validated.warnings)
+    assert expected.count("warning[W_UNATTACHED]") == 3
+    arch = elaborate(validated, 2)
+    report = VerificationReport(architecture=arch.name, mode="both", notion="weak",
+                                queue_capacity=2, state_limit=DEFAULT_STATE_LIMIT,
+                                with_timings=False)
+    report.reduction = verify_deadlock_by_reduction(arch)
+    report.direct = verify_deadlock_direct(arch)
+    code, out, err = run(capsys, "check", str(path), "--mode", "both", "--format", "json",
+                         "--no-timings")
+    assert (code, out, err) == (report.exit_code(), report.to_json(), expected)
+    for command in (["graph"], ["lts", "--aei", "A_1"]):
+        code, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, err) == (0, expected)
 
 
 def test_check_json_deterministic_without_timings(capsys):

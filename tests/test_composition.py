@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, e_set, load_arch, plain_product
+from conftest import FIXTURES, check_evidence, e_set, load_arch, plain_product
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_architecture
 from padlver import validate
 from padlver.diagnostics import StateLimitExceeded
@@ -91,7 +91,8 @@ def compare_every_check(arch, state_limit, kind="interoperability") -> int:
                 reduced = check_interoperability(arch, members, member, state_limit)
             else:
                 reduced = check_compatibility(arch, *members, state_limit)
-            same = weak_bisim_check(reduced.lhs, plain, saturation_budget=budget)
+            lhs, rhs, verdict = check_evidence(arch, reduced, state_limit)
+            same = weak_bisim_check(lhs, plain, saturation_budget=budget)
         except StateLimitExceeded:
             continue
         where = (arch.name, members, member)
@@ -99,10 +100,9 @@ def compare_every_check(arch, state_limit, kind="interoperability") -> int:
         assert same.equivalent, where
         assert reduced.saturated == bool(plain.marked), where
         assert reduced.lhs_states <= plain.n_states, where
-        formula = reduced.verdict.formula
-        if formula is not None:
-            assert eval_formula(plain, formula), where
-            assert not eval_formula(reduced.rhs, formula), where
+        if verdict.formula is not None:
+            assert eval_formula(plain, verdict.formula), where
+            assert not eval_formula(rhs, verdict.formula), where
         compared += 1
     return compared
 
@@ -226,8 +226,9 @@ def compare_with_the_star_context(arch, state_limit) -> int:
         try:
             in_star = star_context_lhs(arch, center, partner, state_limit)
             outcome = check_compatibility(arch, center, partner, state_limit)
-            same = weak_bisim_check(outcome.lhs, in_star, saturation_budget=budget)
-            verdict = weak_bisim_check(in_star, outcome.rhs, saturation_budget=budget)
+            lhs, rhs, _ = check_evidence(arch, outcome, state_limit)
+            same = weak_bisim_check(lhs, in_star, saturation_budget=budget)
+            verdict = weak_bisim_check(in_star, rhs, saturation_budget=budget)
         except StateLimitExceeded:
             continue
         where = (arch.name, center, partner)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import (
     FIXTURES,
     all_conditions_hold,
+    check_evidence,
     e_set,
     fixture_source,
     load_arch,
@@ -20,7 +23,7 @@ from padlver import parse, topology, validate
 from padlver.diagnostics import StateLimitExceeded
 from padlver.elaborate import aei_semantics, elaborate
 from padlver.equivalence import eval_formula, strong_bisim_check
-from padlver.lts import DEFAULT_STATE_LIMIT, find_deadlocks, resolve, shortest_trace
+from padlver.lts import DEFAULT_STATE_LIMIT, Lts, find_deadlocks, resolve, shortest_trace
 from padlver.topology import (
     AbstractFlowGraph,
     build_flow_graph,
@@ -211,27 +214,27 @@ def test_mutant_server_breaks_compatibility_with_sound_formula():
     arch = load_arch("mutant_server_silent")
     outcome = check_compatibility(arch, "S", "C_1")
     assert not outcome.equivalent
-    formula = outcome.verdict.formula
-    assert eval_formula(outcome.lhs, formula)
-    assert not eval_formula(outcome.rhs, formula)
+    lhs, rhs, verdict = check_evidence(arch, outcome)
+    assert eval_formula(lhs, verdict.formula)
+    assert not eval_formula(rhs, verdict.formula)
 
 
 def test_mutant_detector_breaks_interoperability_with_sound_formula():
     arch = load_arch("mutant_detector_halt")
     outcome = check_interoperability(arch, ("S", "C", "D", "A"), "S")
     assert not outcome.equivalent
-    formula = outcome.verdict.formula
-    assert eval_formula(outcome.lhs, formula)
-    assert not eval_formula(outcome.rhs, formula)
+    lhs, rhs, verdict = check_evidence(arch, outcome)
+    assert eval_formula(lhs, verdict.formula)
+    assert not eval_formula(rhs, verdict.formula)
 
 
 def test_mutant_panel_breaks_compatibility_with_sound_formula():
     arch = load_arch("mutant_panel_no_catch")
     outcome = check_compatibility(arch, "S", "P")
     assert not outcome.equivalent
-    formula = outcome.verdict.formula
-    assert eval_formula(outcome.lhs, formula)
-    assert not eval_formula(outcome.rhs, formula)
+    lhs, rhs, verdict = check_evidence(arch, outcome)
+    assert eval_formula(lhs, verdict.formula)
+    assert not eval_formula(rhs, verdict.formula)
 
 
 # -- drivers -----------------------------------------------------------------------
@@ -526,6 +529,24 @@ def test_the_direct_route_builds_no_system_before_its_search(monkeypatch):
         first.status, first.trace, first.states, first.saturated)
     topology._whole_system(arch, DEFAULT_STATE_LIMIT)
     assert calls["_canonical"] > 0  # the counters see the built system
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_a_result_holds_no_system(capacity):
+    # A result keeps verdicts, formulas and sizes: walking its
+    # references, modules and types aside, reaches no Lts.
+    for path in sorted(FIXTURES.glob("*.padl")):
+        arch = elaborate(validate(parse(path.read_text(encoding="utf-8"))), capacity)
+        todo = [verify_deadlock_by_reduction(arch, "weak", 10),
+                verify_deadlock_direct(arch, "weak", 10)]
+        seen = {id(obj) for obj in todo}
+        while todo:
+            obj = todo.pop()
+            assert not isinstance(obj, Lts), (path.name, capacity)
+            for ref in gc.get_referents(obj):
+                if id(ref) not in seen and not isinstance(ref, (types.ModuleType, type)):
+                    seen.add(id(ref))
+                    todo.append(ref)
 
 
 def test_mutant_direct_confirms_failed_check():

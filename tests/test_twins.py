@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import fixture_source, load_arch, star_source
+from conftest import check_evidence, fixture_source, load_arch, star_source
 from test_random_architectures import _SSYNC_HEAVY, _SYNCS, random_aet
 from test_topology import ring_source
 from padlver import elaborate, parse, topology, validate
@@ -98,16 +98,33 @@ def reduce_report(arch, state_limit: int) -> str:
 
 
 @pytest.fixture
-def differential(monkeypatch):
+def built(monkeypatch):
+    """The (members, member) of every check whose systems _check_systems
+    built."""
+    calls = []
+    real = topology._check_systems
+
+    def check_systems(arch, members, member, *args):
+        calls.append((members, member))
+        return real(arch, members, member, *args)
+
+    monkeypatch.setattr(topology, "_check_systems", check_systems)
+    return calls
+
+
+@pytest.fixture
+def differential(monkeypatch, built):
     """compare(validated, capacity, state_limit): asserts that the
     reports with and without sharing are byte-identical and returns
-    how many outcomes were shared."""
+    how many outcomes were shared, counted as the outcomes whose
+    evaluation built no system."""
     shared_outcomes = []
     real = topology._evaluate
 
     def evaluate(*args):
+        before = len(built)
         outcome = real(*args)
-        if not isinstance(outcome, str) and outcome.lhs is None:
+        if not isinstance(outcome, str) and len(built) == before:
             shared_outcomes.append(outcome)
         return outcome
 
@@ -249,12 +266,13 @@ def test_failing_twin_checks_each_name_their_own_or_copy(compat_calls):
         assert (outcome.partner, outcome.equivalent) == (client, False)
         copy = f"{client}.send_request#S.receive_request_{client[-1]}"
         assert copy in outcome.formula_text
-        assert eval_formula(outcome.lhs, outcome.verdict.formula)
-        assert not eval_formula(outcome.rhs, outcome.verdict.formula)
+        lhs, rhs, verdict = check_evidence(arch, outcome)
+        assert eval_formula(lhs, verdict.formula)
+        assert not eval_formula(rhs, verdict.formula)
 
 
 @pytest.mark.parametrize("synchronous", [False, True], ids=["async", "sync"])
-def test_a_star_of_32_checks_once_per_twin_class(synchronous, compat_calls, monkeypatch):
+def test_a_star_of_32_checks_once_per_twin_class(synchronous, compat_calls, built, monkeypatch):
     isolated = []
     real = topology.aei_deadlock_free
 
@@ -272,7 +290,8 @@ def test_a_star_of_32_checks_once_per_twin_class(synchronous, compat_calls, monk
     outcomes = [o for c in reduction.conditions for o in c.outcomes]
     assert [o.partner for o in outcomes] == [f"C_{i}" for i in range(1, 33)]
     assert len({(o.lhs_states, o.rhs_states, o.saturated) for o in outcomes}) == 1
-    assert all(o.formula_text is None and o.lhs is None for o in outcomes[1:])
+    assert all(o.formula_text is None for o in outcomes)
+    assert built == [(("S", "C_1"), "S")]  # the other 31 outcomes built no system
 
 
 # -- shared against unshared reports -------------------------------------------------

@@ -20,8 +20,10 @@ was digested:
   resolution leaves unreachable);
 - ``checks``: the ``lhs`` and ``rhs`` of every check the reduction
   lists, in its order, and the limit message of each condition that
-  hit one; a compatibility check that takes a twin's outcome builds
-  no system and reads ``shared``.
+  hit one.  An outcome keeps no system, so the systems are those that
+  ``topology._check_systems`` returned for the check during the
+  reduction, recorded by a wrapper around it; a compatibility check
+  that takes a twin's outcome builds no system and reads ``shared``.
 
 The reports carry only state counts; this digest shows that every
 system behind them is unchanged.  The last line is the sha256 of all
@@ -47,10 +49,20 @@ def load(root: Path):
     one architecture's three outcome sequences."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "src"))
-    from padlver import parse, validate
+    from padlver import parse, topology, validate
     from padlver.diagnostics import StateLimitExceeded
     from padlver.elaborate import aei_semantics, elaborate
     from padlver.topology import _whole_system, verify_deadlock_by_reduction
+
+    # The systems of each check the reduction builds, by (members, member).
+    built: dict[tuple, tuple] = {}
+    check_systems = topology._check_systems
+
+    def recorded(arch, members, member, state_limit):
+        built[members, member] = check_systems(arch, members, member, state_limit)
+        return built[members, member]
+
+    topology._check_systems = recorded
 
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
@@ -75,12 +87,17 @@ def load(root: Path):
         ]
         whole = [outcome(lambda: _whole_system(arch, limit))]
         checks = []
+        built.clear()
         for record in verify_deadlock_by_reduction(arch, "weak", limit).conditions:
             for result in record.outcomes:
-                if result.lhs is None:  # a twin's outcome, taken without running
-                    checks.append("shared")
+                if result.kind == "compatibility":
+                    key = ((result.subject[0], result.partner), result.subject[0])
                 else:
-                    checks += [form(result.lhs), form(result.rhs)]
+                    key = (result.subject, result.partner)
+                if key in built:
+                    checks += [form(lts) for lts in built[key]]
+                else:  # a twin's outcome, taken without running
+                    checks.append("shared")
             if record.detail is not None:
                 checks.append(f"limit: {record.detail}")
         return {"semantics": semantics, "whole": whole, "checks": checks}
